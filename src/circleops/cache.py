@@ -1,11 +1,12 @@
 """Content-addressed cache for textual reports.
 
-Entries are keyed by a canonical string naming the operation and every flag
-that influences its output, so changing a convention switch changes the key
-and stale results are never served.  Each entry stores its payload together
-with a SHA-256 digest; a digest mismatch on load is treated as corruption and
-the value is recomputed.  The cache directory must already exist: a missing
-directory is an error, not an invitation to create state in surprise places.
+Entries are keyed by a canonical string naming the operation, the package
+version and every flag that influences its output, so changing a convention
+switch or upgrading the package changes the key and stale results are never
+served.  Each entry stores its payload together with a SHA-256 digest; a
+digest mismatch on load is treated as corruption and the value is
+recomputed.  The cache directory must already exist: a missing directory is
+an error, not an invitation to create state in surprise places.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+
+from . import __version__
 
 SCHEMA = 1
 
@@ -28,9 +32,17 @@ class CacheCorruption(CacheError):
 
 
 def cache_key(kind: str, **fields) -> str:
-    """Canonical key: operation kind plus sorted flag=value pairs."""
-    parts = [kind] + [f"{name}={fields[name]}" for name in sorted(fields)]
-    return "|".join(parts)
+    """Canonical key: JSON of the operation kind, package version and flags.
+
+    The version is part of the key so that a new release never serves a
+    payload computed by an older one; JSON keeps apart values that joined
+    name=value text would run together.
+    """
+    return json.dumps(
+        {"kind": kind, "version": __version__, "fields": fields},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
 
 
 def entry_path(cache_dir, key: str) -> Path:
@@ -50,7 +62,11 @@ def _payload_digest(payload: str) -> str:
 
 
 def store(cache_dir, key: str, payload: str) -> Path:
-    """Write an entry; the write is atomic so readers never see halves."""
+    """Write an entry; the write is atomic so readers never see halves.
+
+    Each writer fills its own temporary file and renames it into place, so
+    concurrent writers of one key never share a half-written file.
+    """
     _require_dir(cache_dir)
     path = entry_path(cache_dir, key)
     body = json.dumps(
@@ -62,9 +78,14 @@ def store(cache_dir, key: str, payload: str) -> Path:
         },
         sort_keys=True,
     )
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(body, encoding="utf-8")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

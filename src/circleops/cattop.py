@@ -4,15 +4,19 @@ A FinCategory is a finite category presented by an explicit composition
 table; every categorical axiom is checked at construction time, so a value
 of the type is itself a certificate.  On top of that sit the standard
 constructions used by the verification suites: full subcategories, posets,
-slices and strict fibers of a functor, comma categories under an object,
-and the Grothendieck total of a diagram of categories.
+the comma categories z/F and F/z of a functor (comma, with side "under" or
+"over"), its strict fiber over z (fiber) and the inclusion x -> (x, id_z)
+of that fiber into either comma (fiber_inclusion), and the Grothendieck
+total of a diagram of categories.
 
 The bridge to the operad is build_comma: its objects are the k-white
 configurations on a fixed tree and its arrows are k-tuples of unary
-operations composing one object into another.  Bounding the complexity of
-the objects by a fixed labelled graph gives the filtered subcategories the
-acyclicity suites run on, and forgetting a distinguished white circle gives
-the deletion functor whose fibers certify the contraction argument.
+operations composing one object into another.  The tagged comma category
+build_hat_comma has the same arrows between (configuration, tag) pairs
+whose tags are ordered.  Bounding the complexity of the objects by a fixed
+labelled graph gives the filtered subcategories the acyclicity suites run
+on, and forgetting a distinguished white circle gives the deletion functor
+whose fibers certify the contraction argument.
 
 Nerves of loop-free categories are turned into integer chain complexes,
 one chain per composable string of nonidentity arrows, so homology is
@@ -215,16 +219,27 @@ def poset_category(elements, leq) -> FinCategory:
     return FinCategory(elements, arrows, identities, table)
 
 
-def full_subcategory(C: FinCategory, predicate) -> FinCategory:
-    """The full subcategory on the objects satisfying the predicate."""
-    objs = tuple(x for x in C.objects if predicate(x))
+def _subcategory(C: FinCategory, keep_object, keep_arrow) -> FinCategory:
+    """The subcategory of the objects and arrows that pass the two predicates.
+
+    Identities and composites are inherited from C, so keep_arrow must pass
+    identities and be closed under composition.
+    """
+    objs = tuple(x for x in C.objects if keep_object(x))
     keep = set(objs)
-    arrows = tuple(a for a in C.arrows if a.src in keep and a.dst in keep)
+    arrows = tuple(
+        a for a in C.arrows if a.src in keep and a.dst in keep and keep_arrow(a)
+    )
     arrset = set(arrows)
     table = {
         (g, f): h for (g, f), h in C.table.items() if g in arrset and f in arrset
     }
     return FinCategory(objs, arrows, {x: C.identity(x) for x in objs}, table)
+
+
+def full_subcategory(C: FinCategory, predicate) -> FinCategory:
+    """The full subcategory on the objects satisfying the predicate."""
+    return _subcategory(C, predicate, lambda a: True)
 
 
 def identity_functor(C: FinCategory) -> FinFunctor:
@@ -247,136 +262,61 @@ def find_initial(C: FinCategory):
     return None
 
 
-def _strict_fiber(F: FinFunctor, target) -> FinCategory:
-    """Full-on-identity subcategory of F's domain sitting over target."""
-    C, D = F.dom, F.cod
-    id_t = D.identity(target)
-    fiber_objects = tuple(x for x in C.objects if F.obj(x) == target)
-    fiber_set = set(fiber_objects)
-    fiber_arrows = tuple(
-        u
-        for u in C.arrows
-        if u.src in fiber_set and u.dst in fiber_set and F.arr(u) == id_t
-    )
-    fiber_arrset = set(fiber_arrows)
-    fiber_table = {
-        (g, f): h
-        for (g, f), h in C.table.items()
-        if g in fiber_arrset and f in fiber_arrset
-    }
-    return FinCategory(
-        fiber_objects,
-        fiber_arrows,
-        {x: C.identity(x) for x in fiber_objects},
-        fiber_table,
-    )
+def _codomain_identity(F: FinFunctor, z) -> Arrow:
+    """id_z in F's codomain; raises CategoryError if z is not an object there."""
+    try:
+        return F.cod.identities[z]
+    except KeyError:
+        raise CategoryError(f"{z} is not an object of the codomain") from None
 
 
-def slice_and_fiber(F: FinFunctor, target):
-    """The slice F/target, the strict fiber over target, and its inclusion.
+def comma(F: FinFunctor, z, side: str) -> FinCategory:
+    """The comma category z/F (side "under") or F/z (side "over").
 
-    Slice objects are pairs (x, h) with h an arrow F(x) -> target; slice
-    arrows are domain arrows making the triangle commute.  Fiber objects are
-    the x with F(x) == target and fiber arrows those mapping to the identity.
-    The inclusion sends x to (x, id).
+    Objects are pairs (w, g) with g an arrow z -> F(w) under, F(w) -> z over.
+    An arrow (w, g) -> (w2, g2) is a domain arrow m: w -> w2 whose image
+    makes the triangle with g and g2 commute; it is labelled by m.
     """
-    C, D = F.dom, F.cod
-    if target not in set(D.objects):
-        raise CategoryError(f"{target} is not an object of the codomain")
-    slice_objects = tuple(
-        (x, h) for x in C.objects for h in D.hom(F.obj(x), target)
-    )
-    arrows = []
-    for u in C.arrows:
-        fu = F.arr(u)
-        for h2 in D.hom(F.obj(u.dst), target):
-            arrows.append(Arrow((u.src, D.compose(h2, fu)), (u.dst, h2), u))
-    identities = {
-        (x, h): Arrow((x, h), (x, h), C.identity(x)) for (x, h) in slice_objects
-    }
-    table = _table_from(arrows, lambda g, f: C.compose(g.label, f.label))
-    slice_cat = FinCategory(slice_objects, arrows, identities, table)
-
-    id_t = D.identity(target)
-    fiber_cat = _strict_fiber(F, target)
-    inclusion = FinFunctor(
-        fiber_cat,
-        slice_cat,
-        {x: (x, id_t) for x in fiber_cat.objects},
-        {u: Arrow((u.src, id_t), (u.dst, id_t), u) for u in fiber_cat.arrows},
-    )
-    return slice_cat, fiber_cat, inclusion
-
-
-def coslice_and_fiber(F: FinFunctor, target):
-    """The coslice target\\F, the strict fiber over target, and its inclusion.
-
-    Coslice objects are pairs (x, g) with g an arrow target -> F(x); coslice
-    arrows are domain arrows making the triangle commute.  The fiber is the
-    same strict fiber as in slice_and_fiber and again includes via (x, id).
-    """
-    C, D = F.dom, F.cod
-    if target not in set(D.objects):
-        raise CategoryError(f"{target} is not an object of the codomain")
-    coslice_objects = tuple(
-        (x, g) for x in C.objects for g in D.hom(target, F.obj(x))
-    )
-    arrows = []
-    for u in C.arrows:
-        fu = F.arr(u)
-        for g in D.hom(target, F.obj(u.src)):
-            arrows.append(Arrow((u.src, g), (u.dst, D.compose(fu, g)), u))
-    identities = {
-        (x, g): Arrow((x, g), (x, g), C.identity(x)) for (x, g) in coslice_objects
-    }
-    table = _table_from(arrows, lambda g, f: C.compose(g.label, f.label))
-    coslice_cat = FinCategory(coslice_objects, arrows, identities, table)
-
-    id_t = D.identity(target)
-    fiber_cat = _strict_fiber(F, target)
-    inclusion = FinFunctor(
-        fiber_cat,
-        coslice_cat,
-        {x: (x, id_t) for x in fiber_cat.objects},
-        {u: Arrow((u.src, id_t), (u.dst, id_t), u) for u in fiber_cat.arrows},
-    )
-    return coslice_cat, fiber_cat, inclusion
-
-
-def comma_under(z, F: FinFunctor) -> FinCategory:
-    """The comma category (z / F) for an object z of F's codomain."""
+    if side not in ("under", "over"):
+        raise ValueError(f"side must be 'under' or 'over', not {side!r}")
     A, B = F.dom, F.cod
-    if z not in set(B.objects):
-        raise CategoryError(f"{z} is not an object of the codomain")
-    objects = tuple((w, g) for w in A.objects for g in B.hom(z, F.obj(w)))
+    _codomain_identity(F, z)
     arrows = []
-    for m in A.arrows:
-        fm = F.arr(m)
-        for g in B.hom(z, F.obj(m.src)):
-            arrows.append(Arrow((m.src, g), (m.dst, B.compose(fm, g)), m))
+    if side == "under":
+        objects = tuple((w, g) for w in A.objects for g in B.hom(z, F.obj(w)))
+        for m in A.arrows:
+            fm = F.arr(m)
+            for g in B.hom(z, F.obj(m.src)):
+                arrows.append(Arrow((m.src, g), (m.dst, B.compose(fm, g)), m))
+    else:
+        objects = tuple((w, g) for w in A.objects for g in B.hom(F.obj(w), z))
+        for m in A.arrows:
+            fm = F.arr(m)
+            for g in B.hom(F.obj(m.dst), z):
+                arrows.append(Arrow((m.src, B.compose(g, fm)), (m.dst, g), m))
     identities = {
         (w, g): Arrow((w, g), (w, g), A.identity(w)) for (w, g) in objects
     }
-    table = _table_from(arrows, lambda g2, f2: A.compose(g2.label, f2.label))
+    table = _table_from(arrows, lambda g, f: A.compose(g.label, f.label))
     return FinCategory(objects, arrows, identities, table)
 
 
-def comma_over(z, F: FinFunctor) -> FinCategory:
-    """The comma category (F / z) for an object z of F's codomain."""
-    A, B = F.dom, F.cod
-    if z not in set(B.objects):
-        raise CategoryError(f"{z} is not an object of the codomain")
-    objects = tuple((w, g) for w in A.objects for g in B.hom(F.obj(w), z))
-    arrows = []
-    for m in A.arrows:
-        fm = F.arr(m)
-        for g2 in B.hom(F.obj(m.dst), z):
-            arrows.append(Arrow((m.src, B.compose(g2, fm)), (m.dst, g2), m))
-    identities = {
-        (w, g): Arrow((w, g), (w, g), A.identity(w)) for (w, g) in objects
-    }
-    table = _table_from(arrows, lambda g2, f2: A.compose(g2.label, f2.label))
-    return FinCategory(objects, arrows, identities, table)
+def fiber(F: FinFunctor, z) -> FinCategory:
+    """The strict fiber over z: the x with F(x) == z and the arrows onto id_z."""
+    id_z = _codomain_identity(F, z)
+    return _subcategory(F.dom, lambda x: F.obj(x) == z, lambda u: F.arr(u) == id_z)
+
+
+def fiber_inclusion(F: FinFunctor, z, side: str) -> FinFunctor:
+    """The inclusion x -> (x, id_z) of fiber(F, z) into comma(F, z, side)."""
+    fiber_cat = fiber(F, z)
+    id_z = F.cod.identity(z)
+    return FinFunctor(
+        fiber_cat,
+        comma(F, z, side),
+        {x: (x, id_z) for x in fiber_cat.objects},
+        {u: Arrow((u.src, id_z), (u.dst, id_z), u) for u in fiber_cat.arrows},
+    )
 
 
 def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
@@ -444,40 +384,33 @@ def grothendieck_projection(total: FinCategory, base: FinCategory) -> FinFunctor
 
 # --- comma categories of the operad --------------------------------------------
 
-def _comma_on_objects(objs) -> FinCategory:
-    """The full subcategory of the comma category on the given configurations.
+def _unary_comma(objects, config, related) -> FinCategory:
+    """The category on objects whose arrows are tuples of unary operations.
 
-    Arrows o -> o2 are tuples of unary operations, one per white circle of
-    o2, whose substitution into o2 yields o; only arrows with both ends in
-    objs are built, which keeps filtered commas cheap.
+    Each object x carries the configuration config(x).  An arrow x -> x2 is
+    a tuple of unary operations, one per white circle of config(x2), whose
+    substitution into config(x2) yields config(x), for every x with
+    related(x, x2).  Only arrows with both ends in objects are built, which
+    keeps filtered commas cheap.
     """
-    ops = {o: HOperation(o) for o in objs}
-    objset = set(objs)
-    unary_ops = {}
-
-    def opify(term) -> HOperation:
-        if term not in unary_ops:
-            unary_ops[term] = HOperation(term)
-        return unary_ops[term]
-
-    pools = {}
-
-    def unaries(source):
-        if source not in pools:
-            pools[source] = enumerate_configs(source, 1)
-        return pools[source]
-
+    opify = lru_cache(maxsize=None)(HOperation)
+    unaries = lru_cache(maxsize=None)(lambda source: enumerate_configs(source, 1))
+    carrying = {}
+    for x in objects:
+        carrying.setdefault(config(x), []).append(x)
     arrows = []
-    for o2 in objs:
-        for combo in product(*(unaries(s) for s in ops[o2].sources)):
-            src = compose(ops[o2], tuple(opify(p) for p in combo)).term
-            if src in objset:
-                arrows.append(Arrow(src, o2, combo))
+    for x2 in objects:
+        op2 = opify(config(x2))
+        for combo in product(*(unaries(s) for s in op2.sources)):
+            src = compose(op2, tuple(opify(p) for p in combo)).term
+            for x in carrying.get(src, ()):
+                if related(x, x2):
+                    arrows.append(Arrow(x, x2, combo))
     index = {(a.src, a.dst, a.label): a for a in arrows}
     identities = {}
-    for o in objs:
-        ids = tuple(identity_op(s).term for s in ops[o].sources)
-        identities[o] = index[(o, o, ids)]
+    for x in objects:
+        ids = tuple(identity_op(s).term for s in opify(config(x)).sources)
+        identities[x] = index[(x, x, ids)]
 
     def combine(g, f):
         return tuple(
@@ -485,7 +418,12 @@ def _comma_on_objects(objs) -> FinCategory:
         )
 
     table = _table_from(arrows, combine)
-    return FinCategory(objs, arrows, identities, table)
+    return FinCategory(objects, arrows, identities, table)
+
+
+def _comma_on_objects(objs) -> FinCategory:
+    """The full subcategory of the comma category on the given configurations."""
+    return _unary_comma(objs, lambda o: o, lambda o, o2: True)
 
 
 @lru_cache(maxsize=None)
@@ -536,48 +474,13 @@ def build_hat_comma(tree, level: int = 2, k: int = 2) -> FinCategory:
     """
     kappas = k_enumerate(level, k)
     objs = enumerate_configs(tree, k)
-    ops = {o: HOperation(o) for o in objs}
     objects = tuple(
         (o, kap)
         for kap in kappas
         for o in objs
         if k_leq(_complexity_of(o), k_iota(kap))
     )
-    objset = set(objects)
-    unary_ops = {}
-
-    def opify(term) -> HOperation:
-        if term not in unary_ops:
-            unary_ops[term] = HOperation(term)
-        return unary_ops[term]
-
-    pools = {}
-
-    def unaries(source):
-        if source not in pools:
-            pools[source] = enumerate_configs(source, 1)
-        return pools[source]
-
-    arrows = []
-    for o2, kap2 in objects:
-        for combo in product(*(unaries(s) for s in ops[o2].sources)):
-            src = compose(ops[o2], tuple(opify(p) for p in combo)).term
-            for kap in kappas:
-                if k_leq(kap, kap2) and (src, kap) in objset:
-                    arrows.append(Arrow((src, kap), (o2, kap2), combo))
-    index = {(a.src, a.dst, a.label): a for a in arrows}
-    identities = {}
-    for o, kap in objects:
-        ids = tuple(identity_op(s).term for s in ops[o].sources)
-        identities[(o, kap)] = index[((o, kap), (o, kap), ids)]
-
-    def combine(g, f):
-        return tuple(
-            compose(opify(q), (opify(p),)).term for q, p in zip(g.label, f.label)
-        )
-
-    table = _table_from(arrows, combine)
-    return FinCategory(objects, arrows, identities, table)
+    return _unary_comma(objects, lambda x: x[0], lambda x, x2: k_leq(x[1], x2[1]))
 
 
 def hat_comma_grothendieck(tree, level: int = 2, k: int = 2) -> FinCategory:
@@ -693,10 +596,10 @@ def fiber_adjoint_report(F: FinFunctor, target) -> FiberAdjointReport:
     left adjoint to the inclusion into the slice need not exist, so the
     coslice is the side that carries the adjunction.
     """
-    coslice_cat, fiber_cat, inclusion = coslice_and_fiber(F, target)
-    terminal = find_terminal(fiber_cat)
+    inclusion = fiber_inclusion(F, target, "under")
+    terminal = find_terminal(inclusion.dom)
     approximations = tuple(
-        (z, find_terminal(comma_over(z, inclusion))) for z in coslice_cat.objects
+        (z, find_terminal(comma(inclusion, z, "over"))) for z in inclusion.cod.objects
     )
     return FiberAdjointReport(target, terminal, approximations)
 

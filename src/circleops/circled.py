@@ -512,18 +512,6 @@ def enumerate_unary(source, target):
 
 
 @lru_cache(maxsize=None)
-def _decompositions(t):
-    """All (shape, tops) with graft(shape, tops) == t; shape is the bottom part."""
-    out = [(LEAF, (t,))]
-    if isinstance(t, Node):
-        for combo in product(*[_decompositions(x) for x in t.children]):
-            shape = Node(tuple(s for s, _ in combo))
-            tops = tuple(chain.from_iterable(ts for _, ts in combo))
-            out.append((shape, tops))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _gen(t, budget: int, in_white: bool, black_parent: bool, white_cap: int):
     """Terms over t with at most budget circles, pruned by the black rules.
 
@@ -538,7 +526,7 @@ def _gen(t, budget: int, in_white: bool, black_parent: bool, white_cap: int):
                                               black_parent, white_cap):
             results.append((Node(kids), used, whites))
     if budget >= 1:
-        for shape, tops in _decompositions(t):
+        for shape, tops in _region_cuts(t):
             for is_white in (True, False):
                 if is_white and white_cap == 0:
                     continue
@@ -635,7 +623,7 @@ def _region_cuts(u):
         for combo in product(*[_region_cuts(g) for g in u.grafts]):
             out.append((Circ(u.kind, u.content, tuple(b for b, _ in combo)),
                         tuple(chain.from_iterable(ts for _, ts in combo))))
-    return out
+    return tuple(out)
 
 
 def _label_placeholders(c, it):

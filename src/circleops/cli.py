@@ -82,6 +82,10 @@ class RunConfig:
     inclusive: bool = False
     max_dim: int = 3
 
+    def __post_init__(self):
+        if self.max_dim < 0:
+            raise ValueError(f"--max-dim must be nonnegative, got {self.max_dim}")
+
     @classmethod
     def from_args(cls, args) -> "RunConfig":
         return cls(
@@ -607,8 +611,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    cfg = RunConfig.from_args(args)
     try:
+        cfg = RunConfig.from_args(args)
         return args.func(cfg, args)
     except CheckFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from circleops import __version__
+from circleops import cache as cachemod
 from circleops.cache import (
     CacheCorruption,
     CacheError,
@@ -21,7 +23,36 @@ from circleops.trees import LEAF
 def test_cache_key_is_canonical():
     a = cache_key("enumerate", tree="|", k=2, inclusive=False)
     b = cache_key("enumerate", k=2, inclusive=False, tree="|")
-    assert a == b == "enumerate|inclusive=False|k=2|tree=|"
+    assert a == b == (
+        '{"fields":{"inclusive":false,"k":2,"tree":"|"},'
+        f'"kind":"enumerate","version":"{__version__}"}}'
+    )
+
+
+def test_cache_key_changes_with_package_version(monkeypatch):
+    before = cache_key("enumerate", tree="|", k=2)
+    monkeypatch.setattr(cachemod, "__version__", __version__ + ".post1")
+    after = cache_key("enumerate", tree="|", k=2)
+    assert before != after
+    assert entry_path("d", before) != entry_path("d", after)
+
+
+def test_store_leaves_no_temporary_file(tmp_path):
+    for n in range(3):
+        store(tmp_path, cache_key("configs", tree="|", k=n), str(n))
+    store(tmp_path, cache_key("configs", tree="|", k=0), "again")
+    assert len(entries(tmp_path)) == 3
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_failed_store_removes_its_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cachemod.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        store(tmp_path, "k", "v")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_key_separates_convention_flags():

@@ -13,12 +13,12 @@ from circleops.cattop import (
     acyclicity_report,
     build_comma,
     build_hat_comma,
+    comma,
     comma_below,
-    comma_over,
-    comma_under,
-    coslice_and_fiber,
     deletion_functor,
+    fiber,
     fiber_adjoint_report,
+    fiber_inclusion,
     find_initial,
     find_terminal,
     full_subcategory,
@@ -30,7 +30,6 @@ from circleops.cattop import (
     nerve,
     nerve_homology,
     poset_category,
-    slice_and_fiber,
 )
 
 
@@ -131,7 +130,8 @@ def test_find_terminal_and_initial_on_chain():
 
 def test_identity_functor_slice_is_over_category():
     C = chain(3)
-    sl, fib, inc = slice_and_fiber(identity_functor(C), 1)
+    inc = fiber_inclusion(identity_functor(C), 1, "over")
+    sl, fib = inc.cod, inc.dom
     assert sorted(x for x, _ in sl.objects) == [0, 1]
     assert [x for x in fib.objects] == [1]
     assert inc.obj(1) == (1, C.identity(1))
@@ -139,19 +139,56 @@ def test_identity_functor_slice_is_over_category():
 
 def test_identity_functor_coslice_is_under_category():
     C = chain(3)
-    cos, fib, inc = coslice_and_fiber(identity_functor(C), 1)
+    inc = fiber_inclusion(identity_functor(C), 1, "under")
+    cos, fib = inc.cod, inc.dom
     assert sorted(x for x, _ in cos.objects) == [1, 2]
     assert [x for x in fib.objects] == [1]
+    assert inc.obj(1) == (1, C.identity(1))
 
 
-def test_comma_under_and_over_for_identity():
+def test_comma_both_sides_for_identity():
     C = chain(3)
-    under = comma_under(1, identity_functor(C))
-    over = comma_over(1, identity_functor(C))
+    under = comma(identity_functor(C), 1, "under")
+    over = comma(identity_functor(C), 1, "over")
     assert len(under.objects) == 2  # (1,id), (2, 1<=2)
     assert len(over.objects) == 2  # (0, 0<=1), (1,id)
     assert find_initial(under) == (1, C.identity(1))
     assert find_terminal(over) == (1, C.identity(1))
+
+
+def test_comma_rejects_bad_side_and_foreign_object():
+    F = identity_functor(chain(3))
+    with pytest.raises(ValueError, match="side"):
+        comma(F, 1, "sideways")
+    for build in (lambda: comma(F, 7, "under"), lambda: fiber(F, 7)):
+        with pytest.raises(CategoryError, match="not an object"):
+            build()
+
+
+@pytest.mark.parametrize("side", ["under", "over"])
+def test_comma_laws_on_deletion_functor(side):
+    # unlike the identity on a chain, this functor sends 17 objects onto 3
+    F = deletion_functor(parse_tree("(|)"), k_iota(KElt(2, (1,), (1, 2))))
+    A, B = F.dom, F.cod
+    for z in B.objects:
+        K = comma(F, z, side)
+        assert K.objects
+        for w, g in K.objects:
+            legs = B.hom(z, F.obj(w)) if side == "under" else B.hom(F.obj(w), z)
+            assert g in legs
+        for a in K.arrows:
+            (w, g), (w2, g2), m = a.src, a.dst, a.label
+            assert (m.src, m.dst) == (w, w2)
+            if side == "under":
+                assert B.compose(F.arr(m), g) == g2
+            else:
+                assert B.compose(g2, F.arr(m)) == g
+        fib = fiber(F, z)
+        assert set(fib.objects) == {x for x in A.objects if F.obj(x) == z}
+        assert all(F.arr(u) == B.identity(z) for u in fib.arrows)
+        inc = fiber_inclusion(F, z, side)
+        assert inc.cod.objects == K.objects and inc.dom.objects == fib.objects
+        assert all(inc.obj(x) == (x, B.identity(z)) for x in fib.objects)
 
 
 # --- Grothendieck construction -----------------------------------------------------
@@ -368,7 +405,7 @@ def test_deletion_functor_on_edge_fiber_characterization():
         "{w1 | / {w2 | / |}}",
         "{w2 | / {w1 | / |}}",
     ]
-    sl, fib, inc = slice_and_fiber(F, target)
+    fib = fiber(F, target)
     assert set(fib.objects) == set(F.dom.objects)
     assert find_terminal(fib) == parse_config("{w1 {w2 | / |} / |}")
 
@@ -398,9 +435,9 @@ def test_slice_side_reflection_can_fail():
     t = parse_tree("(|)")
     F = deletion_functor(t, k_iota(KElt(2, (1,), (1, 2))))
     target = parse_config("{w1 (|) / |}")
-    sl, fib, inc = slice_and_fiber(F, target)
+    inc = fiber_inclusion(F, target, "over")
     missing = [
-        z for z in sl.objects if find_initial(comma_under(z, inc)) is None
+        z for z in inc.cod.objects if find_initial(comma(inc, z, "under")) is None
     ]
     assert missing, "expected at least one slice object without a reflection"
     assert fiber_adjoint_report(F, target).ok

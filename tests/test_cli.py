@@ -209,6 +209,16 @@ def test_cache_clear(tmp_path, capsys):
     assert out_lines(capsys) == ["cleared 1 entries"]
 
 
+def test_negative_max_dim_is_usage_error(capsys):
+    for args in (["homology", "kposet", "--m", "2", "--k", "2"],
+                 ["verify", "lemma", "--tree", "|"]):
+        assert run(["--max-dim", "-1"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "--max-dim" in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["enumerate", "nonsense"]) == 2
     assert run([]) == 2
