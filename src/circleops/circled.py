@@ -23,8 +23,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
 
-from .trees import LEAF, Leaf, Node, ParseError, _skip_spaces, graft
-from .trees import leaves as tree_leaves
+from .trees import (
+    LEAF,
+    Leaf,
+    Node,
+    ParseError,
+    _parse,
+    _parse_item,
+    _skip_spaces,
+    graft,
+)
 from .trees import vertices as tree_vertices
 
 
@@ -104,57 +112,39 @@ def contracted(c):
 # --- codec -----------------------------------------------------------------
 
 def parse_config(text: str):
-    """Parse the text form of a circled tree; errors carry byte offsets."""
-    c, pos = _parse_at(text, _skip_spaces(text, 0))
+    """Parse the text form of a circled tree; errors carry byte offsets.
+
+    Brackets of either kind may nest at most 200 deep; a deeper bracket is
+    a ParseError at its offset.
+    """
+    return _parse(text, "configuration", _parse_circle)
+
+
+def _parse_circle(text: str, pos: int, depth: int, noun: str):
+    start = pos
+    kind, pos = _parse_kind(text, pos + 1)
     pos = _skip_spaces(text, pos)
-    if pos != len(text):
-        raise ParseError(pos, "trailing input after configuration")
-    return c
-
-
-def _parse_at(text: str, pos: int):
-    if pos >= len(text):
-        raise ParseError(pos, "unexpected end of input, expected a configuration")
-    ch = text[pos]
-    if ch == "|":
-        return LEAF, pos + 1
-    if ch == "(":
-        pos += 1
-        children = []
-        while True:
-            pos = _skip_spaces(text, pos)
-            if pos >= len(text):
-                raise ParseError(pos, "unclosed '('")
-            if text[pos] == ")":
-                return Node(tuple(children)), pos + 1
-            child, pos = _parse_at(text, pos)
-            children.append(child)
-    if ch == "{":
-        start = pos
-        kind, pos = _parse_kind(text, pos + 1)
+    content, pos = _parse_item(text, pos, depth, noun, _parse_circle)
+    pos = _skip_spaces(text, pos)
+    if pos >= len(text) or text[pos] != "/":
+        raise ParseError(pos, "expected '/' between content and grafts")
+    pos += 1
+    grafts = []
+    while True:
         pos = _skip_spaces(text, pos)
-        content, pos = _parse_at(text, pos)
-        pos = _skip_spaces(text, pos)
-        if pos >= len(text) or text[pos] != "/":
-            raise ParseError(pos, "expected '/' between content and grafts")
-        pos += 1
-        grafts = []
-        while True:
-            pos = _skip_spaces(text, pos)
-            if pos >= len(text):
-                raise ParseError(pos, "unclosed '{'")
-            if text[pos] == "}":
-                break
-            g, pos = _parse_at(text, pos)
-            grafts.append(g)
-        if open_leaves(content) != len(grafts):
-            raise ParseError(
-                start,
-                f"circle content has {open_leaves(content)} open leaves"
-                f" but {len(grafts)} grafts were given",
-            )
-        return Circ(kind, content, tuple(grafts)), pos + 1
-    raise ParseError(pos, f"unexpected character {ch!r}")
+        if pos >= len(text):
+            raise ParseError(pos, "unclosed '{'")
+        if text[pos] == "}":
+            break
+        g, pos = _parse_item(text, pos, depth, noun, _parse_circle)
+        grafts.append(g)
+    if open_leaves(content) != len(grafts):
+        raise ParseError(
+            start,
+            f"circle content has {open_leaves(content)} open leaves"
+            f" but {len(grafts)} grafts were given",
+        )
+    return Circ(kind, content, tuple(grafts)), pos + 1
 
 
 def _parse_kind(text: str, pos: int):
@@ -219,33 +209,31 @@ def replace_at(c, addr, new):
 
 def circle_addresses(c):
     """Addresses of all circles in term preorder (a circle before its parts)."""
-    out = []
-    _collect_circles(c, (), out)
-    return tuple(out)
-
-
-def _collect_circles(c, addr, out):
-    if isinstance(c, Leaf):
-        return
-    if isinstance(c, Node):
-        for i, x in enumerate(c.children):
-            _collect_circles(x, addr + (("child", i),), out)
-        return
-    out.append(addr)
-    _collect_circles(c.content, addr + (CONTENT,), out)
-    for i, g in enumerate(c.grafts):
-        _collect_circles(g, addr + (("graft", i),), out)
+    return tuple(addr for addr, x in _subterms(c, (), [])
+                 if isinstance(x, Circ))
 
 
 def white_addresses(c):
     """Mapping from white label to circle address; labels must be unique."""
     out = {}
-    for addr in circle_addresses(c):
-        kind = resolve(c, addr).kind
-        if isinstance(kind, White):
-            if kind.label in out:
-                raise ValueError(f"duplicate white label {kind.label}")
-            out[kind.label] = addr
+    for addr, x in _subterms(c, (), []):
+        if isinstance(x, Circ) and isinstance(x.kind, White):
+            if x.kind.label in out:
+                raise ValueError(f"duplicate white label {x.kind.label}")
+            out[x.kind.label] = addr
+    return out
+
+
+def _subterms(c, addr, out):
+    """Append (address, subterm) for c and everything below it, in preorder."""
+    out.append((addr, c))
+    if isinstance(c, Node):
+        for i, x in enumerate(c.children):
+            _subterms(x, addr + (("child", i),), out)
+    elif isinstance(c, Circ):
+        _subterms(c.content, addr + (CONTENT,), out)
+        for i, g in enumerate(c.grafts):
+            _subterms(g, addr + (("graft", i),), out)
     return out
 
 
@@ -458,17 +446,22 @@ def relabel_whites(c, mapping):
     images = [mapping[l] for l in present]
     if len(set(images)) != len(images):
         raise ValueError("relabelling is not injective")
-    return _relabel(c, mapping)
+    return _map_whites(c, mapping.__getitem__)
 
 
-def _relabel(c, mapping):
+def _map_whites(c, f):
+    """c with every white label l replaced by f(l).
+
+    Labels are visited in term preorder: a circle's kind, then its content,
+    then its grafts.
+    """
     if isinstance(c, Leaf):
         return c
     if isinstance(c, Node):
-        return Node(tuple(_relabel(x, mapping) for x in c.children))
-    kind = White(mapping[c.kind.label]) if isinstance(c.kind, White) else BLACK
-    return Circ(kind, _relabel(c.content, mapping),
-                tuple(_relabel(g, mapping) for g in c.grafts))
+        return Node(tuple(_map_whites(x, f) for x in c.children))
+    kind = White(f(c.kind.label)) if isinstance(c.kind, White) else BLACK
+    return Circ(kind, _map_whites(c.content, f),
+                tuple(_map_whites(g, f) for g in c.grafts))
 
 
 # --- enumeration ---------------------------------------------------------------
@@ -565,7 +558,7 @@ def _gen_forest(ts, budget: int, in_white: bool, black_parent: bool,
 def _all_labellings(term, k: int):
     for perm in permutations(range(1, k + 1)):
         it = iter(perm)
-        yield _label_placeholders(term, it)
+        yield _map_whites(term, lambda _: next(it))
 
 
 # --- random sampling -----------------------------------------------------------
@@ -587,25 +580,11 @@ def random_config(rng, t, k: int, black_tries: int = 2):
 
 
 def _random_insert(rng, term, kind):
-    addrs = list(_subterm_addresses(term))
-    addr = addrs[rng.randrange(len(addrs))]
-    cuts = _region_cuts(resolve(term, addr))
+    subterms = _subterms(term, (), [])
+    addr, sub = subterms[rng.randrange(len(subterms))]
+    cuts = _region_cuts(sub)
     bottom, tops = cuts[rng.randrange(len(cuts))]
     return replace_at(term, addr, Circ(kind, bottom, tops))
-
-
-def _subterm_addresses(c):
-    yield ()
-    if isinstance(c, Node):
-        for i, x in enumerate(c.children):
-            for rest in _subterm_addresses(x):
-                yield (("child", i),) + rest
-    elif isinstance(c, Circ):
-        for rest in _subterm_addresses(c.content):
-            yield (CONTENT,) + rest
-        for i, g in enumerate(c.grafts):
-            for rest in _subterm_addresses(g):
-                yield (("graft", i),) + rest
 
 
 def _region_cuts(u):
@@ -624,13 +603,3 @@ def _region_cuts(u):
             out.append((Circ(u.kind, u.content, tuple(b for b, _ in combo)),
                         tuple(chain.from_iterable(ts for _, ts in combo))))
     return tuple(out)
-
-
-def _label_placeholders(c, it):
-    if isinstance(c, Leaf):
-        return c
-    if isinstance(c, Node):
-        return Node(tuple(_label_placeholders(x, it) for x in c.children))
-    kind = White(next(it)) if isinstance(c.kind, White) else BLACK
-    content = _label_placeholders(c.content, it)
-    return Circ(kind, content, tuple(_label_placeholders(g, it) for g in c.grafts))

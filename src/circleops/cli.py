@@ -8,8 +8,9 @@ result cache).
 Reports are line-delimited; with ``--format records`` each line is a JSON
 object carrying a schema version.  A fixed seed and fixed flags give
 byte-identical output.  Exit codes: 0 on success, 1 when a verification or
-other check fails, 2 on usage errors.  Every failure prints a one-line
-``error: ...`` reason to stderr.
+other check fails (including an internal invariant check), 2 on usage and
+parse errors.  Every failure prints a one-line ``error: ...`` reason to
+stderr.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .cattop import (
     poset_category,
 )
 from .circled import parse_config, random_config
+from .homology import HomologyError
 from .kgraph import (
     KElt,
     block_perm,
@@ -516,8 +518,15 @@ def _maybe_cached(cfg: RunConfig, key: str, build) -> str:
 
 # --- argument parsing ---------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one ``error: ...`` line."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circleops",
         description="workbench for circled planar trees and their homology",
     )
@@ -619,6 +628,9 @@ def run(argv=None) -> int:
         return EXIT_CHECK
     except CategoryError as exc:
         print(f"error: loop-free or category check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK
+    except (HomologyError, RuntimeError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except (ValueError, cachemod.CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

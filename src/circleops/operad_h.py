@@ -96,30 +96,6 @@ def unary_operations(source, target):
 
 # --- composition ------------------------------------------------------------------
 
-def split_term(t, shape):
-    """Cut t into a bottom part shaped like shape and the tops above it.
-
-    shape must be a bottom part of the contraction of t; circles are never
-    cut, they land whole in the bottom or in a top.  Satisfies
-    circle_graft(bottom, tops) == t and contracted(bottom) == shape.
-    """
-    if isinstance(shape, Leaf):
-        return LEAF, (t,)
-    parts = None
-    if isinstance(t, Node):
-        parts = t.children
-    elif isinstance(t, Circ):
-        parts = t.grafts
-    if parts is None or len(parts) != len(shape.children):
-        raise ValueError(f"shape {shape} does not fit below {t}")
-    pieces = [split_term(p, s) for p, s in zip(parts, shape.children)]
-    bottoms = tuple(b for b, _ in pieces)
-    tops = tuple(chain.from_iterable(ts for _, ts in pieces))
-    if isinstance(t, Node):
-        return Node(bottoms), tops
-    return Circ(t.kind, t.content, bottoms), tops
-
-
 def superimpose(beta, t):
     """Transfer the circles of beta onto the finer term t.
 
@@ -127,22 +103,33 @@ def superimpose(beta, t):
     of beta's tree names either a vertex or a whole circle of t; the circles
     of beta come out drawn around the matching regions of t.
     """
+    return _superimpose(beta, t, None)
+
+
+def _superimpose(beta, t, tops):
+    # Inside a circle of beta, tops collects the parts of t above the
+    # circle's exit leaves; circles of t are never cut.
     if isinstance(beta, Leaf):
+        if tops is not None:
+            tops.append(t)
+            return LEAF
         if not isinstance(t, Leaf):
             raise ValueError(f"cannot superimpose a bare edge onto {t}")
         return t
     if isinstance(beta, Node):
         if isinstance(t, Node) and len(t.children) == len(beta.children):
-            return Node(tuple(superimpose(b, x)
+            return Node(tuple(_superimpose(b, x, tops)
                               for b, x in zip(beta.children, t.children)))
         if isinstance(t, Circ) and len(t.grafts) == len(beta.children):
             return Circ(t.kind, t.content,
-                        tuple(superimpose(b, g)
+                        tuple(_superimpose(b, g, tops)
                               for b, g in zip(beta.children, t.grafts)))
         raise ValueError(f"cannot superimpose {beta} onto {t}")
-    bottom, tops = split_term(t, underlying(beta.content))
-    return Circ(beta.kind, superimpose(beta.content, bottom),
-                tuple(superimpose(g, top) for g, top in zip(beta.grafts, tops)))
+    inner = []
+    content = _superimpose(beta.content, t, inner)
+    return Circ(beta.kind, content,
+                tuple(_superimpose(g, top, tops)
+                      for g, top in zip(beta.grafts, inner)))
 
 
 def reduction_violations(term, r3: bool = True):

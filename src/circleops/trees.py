@@ -69,13 +69,16 @@ def vertices(t) -> int:
     return 1 + sum(vertices(c) for c in t.children)
 
 
+_MAX_NESTING = 200
+
+
 def parse_tree(text: str):
-    """Parse the text form of a planar tree; errors carry byte offsets."""
-    t, pos = _parse_tree_at(text, _skip_spaces(text, 0))
-    pos = _skip_spaces(text, pos)
-    if pos != len(text):
-        raise ParseError(pos, "trailing input after tree")
-    return t
+    """Parse the text form of a planar tree; errors carry byte offsets.
+
+    Brackets may nest at most 200 deep; a deeper bracket is a ParseError at
+    its offset.
+    """
+    return _parse(text, "tree", None)
 
 
 def _skip_spaces(text: str, pos: int) -> int:
@@ -84,24 +87,46 @@ def _skip_spaces(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_tree_at(text: str, pos: int):
+def _parse(text: str, noun: str, brace):
+    """The recursive-descent parser shared with ``circled.parse_config``.
+
+    noun names the whole input in error messages; brace, if given, parses
+    the items that start with "{" (see ``_parse_item``), so without it the
+    parser reads planar trees only.
+    """
+    t, pos = _parse_item(text, _skip_spaces(text, 0), 0, noun, brace)
+    pos = _skip_spaces(text, pos)
+    if pos != len(text):
+        raise ParseError(pos, f"trailing input after {noun}")
+    return t
+
+
+def _parse_item(text: str, pos: int, depth: int, noun: str, brace):
+    """Parse one item that sits inside depth brackets.
+
+    An item starting with "{" is parsed by brace(text, pos, depth + 1, noun).
+    """
     if pos >= len(text):
-        raise ParseError(pos, "unexpected end of input, expected a tree")
+        raise ParseError(pos, f"unexpected end of input, expected a {noun}")
     ch = text[pos]
     if ch == "|":
         return LEAF, pos + 1
-    if ch == "(":
-        pos += 1
-        children = []
-        while True:
-            pos = _skip_spaces(text, pos)
-            if pos >= len(text):
-                raise ParseError(pos, "unclosed '('")
-            if text[pos] == ")":
-                return Node(tuple(children)), pos + 1
-            child, pos = _parse_tree_at(text, pos)
-            children.append(child)
-    raise ParseError(pos, f"unexpected character {ch!r}")
+    if ch != "(" and (ch != "{" or brace is None):
+        raise ParseError(pos, f"unexpected character {ch!r}")
+    if depth == _MAX_NESTING:
+        raise ParseError(pos, f"brackets nested deeper than {_MAX_NESTING}")
+    if ch == "{":
+        return brace(text, pos, depth + 1, noun)
+    pos += 1
+    children = []
+    while True:
+        pos = _skip_spaces(text, pos)
+        if pos >= len(text):
+            raise ParseError(pos, "unclosed '('")
+        if text[pos] == ")":
+            return Node(tuple(children)), pos + 1
+        child, pos = _parse_item(text, pos, depth + 1, noun, brace)
+        children.append(child)
 
 
 def graft(base, replacements):

@@ -169,6 +169,21 @@ def test_parse_errors_carry_offsets(text, offset):
     assert exc.value.offset == offset
 
 
+def test_nesting_limit_counts_both_brackets():
+    # 100 circles around 100 vertices are 200 brackets deep
+    def nest(circles, vertices):
+        inner = "(" * vertices + "|" + ")" * vertices
+        return "{w1 " * circles + inner + " / |}" * circles
+
+    at_limit = nest(100, 100)
+    assert str(parse_config(at_limit)) == at_limit
+    over = nest(100, 101)
+    with pytest.raises(ParseError) as exc:
+        parse_config(over)
+    assert exc.value.offset == over.index("(") + 100
+    assert exc.value.reason == "brackets nested deeper than 200"
+
+
 def test_circ_rejects_wrong_graft_arity():
     with pytest.raises(ValueError):
         Circ(White(1), node(LEAF, LEAF), (LEAF,))

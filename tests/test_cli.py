@@ -1,7 +1,9 @@
+import importlib
 import json
 
 import pytest
 
+from circleops.circled import parse_config
 from circleops.cli import run
 
 FIVE_CIRCLES = (
@@ -222,6 +224,78 @@ def test_negative_max_dim_is_usage_error(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["enumerate", "nonsense"]) == 2
     assert run([]) == 2
+    capsys.readouterr()
+    assert run(["--max-dim", "x", "homology", "kposet", "--m", "2", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --max-dim: invalid int value: 'x'\n"
+
+
+def test_help_exits_zero(capsys):
+    assert run(["-h"]) == 0
+    assert run(["enumerate", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: circleops")
+
+
+def assert_internal_failure(capsys, args, reason):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
+
+
+def test_compose_profile_check_failure_exits_1(capsys, monkeypatch):
+    operad_h = importlib.import_module("circleops.operad_h")
+    # a composite on the wrong tree trips the profile check in compose
+    monkeypatch.setattr(operad_h, "compose_terms",
+                        lambda term, args, r3=True: parse_config("{w1 (|) / |}"))
+    assert_internal_failure(
+        capsys, ["compose", "config", "--outer", "{w1 | / |}",
+                 "--inner", "{w1 | / |}"],
+        "composition changed the operation profile")
+
+
+def test_enumeration_duplicate_check_failure_exits_1(capsys, monkeypatch):
+    circled = importlib.import_module("circleops.circled")
+    labellings = circled._all_labellings
+    monkeypatch.setattr(circled, "_all_labellings",
+                        lambda term, k: 2 * list(labellings(term, k)))
+    assert_internal_failure(
+        capsys, ["enumerate", "configs", "--tree", "(|)", "--k", "1"],
+        "duplicate configuration")
+
+
+def test_homology_check_failure_exits_1(capsys, monkeypatch):
+    homology = importlib.import_module("circleops.homology")
+    # too many pivots make a Betti number negative
+    monkeypatch.setattr(homology, "smith_invariants",
+                        lambda m: (1,) * (m.nrows + 1))
+    assert_internal_failure(
+        capsys, ["homology", "kposet", "--m", "2", "--k", "2"],
+        "negative Betti number")
+
+
+def nested(depth):
+    return "(" * depth + ")" * depth
+
+
+def test_nesting_limit_on_the_command_line(capsys):
+    # 200 nested brackets still run; one more is a one-line parse error
+    assert run(["render", "--config", nested(200), "--check"]) == 0
+    deep_circle = "{w1 " + nested(199)[:199] + "|" + nested(199)[199:] + " / |}"
+    assert run(["compose", "config", "--outer", deep_circle,
+                "--inner", deep_circle]) == 0
+    capsys.readouterr()
+    for args in (["render", "--config", nested(201), "--check"],
+                 ["render", "--config", nested(1500)],
+                 ["compose", "config", "--outer", "{w1 " + deep_circle + " / |}",
+                  "--inner", "{w1 | / |}"]):
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad configuration")
+        assert captured.err.count("\n") == 1
+        assert "nested deeper than 200" in captured.err
 
 
 def test_seeded_runs_are_deterministic(capsys):

@@ -1,6 +1,5 @@
 """Tests for the circled-tree operad: composition, reduction, complexity."""
 
-import itertools
 import random
 
 import pytest
@@ -10,13 +9,16 @@ from circleops.circled import (
     Circ,
     White,
     circle_addresses,
-    circle_graft,
     contracted,
+    enumerate_configs,
     open_leaves,
     parse_config,
     random_config,
+    relabel_whites,
+    resolve,
     splice,
     underlying,
+    white_addresses,
 )
 from circleops.kgraph import (
     KElt,
@@ -41,7 +43,6 @@ from circleops.operad_h import (
     reduce_term,
     reduction_violations,
     sigma_act,
-    split_term,
     substitute_whites,
     superimpose,
     unary_operations,
@@ -105,36 +106,37 @@ def test_unary_operations_are_profiled():
     assert len(unary_operations(t, t)) == 1
 
 
-# --- split and superimpose -----------------------------------------------------------
+# --- superimpose -------------------------------------------------------------------
 
-def test_split_term_examples():
-    t = Node((Circ(White(1), LEAF, (LEAF,)), LEAF))
-    bottom, tops = split_term(t, corolla(2))
-    assert bottom == corolla(2)
-    assert tops == (Circ(White(1), LEAF, (LEAF,)), LEAF)
-    assert split_term(t, LEAF) == (LEAF, (t,))
-    with pytest.raises(ValueError):
-        split_term(t, parse_tree("((|) (|))"))
-
-
-def test_split_term_round_trip():
-    def bottoms(shape):
-        out = [LEAF]
-        if isinstance(shape, Node):
-            for combo in itertools.product(*[bottoms(x) for x in shape.children]):
-                out.append(Node(tuple(combo)))
-        return out
-
+def test_superimpose_cuts_the_finer_term():
+    # Every one-white shape on the contraction of c, drawn onto c: the white
+    # circle's content and grafts are the cut of c into a bottom part and
+    # the tops above it, so splicing the circle gives back c.
     for i in range(40):
         rng = random.Random(i)
-        t = TREES[i % len(TREES)]
-        c = random_config(rng, t, 1 + i % 3)
-        chi = contracted(c)
-        for shape in bottoms(chi):
-            bottom, tops = split_term(c, shape)
-            assert contracted(bottom) == shape
-            assert circle_graft(bottom, tops) == c
-        assert split_term(c, chi) == (c, (LEAF,) * len(split_term(c, chi)[1]))
+        k = 1 + i % 3
+        c = random_config(rng, TREES[i % len(TREES)], k)
+        c = relabel_whites(c, {j: j + 1 for j in range(1, k + 1)})
+        assert superimpose(contracted(c), c) == c
+        for beta in enumerate_configs(contracted(c), 1):
+            s = superimpose(beta, c)
+            here, there = white_addresses(s)[1], white_addresses(beta)[1]
+            inside = resolve(beta, there).content
+            assert splice(s, here) == superimpose(splice(beta, there), c)
+            assert contracted(resolve(s, here).content) == contracted(inside)
+            if len(circle_addresses(beta)) == 1:
+                assert splice(s, here) == c
+                assert contracted(resolve(s, here).content) == underlying(inside)
+
+
+def test_superimpose_rejects_a_shape_that_does_not_fit():
+    t = Node((Circ(White(1), LEAF, (LEAF,)), LEAF))
+    with pytest.raises(ValueError):
+        superimpose(Circ(White(2), parse_tree("((|) (|))"), (LEAF, LEAF)), t)
+    with pytest.raises(ValueError):
+        superimpose(Circ(White(2), corolla(3), (LEAF,) * 3), t)
+    with pytest.raises(ValueError):
+        superimpose(LEAF, t)
 
 
 def test_superimpose_examples():

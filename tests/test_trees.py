@@ -111,6 +111,19 @@ def test_parse_errors_carry_offsets(text, offset):
     assert exc.value.offset == offset
 
 
+def test_nesting_limit():
+    # 200 nested brackets parse; the 201st is an error at its own offset
+    deep = parse_tree("(" * 200 + ")" * 200)
+    assert str(deep) == "(" * 200 + ")" * 200
+    with pytest.raises(ParseError) as exc:
+        parse_tree("(" * 201 + ")" * 201)
+    assert exc.value.offset == 200
+    assert exc.value.reason == "brackets nested deeper than 200"
+    with pytest.raises(ParseError) as exc:
+        parse_tree("(" * 1500)
+    assert exc.value.offset == 200
+
+
 @given(trees_strategy())
 def test_codec_round_trip(t):
     assert parse_tree(str(t)) == t
