@@ -9,8 +9,8 @@ Reports are line-delimited; with ``--format records`` each line is a JSON
 object carrying a schema version.  A fixed seed and fixed flags give
 byte-identical output.  Exit codes: 0 on success, 1 when a verification or
 other check fails (including an internal invariant check), 2 on usage and
-parse errors.  Every failure prints a one-line ``error: ...`` reason to
-stderr.
+parse errors and on terms nested too deeply to process.  Every failure
+prints a one-line ``error: ...`` reason to stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .circled import parse_config, random_config
 from .homology import HomologyError
 from .kgraph import (
     KElt,
-    block_perm,
     k_compose,
     k_enumerate,
     k_iota,
@@ -49,12 +48,12 @@ from .kgraph import (
 )
 from .operad_h import (
     HOperation,
+    associativity_sides,
     complexity,
     compose,
-    compose_terms,
-    identity_op,
+    equivariance_sides,
     operations,
-    sigma_act,
+    unit_sides,
 )
 from .render import clearance_violations, layout_config, render_layout
 from .trees import LEAF, Node, ParseError, enumerate_trees
@@ -98,6 +97,10 @@ class RunConfig:
             inclusive=args.inclusive,
             max_dim=args.max_dim,
         )
+
+    def stage(self, m: int) -> int:
+        """The filtration stage whose labels run below m, or up to m if inclusive."""
+        return m + 1 if self.inclusive else m
 
     def flags(self) -> dict:
         return {
@@ -164,7 +167,7 @@ def _enumerate_records(cfg: RunConfig, args):
                       "text": str(c)})
             for c in enumerate_configs(tree, args.k)
         ]
-    cells = k_enumerate(args.m, args.k, inclusive=cfg.inclusive)
+    cells = k_enumerate(cfg.stage(args.m), args.k)
     return [
         (kelt_text(x), {"kind": "kelt", "m": args.m, "k": args.k,
                         "text": kelt_text(x)})
@@ -226,8 +229,10 @@ def cmd_compose(cfg: RunConfig, args) -> int:
 _CORPUS = ["|", "(|)", "(| |)", "((|))", "((|) |)", "((|) (|))"]
 
 
-def _random_op(rng, t, k: int) -> HOperation:
-    return HOperation(random_config(rng, t, k))
+def _random_args(rng, o: HOperation, whites=None):
+    """One random operation on each source of o, with 1 or 2 whites unless given."""
+    return tuple(HOperation(random_config(rng, s, whites or 1 + rng.randrange(2)))
+                 for s in o.sources)
 
 
 def _check(records, ok: bool, name: str, detail: str, **fields):
@@ -236,84 +241,65 @@ def _check(records, ok: bool, name: str, detail: str, **fields):
         (f"{status} {name} {detail}",
          {"kind": "check", "name": name, "ok": ok, "detail": detail, **fields})
     )
-    if not ok:
-        raise CheckFailure(f"{name}: {detail}")
+
+
+def _check_samples(cfg: RunConfig, args, records, name: str, holds):
+    """Record whether holds(rng, o) is true on every seeded sample.
+
+    Sample i draws o on corpus tree i (cyclically) with 1 + i % 3 whites, and
+    holds draws the rest from rng before it composes, so a failing sample does
+    not shift later ones.  A composite that is not a valid operation fails."""
+    trees = [parse_tree(t) for t in _CORPUS]
+    rng = random.Random(cfg.seed)
+    failing = []
+    for i in range(args.samples):
+        o = HOperation(random_config(rng, trees[i % len(trees)], 1 + i % 3))
+        try:
+            ok = holds(rng, o)
+        except ValueError:
+            ok = False
+        if not ok:
+            failing.append(i)
+    first = f" first={failing[0]}" if failing else ""
+    _check(records, not failing, name,
+           f"samples={args.samples} failures={len(failing)}{first}", seed=cfg.seed)
 
 
 def _suite_axioms(cfg: RunConfig, args, records):
-    trees = [parse_tree(t) for t in _CORPUS]
-    tiny = []
-    for t in (LEAF, parse_tree("(|)")):
-        for k in (1, 2):
-            tiny.extend(operations(t, k))
+    tiny = [o for t in (LEAF, parse_tree("(|)")) for k in (1, 2)
+            for o in operations(t, k)]
     # Unit laws at the term level, so switching the reduction rule off shows
     # the genuine law failure instead of an invalid-term error.
-    bad = 0
-    for o in tiny:
-        idents = tuple(identity_op(s).term for s in o.sources)
-        if compose_terms(o.term, idents, r3=cfg.r3) != o.term:
-            bad += 1
-        elif compose_terms(identity_op(o.target).term, (o.term,), r3=cfg.r3) != o.term:
-            bad += 1
+    bad = sum(unit_sides(o, r3=cfg.r3) != (o.term, o.term) for o in tiny)
     _check(records, bad == 0, "axioms/units-exhaustive",
            f"operations={len(tiny)} failures={bad}", r3=cfg.r3)
 
-    rng = random.Random(cfg.seed)
-    failures = 0
-    for i in range(args.samples):
-        o = _random_op(rng, trees[i % len(trees)], 1 + i % 3)
-        ps = tuple(_random_op(rng, s, 1 + rng.randrange(2)) for s in o.sources)
-        qss = tuple(
-            tuple(_random_op(rng, s, 1 + rng.randrange(2)) for s in p.sources)
-            for p in ps
-        )
-        flat = tuple(q for qs in qss for q in qs)
-        lhs = compose(compose(o, ps, r3=cfg.r3), flat, r3=cfg.r3)
-        rhs = compose(
-            o, tuple(compose(p, qs, r3=cfg.r3) for p, qs in zip(ps, qss)),
-            r3=cfg.r3,
-        )
-        if lhs != rhs:
-            failures += 1
-        if compose(o, tuple(identity_op(s) for s in o.sources), r3=cfg.r3) != o:
-            failures += 1
-        if compose(identity_op(o.target), (o,), r3=cfg.r3) != o:
-            failures += 1
+    def holds(rng, o):
+        ps = _random_args(rng, o)
+        qss = tuple(_random_args(rng, p) for p in ps)
         sigma = list(range(1, o.k + 1))
         rng.shuffle(sigma)
-        sigma = tuple(sigma)
-        inv = tuple(sigma.index(v) + 1 for v in range(1, o.k + 1))
-        gathered = tuple(_random_op(rng, s, 1 + rng.randrange(2))
-                         for s in o.sources)
-        bs = tuple(gathered[inv[v - 1] - 1] for v in range(1, o.k + 1))
-        lhs = compose(sigma_act(sigma, o), bs, r3=cfg.r3)
-        rho = block_perm(sigma, tuple(b.k for b in gathered))
-        if lhs != sigma_act(rho, compose(o, gathered, r3=cfg.r3)):
-            failures += 1
-    _check(records, failures == 0, "axioms/randomized",
-           f"samples={args.samples} failures={failures}", seed=cfg.seed)
+        gathered = _random_args(rng, o)
+        assoc = associativity_sides(o, ps, qss, r3=cfg.r3)
+        equiv = equivariance_sides(tuple(sigma), o, gathered, r3=cfg.r3)
+        return (assoc[0] == assoc[1] and equiv[0] == equiv[1]
+                and unit_sides(o, r3=cfg.r3) == (o.term, o.term))
+
+    _check_samples(cfg, args, records, "axioms/randomized", holds)
 
 
 def _suite_inequality(cfg: RunConfig, args, records):
-    trees = [parse_tree(t) for t in _CORPUS]
-    rng = random.Random(cfg.seed)
-    failures = 0
-    for i in range(args.samples):
-        o = _random_op(rng, trees[i % len(trees)], 1 + i % 3)
-        args_ops = tuple(
-            _random_op(rng, s, 1 + rng.randrange(2)) for s in o.sources
-        )
-        lhs = complexity(compose(o, args_ops, r3=cfg.r3))
-        rhs = k_compose(complexity(o), tuple(complexity(a) for a in args_ops))
-        if not k_leq(lhs, rhs):
-            failures += 1
-    _check(records, failures == 0, "inequality",
-           f"samples={args.samples} failures={failures}", seed=cfg.seed)
+    def holds(rng, o):
+        ps = _random_args(rng, o)
+        bound = k_compose(complexity(o), tuple(complexity(p) for p in ps))
+        return k_leq(complexity(compose(o, ps, r3=cfg.r3)), bound)
+
+    _check_samples(cfg, args, records, "inequality", holds)
 
 
 def _suite_lemma(cfg: RunConfig, args, records):
     tree = _parse_tree_arg(args.tree)
-    for base in k_enumerate(2, args.k, inclusive=cfg.inclusive):
+    for base in k_enumerate(cfg.stage(2), args.k):
         cell = k_iota(base)
         report = acyclicity_report(comma_below(tree, cell), cfg.max_dim)
         _check(
@@ -353,27 +339,20 @@ def _suite_grothendieck(cfg: RunConfig, args, records):
 
 
 def _suite_cowedge(cfg: RunConfig, args, records):
-    trees = [parse_tree(t) for t in _CORPUS]
-    rng = random.Random(cfg.seed)
-    failures = 0
-    for i in range(args.samples):
-        o = _random_op(rng, trees[i % len(trees)], 1 + i % 3)
-        fs = tuple(_random_op(rng, s, 1) for s in o.sources)
-        xs = tuple(_random_op(rng, f.sources[0], 1) for f in fs)
-        through_o = compose(compose(o, fs, r3=cfg.r3), xs, r3=cfg.r3)
-        through_args = compose(
-            o, tuple(compose(f, (x,), r3=cfg.r3) for f, x in zip(fs, xs)),
-            r3=cfg.r3,
-        )
-        if through_o != through_args:
-            failures += 1
-    _check(records, failures == 0, "cowedge",
-           f"samples={args.samples} failures={failures}", seed=cfg.seed)
+    # The two-step composition squares: associativity with one-white middle
+    # and inner layers.
+    def holds(rng, o):
+        fs = _random_args(rng, o, whites=1)
+        lhs, rhs = associativity_sides(
+            o, fs, tuple(_random_args(rng, f, whites=1) for f in fs), r3=cfg.r3)
+        return lhs == rhs
+
+    _check_samples(cfg, args, records, "cowedge", holds)
 
 
 def _suite_proof_structure(cfg: RunConfig, args, records):
     tree = _parse_tree_arg(args.tree)
-    for base in k_enumerate(2, 2, inclusive=cfg.inclusive):
+    for base in k_enumerate(cfg.stage(2), 2):
         cell = k_iota(base)
         F = deletion_functor(tree, cell)
         bad = []
@@ -405,6 +384,9 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     finally:
         if records:
             print(_render_records(cfg, records))
+    failed = dict.fromkeys(f["name"] for _, f in records if not f["ok"])
+    if failed:
+        raise CheckFailure(f"checks failed: {', '.join(failed)}")
     return EXIT_OK
 
 
@@ -412,9 +394,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def _homology_records(cfg: RunConfig, args):
     if args.what == "kposet":
-        C = poset_category(
-            k_enumerate(args.m, args.k, inclusive=cfg.inclusive), k_leq
-        )
+        C = poset_category(k_enumerate(cfg.stage(args.m), args.k), k_leq)
         name = f"kposet m={args.m} k={args.k}"
     elif args.what == "comma":
         C = build_comma(_parse_tree_arg(args.tree), args.k)
@@ -629,6 +609,13 @@ def run(argv=None) -> int:
     except CategoryError as exc:
         print(f"error: loop-free or category check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
+    except RecursionError:
+        # RecursionError is a RuntimeError: catch it first.  A parsed term
+        # nests at most 200 deep, but a composite can nest deeper than the
+        # recursive walkers reach.
+        print("error: term nested too deeply: a result nests deeper than the"
+              " term walkers follow (inputs nest at most 200 deep)", file=sys.stderr)
+        return EXIT_USAGE
     except (HomologyError, RuntimeError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK

@@ -204,16 +204,15 @@ def perm_inverse(a) -> tuple:
 
 # --- enumeration -----------------------------------------------------------------
 
-def k_enumerate(m: int, k: int, inclusive: bool = False):
+def k_enumerate(m: int, k: int):
     """All arity-k elements of the m-th filtration stage, in a fixed order.
 
-    Labels run below m; with inclusive=True they run up to and including m.
+    Labels run below m.
     """
     if m < 1:
         raise ValueError("filtration stage must be positive")
-    top = m + 1 if inclusive else m
     out = []
-    for labels in product(range(top), repeat=comb(k, 2)):
+    for labels in product(range(m), repeat=comb(k, 2)):
         for perm in permutations(range(1, k + 1)):
             out.append(KElt(k, labels, perm))
     return tuple(out)

@@ -37,7 +37,7 @@ from .circled import (
     white_addresses,
     white_profile,
 )
-from .kgraph import KElt, k_compose, k_iota, k_leq, vertex_pairs
+from .kgraph import KElt, block_perm, k_compose, k_iota, k_leq, vertex_pairs
 from .trees import LEAF, Leaf, Node
 from .trees import leaves as tree_leaves
 
@@ -213,6 +213,36 @@ def sigma_act(sigma, o: HOperation) -> HOperation:
     sigma = tuple(sigma)
     return HOperation(relabel_whites(
         o.term, {i: sigma[i - 1] for i in range(1, o.k + 1)}))
+
+
+# --- the operad laws ----------------------------------------------------------------
+
+def unit_sides(o: HOperation, r3: bool = True):
+    """o with identities in its white circles, and o in its target's identity,
+    as terms: both are o.term exactly when the unit laws hold."""
+    return (
+        compose_terms(o.term, tuple(identity_op(s).term for s in o.sources), r3=r3),
+        compose_terms(identity_op(o.target).term, (o.term,), r3=r3),
+    )
+
+
+def associativity_sides(o: HOperation, ps, qss, r3: bool = True):
+    """(o . ps) . flattened qss, and o . (p . qs for each p in ps)."""
+    return (
+        compose(compose(o, ps, r3=r3), tuple(chain.from_iterable(qss)), r3=r3),
+        compose(o, tuple(compose(p, qs, r3=r3) for p, qs in zip(ps, qss)), r3=r3),
+    )
+
+
+def equivariance_sides(sigma, o: HOperation, gathered, r3: bool = True):
+    """(sigma . o) fed the arguments in sigma's order, and o . gathered acted
+    on by the permutation that moves gathered's blocks of sources by sigma."""
+    permuted = tuple(gathered[sigma.index(v)] for v in range(1, o.k + 1))
+    return (
+        compose(sigma_act(sigma, o), permuted, r3=r3),
+        sigma_act(block_perm(sigma, tuple(b.k for b in gathered)),
+                  compose(o, gathered, r3=r3)),
+    )
 
 
 # --- complexity --------------------------------------------------------------------

@@ -34,26 +34,25 @@ from circleops.circled import (
 from circleops.cli import run
 from circleops.kgraph import (
     KElt,
-    block_perm,
     k_compose,
     k_enumerate,
     k_iota,
     k_leq,
     kelt_text,
     parse_kelt,
-    perm_inverse,
 )
 from circleops.operad_h import (
     HOperation,
+    associativity_sides,
     complexity,
     compose,
     compose_terms,
+    equivariance_sides,
     identity_op,
     operations,
     reduce_term,
     reduction_violations,
     substitute_whites,
-    sigma_act,
 )
 from circleops.trees import LEAF, Node, enumerate_trees, parse_tree, vertices
 
@@ -103,18 +102,13 @@ class Rotation:
 
 
 def assert_associative(o, ps, qss):
-    flat = tuple(q for qs in qss for q in qs)
-    lhs = compose(compose(o, ps), flat)
-    rhs = compose(o, tuple(compose(p, qs) for p, qs in zip(ps, qss)))
+    lhs, rhs = associativity_sides(o, ps, qss)
     assert lhs == rhs
 
 
 def assert_equivariant(o, sigma, gathered):
-    inv = perm_inverse(sigma)
-    bs = tuple(gathered[inv[v - 1] - 1] for v in range(1, o.k + 1))
-    rho = block_perm(sigma, tuple(b.k for b in gathered))
-    assert compose(sigma_act(sigma, o), bs) == sigma_act(
-        rho, compose(o, gathered))
+    lhs, rhs = equivariance_sides(sigma, o, gathered)
+    assert lhs == rhs
 
 
 def normal_forms(term, seen=None):
@@ -300,8 +294,7 @@ def test_10_composition_squares_commute():
         o = HOperation(random_config(rng, pool[i % len(pool)], 1 + i % 3))
         fs = tuple(HOperation(random_config(rng, s, 1)) for s in o.sources)
         xs = tuple(HOperation(random_config(rng, f.sources[0], 1)) for f in fs)
-        both = compose(compose(o, fs), xs)
-        other = compose(o, tuple(compose(f, (x,)) for f, x in zip(fs, xs)))
+        both, other = associativity_sides(o, fs, tuple((x,) for x in xs))
         assert both == other
     assert time.perf_counter() - start < 60.0
 

@@ -79,11 +79,25 @@ def test_verify_axioms_passes(capsys):
 
 
 def test_verify_axioms_without_r3_fails(capsys):
+    # the randomized part still runs after the exhaustive check fails
     assert run(["--no-r3", "verify", "axioms", "--samples", "5"]) == 1
     captured = capsys.readouterr()
     assert "FAIL axioms/units-exhaustive" in captured.out
+    assert "axioms/randomized samples=5" in captured.out
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert "axioms/units-exhaustive" in captured.err
+
+
+def test_verify_laws_without_r3_report_failing_samples(capsys):
+    # a composite left with a black circle outside every white circle is
+    # not a valid operation: its sample fails, the run is not a usage error
+    for suite in ("inequality", "cowedge"):
+        assert run(["--no-r3", "verify", suite, "--samples", "60"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"FAIL {suite} samples=60 failures=")
+        assert " first=" in captured.out
+        assert captured.err == f"error: checks failed: {suite}\n"
 
 
 def test_verify_lemma(capsys):
@@ -296,6 +310,21 @@ def test_nesting_limit_on_the_command_line(capsys):
         assert captured.err.startswith("error: bad configuration")
         assert captured.err.count("\n") == 1
         assert "nested deeper than 200" in captured.err
+
+
+def test_too_deep_result_is_usage_error(capsys):
+    # both inputs parse within the nesting limit, but the composite nests
+    # deeper than the recursive term walkers reach
+    chain = nested(99)[:99] + "|" + nested(99)[99:]
+    outer = "(" * 100 + "{w1 " + chain + " / |}" + ")" * 100
+    inner = chain
+    for i in range(70, 0, -1):
+        inner = f"{{w{i} {inner} / |}}"
+    assert run(["compose", "config", "--outer", outer, "--inner", inner]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: term nested too deeply")
+    assert captured.err.count("\n") == 1
 
 
 def test_seeded_runs_are_deterministic(capsys):

@@ -266,7 +266,6 @@ def test_perm_utilities():
 def test_enumerate_counts_and_determinism():
     assert len(k_enumerate(2, 2)) == 4
     assert len(k_enumerate(3, 2)) == 6
-    assert len(k_enumerate(2, 2, inclusive=True)) == 6
     assert len(k_enumerate(2, 3)) == 48
     assert k_enumerate(3, 3) == k_enumerate(3, 3)
     assert len(set(k_enumerate(3, 3))) == len(k_enumerate(3, 3))

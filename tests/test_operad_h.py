@@ -22,20 +22,20 @@ from circleops.circled import (
 )
 from circleops.kgraph import (
     KElt,
-    block_perm,
     k_compose,
     k_enumerate,
     k_iota,
     k_leq,
     kelt_relabel,
-    perm_inverse,
 )
 from circleops.operad_h import (
     HatOperation,
     HOperation,
+    associativity_sides,
     complexity,
     compose,
     compose_terms,
+    equivariance_sides,
     hat_compose,
     hat_identity,
     identity_op,
@@ -46,6 +46,7 @@ from circleops.operad_h import (
     substitute_whites,
     superimpose,
     unary_operations,
+    unit_sides,
 )
 from circleops.trees import LEAF, Node, corolla, node, parse_tree
 
@@ -187,16 +188,14 @@ def test_compose_concatenates_sources():
 
 def test_unit_laws_exhaustive():
     for o in tiny_ops():
-        assert compose(o, tuple(identity_op(s) for s in o.sources)) == o
-        assert compose(identity_op(o.target), (o,)) == o
+        assert unit_sides(o) == (o.term, o.term)
 
 
 def test_unit_laws_randomized():
     for i in range(200):
         rng = random.Random(1000 + i)
         o = random_op(rng, TREES[i % len(TREES)], 1 + i % 3)
-        assert compose(o, tuple(identity_op(s) for s in o.sources)) == o
-        assert compose(identity_op(o.target), (o,)) == o
+        assert unit_sides(o) == (o.term, o.term)
 
 
 def test_associativity_exhaustive_tiny():
@@ -219,11 +218,7 @@ def test_associativity_exhaustive_tiny():
                         chosen.append(options[counter % len(options)])
                         counter += 1
                     qs.append(tuple(chosen))
-                flat = tuple(q for group in qs for q in group)
-                lhs = compose(compose(o, (p1, p2)), flat)
-                rhs = compose(o, tuple(
-                    compose(p, group) for p, group in zip((p1, p2), qs)
-                ))
+                lhs, rhs = associativity_sides(o, (p1, p2), tuple(qs))
                 assert lhs == rhs
 
 
@@ -233,9 +228,7 @@ def test_associativity_randomized():
         o = random_op(rng, TREES[i % len(TREES)], 1 + i % 3)
         ps = random_args(rng, o, ks=(1, 1, 2, 2))
         qss = tuple(random_args(rng, p) for p in ps)
-        flat = tuple(q for qs in qss for q in qs)
-        lhs = compose(compose(o, ps), flat)
-        rhs = compose(o, tuple(compose(p, qs) for p, qs in zip(ps, qss)))
+        lhs, rhs = associativity_sides(o, ps, qss)
         assert lhs == rhs
 
 
@@ -245,14 +238,51 @@ def test_equivariance_randomized():
         o = random_op(rng, TREES[i % len(TREES)], 1 + i % 3)
         sigma = list(range(1, o.k + 1))
         rng.shuffle(sigma)
-        sigma = tuple(sigma)
-        inv = perm_inverse(sigma)
         gathered = tuple(random_op(rng, s, 1 + rng.randrange(2))
                          for s in o.sources)
-        bs = tuple(gathered[inv[v - 1] - 1] for v in range(1, o.k + 1))
-        lhs = compose(sigma_act(sigma, o), bs)
-        rho = block_perm(sigma, tuple(b.k for b in gathered))
-        assert lhs == sigma_act(rho, compose(o, gathered))
+        lhs, rhs = equivariance_sides(tuple(sigma), o, gathered)
+        assert lhs == rhs
+
+
+def ops(*texts):
+    return tuple(HOperation(parse_config(t)) for t in texts)
+
+
+def test_associativity_sides_worked_examples():
+    # one white: every circle sits on an edge, so each substituted circle
+    # blackens around a single circle and is spliced away
+    (o,) = ops("({w1 | / |})")
+    sides = associativity_sides(
+        o, ops("{w1 | / {w2 | / |}}"),
+        (ops("{w1 | / |}", "{w1 {w2 | / |} / |}"),))
+    assert [str(x) for x in sides] == ["({w1 | / {w2 {w3 | / |} / |}})"] * 2
+    # two nested whites: the blackened outer circle survives until the
+    # black-outside-white rule splices it
+    (o,) = ops("{w2 {w1 | / |} / |}")
+    sides = associativity_sides(
+        o, ops("{w1 | / |}", "{w1 | / (|)}"),
+        (ops("{w1 | / {w2 | / |}}"), ops("{w1 | / |}")))
+    assert [str(x) for x in sides] == ["{w3 | / {w1 | / {w2 | / |}}}"] * 2
+
+
+def test_equivariance_sides_worked_examples():
+    (o,) = ops("{w1 | / |}")
+    sides = equivariance_sides((1,), o, ops("{w1 | / {w2 | / |}}"))
+    assert [str(x) for x in sides] == ["{w1 | / {w2 | / |}}"] * 2
+    # sigma = (2 1) on two side-by-side whites, arguments of arities 2 and 1:
+    # the block permutation sends 1, 2, 3 to 2, 3, 1
+    (o,) = ops("({w1 | / |} {w2 | / |})")
+    sides = equivariance_sides(
+        (2, 1), o, ops("{w1 | / {w2 | / |}}", "{w1 | / |}"))
+    assert [str(x) for x in sides] == ["({w2 | / {w3 | / |}} {w1 | / |})"] * 2
+
+
+def test_unit_sides_without_uncovered_black_rule():
+    (o,) = ops("{w1 | / {w2 | / |}}")
+    assert unit_sides(o) == (o.term, o.term)
+    right, left = unit_sides(o, r3=False)
+    assert str(right) == "{w1 | / {w2 | / |}}"
+    assert str(left) == "{b {w1 | / {w2 | / |}} / |}"
 
 
 def test_sigma_act_is_an_action():
