@@ -561,7 +561,9 @@ def deletion_functor(tree, cell: KElt) -> FinFunctor:
         label = a.label[: lead - 1] + a.label[lead:]
         key = (object_map[a.src], object_map[a.dst], label)
         if key not in index:
-            raise CategoryError(f"deleted image of {a} is not a codomain arrow")
+            raise CategoryError(
+                f"deleted image of {a.src} -> {a.dst} is not a codomain arrow"
+            )
         arrow_map[a] = index[key]
     return FinFunctor(dom, cod, object_map, arrow_map)
 

@@ -13,6 +13,7 @@ to vanish at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -60,24 +61,31 @@ def matrix_from_dict(nrows: int, ncols: int, entries) -> IntMatrix:
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.ncols != b.nrows:
         raise HomologyError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    rows_of_a = {}
+    cols_of_a = {}
     for (i, j), v in a.entries:
-        rows_of_a.setdefault(i, {})[j] = v
+        cols_of_a.setdefault(j, []).append((i, v))
     out = {}
     for (j, l), w in b.entries:
-        for i, row in rows_of_a.items():
-            v = row.get(j)
-            if v is not None:
-                out[(i, l)] = out.get((i, l), 0) + v * w
+        for i, v in cols_of_a.get(j, ()):
+            out[(i, l)] = out.get((i, l), 0) + v * w
     return matrix_from_dict(a.nrows, b.ncols, out)
 
 
 def smith_invariants(m: IntMatrix) -> tuple:
     """The invariant factors d_1 | d_2 | ... | d_r of m, all positive.
 
-    The length of the result is the rank of m.  Pivots prefer small values
-    and low fill, which keeps the reduction fast on the near-unimodular
-    matrices produced by nerves.
+    The length of the result is the rank of m.  The reduction runs in two
+    phases.  The unit phase keeps a min-heap of columns keyed by their entry
+    count (stale keys are skipped when popped and a column is pushed again
+    whenever its count or values change).  It pops the sparsest column and,
+    if that column holds a +-1, pivots on the one whose row is shortest:
+    row operations clear the column, and since the pivot is a unit the
+    column operations would only clear the pivot row, so the row and column
+    are dropped whole and a 1 is recorded.  The phase ends when no +-1 is
+    left.  The remainder, typically small for the near-unimodular matrices
+    produced by nerves, goes through a Euclidean loop that pivots on a
+    smallest entry with low fill, and gcd/lcm swaps on the resulting
+    diagonal restore divisibility.
     """
     rows: dict = {}
     cols: dict = {}
@@ -107,6 +115,31 @@ def smith_invariants(m: IntMatrix) -> tuple:
         # col_dst += factor * col_src
         for i in list(cols[src]):
             put(i, dst, rows[i].get(dst, 0) + factor * rows[i][src])
+
+    units = 0
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapify(heap)
+    while heap:
+        count, pj = heappop(heap)
+        col = cols.get(pj)
+        if col is None or len(col) != count:
+            continue
+        unit_rows = [i for i in col if rows[i][pj] in (1, -1)]
+        if not unit_rows:
+            continue
+        pi = min(unit_rows, key=lambda i: (len(rows[i]), i))
+        prow = rows[pi]
+        p = prow[pj]
+        for i in [i for i in col if i != pi]:
+            add_row(i, pi, -rows[i][pj] * p)
+        del rows[pi]
+        for j in prow:
+            cols[j].discard(pi)
+            if cols[j]:
+                heappush(heap, (len(cols[j]), j))
+            else:
+                del cols[j]
+        units += 1
 
     diagonal = []
     while rows:
@@ -142,7 +175,7 @@ def smith_invariants(m: IntMatrix) -> tuple:
 
     # A diagonal matrix is equivalent to the chain of its invariant factors;
     # gcd/lcm swaps repair any divisibility failures left by local pivoting.
-    ones = diagonal.count(1)
+    ones = units + diagonal.count(1)
     rest = [d for d in diagonal if d != 1]
     changed = True
     while changed:

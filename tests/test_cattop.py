@@ -3,7 +3,7 @@
 import pytest
 
 from circleops.trees import LEAF, parse_tree
-from circleops.kgraph import KElt, k_enumerate, k_iota, k_leq
+from circleops.kgraph import KElt, k_enumerate, k_iota, k_leq, parse_kelt
 from circleops.circled import parse_config
 from circleops.cattop import (
     Arrow,
@@ -123,6 +123,18 @@ def test_find_terminal_and_initial_on_chain():
     disc = poset_category((0, 1), lambda a, b: a == b)
     assert find_terminal(disc) is None
     assert find_initial(disc) is None
+
+
+def test_down_set_below_a_maximal_stage_3_element_is_contractible():
+    # labels at the top of stage 3 cannot grow and equal labels keep their
+    # orientation, so this element is maximal in k_enumerate(3, 3)
+    top = parse_kelt("3; mu(1,2)=2 mu(1,3)=2 mu(2,3)=2; perm=[1 2 3]")
+    below = [e for e in k_enumerate(3, 3) if k_leq(e, top)]
+    assert len(below) == 95
+    C = poset_category(below, k_leq)
+    h = nerve_homology(C, 1)
+    assert h.betti == (1, 0) and h.torsion == ((), ())
+    assert find_terminal(C) == top
 
 
 # --- slice, coslice, comma ---------------------------------------------------------

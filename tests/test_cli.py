@@ -119,6 +119,17 @@ def test_verify_grothendieck_cowedge_proof_structure(capsys):
     assert all(line.startswith("ok ") for line in out_lines(capsys))
 
 
+def test_deletion_failure_names_the_arrow_by_its_terms(capsys):
+    # under --inclusive the suite reaches a cell outside the stage the
+    # deletion functor is built for; the error names the arrow as term text
+    assert run(["--inclusive", "verify", "proof-structure", "--tree", "|"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: loop-free or category check failed: ")
+    assert "deleted image of {w1 | / {w2 | / |}} -> {w2 {w1 | / |} / |}" in captured.err
+    assert "Arrow(" not in captured.err and len(captured.err) < 200
+
+
 def test_homology_kposet_example(capsys):
     assert run(["homology", "kposet", "--m", "2", "--k", "2"]) == 0
     assert out_lines(capsys) == ["H0 = Z", "H1 = Z", "H2 = 0", "H3 = 0"]

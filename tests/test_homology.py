@@ -1,11 +1,13 @@
 """Tests for exact chain-complex homology.
 
-Smith normal form is checked against two independent oracles: ranks against
-Gaussian elimination over exact rationals, and invariant factors against the
-gcd-of-minors characterization on small matrices.  Known complexes with
+Smith normal form is checked against three independent oracles: ranks against
+Gaussian elimination over exact rationals, invariant factors against the
+gcd-of-minors characterization on small matrices, and known diagonals
+scrambled by unimodular operations on larger ones.  Known complexes with
 torsion pin the homology conventions.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -144,6 +146,49 @@ def test_rank_matches_fraction_elimination(m):
     assert matrix_rank(m) == len(factors)
     assert all(d > 0 for d in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+def scrambled_diagonal(rng, factors, nrows, ncols, steps):
+    """U * D * V with D = diag(factors) and U, V random unimodular products."""
+    a = [[0] * ncols for _ in range(nrows)]
+    for n, d in enumerate(factors):
+        a[n][n] = d
+    for _ in range(steps):
+        c = rng.choice((-2, -1, 1, 2))
+        s, t = rng.sample(range(nrows), 2)
+        a[s] = [x + c * y for x, y in zip(a[s], a[t])]
+        c = rng.choice((-2, -1, 1, 2))
+        s, t = rng.sample(range(ncols), 2)
+        for row in a:
+            row[s] += c * row[t]
+    rng.shuffle(a)
+    order = list(range(ncols))
+    rng.shuffle(order)
+    sign = [rng.choice((-1, 1)) for _ in range(ncols)]
+    return matrix_from_dict(nrows, ncols, {
+        (i, j): sign[j] * row[order[j]] for i, row in enumerate(a) for j in range(ncols)
+    })
+
+
+FACTOR_CHAINS = (
+    (1, 1, 1, 2, 6, 12),
+    (1, 1, 1, 1, 1, 1, 1, 3, 3, 9),
+    (1, 1, 2, 2, 4),
+    (2, 4, 8),
+    (1,) * 9 + (5,),
+    (1,) * 12,
+)
+
+
+def test_smith_recovers_scrambled_diagonals():
+    # Unit pivots fill in the matrix before the non-unit remainder is reached.
+    rng = random.Random(20251018)
+    for case in range(120):
+        factors = FACTOR_CHAINS[case % len(FACTOR_CHAINS)]
+        nrows = rng.randint(len(factors), 12)
+        ncols = rng.randint(len(factors), 14)
+        m = scrambled_diagonal(rng, factors, nrows, ncols, rng.randint(2, 3 * ncols))
+        assert smith_invariants(m) == factors
 
 
 # --- chain complexes -------------------------------------------------------------
