@@ -1,8 +1,9 @@
 """Content-addressed cache for textual reports.
 
 Entries are keyed by a canonical string naming the operation, the package
-version and every flag that influences its output, so changing a convention
-switch or upgrading the package changes the key and stale results are never
+version, a digest of the package's source files and every flag that
+influences its output, so changing a convention switch, upgrading the
+package or editing its code changes the key and stale results are never
 served.  Each entry stores its payload together with a SHA-256 digest; a
 digest mismatch on load is treated as corruption and the value is
 recomputed.  The cache directory must already exist: a missing directory is
@@ -16,6 +17,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -31,15 +33,31 @@ class CacheCorruption(CacheError):
     """A cache entry exists but cannot be trusted."""
 
 
-def cache_key(kind: str, **fields) -> str:
-    """Canonical key: JSON of the operation kind, package version and flags.
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 over the name and bytes of every module of the package.
 
-    The version is part of the key so that a new release never serves a
-    payload computed by an older one; JSON keeps apart values that joined
-    name=value text would run together.
+    Read on the first cache_key call and kept for the life of the process,
+    so importing the package reads no source file.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def cache_key(kind: str, **fields) -> str:
+    """Canonical key: JSON of the operation kind, package version, source
+    digest and flags.
+
+    The version and the digest of the package's sources are part of the key
+    so that neither a new release nor an edit that keeps the version is
+    served a payload computed by other code; JSON keeps apart values that
+    joined name=value text would run together.
     """
     return json.dumps(
-        {"kind": kind, "version": __version__, "fields": fields},
+        {"kind": kind, "version": __version__, "source": source_digest(),
+         "fields": fields},
         sort_keys=True,
         separators=(",", ":"),
     )

@@ -2,7 +2,13 @@
 
 A FinCategory is a finite category presented by an explicit composition
 table; every categorical axiom is checked at construction time, so a value
-of the type is itself a certificate.  On top of that sit the standard
+of the type is itself a certificate.  Its core is integer: objects and
+arrows are numbered in the order given, composition is one int dict per
+arrow, and the axioms and the functor laws are checked on those ids.  The
+payloads (configurations, graph elements, Arrow values) live in side
+tables, read to answer payload queries and to name a failure; the
+constructions below build ids directly and hash no payload for their
+tables or checks.  On top of that sit the standard
 constructions used by the verification suites: full subcategories, posets,
 the comma categories z/F and F/z of a functor (comma, with side "under" or
 "over"), its strict fiber over z (fiber) and the inclusion x -> (x, id_z)
@@ -19,14 +25,15 @@ on, and forgetting a distinguished white circle gives the deletion functor
 whose fibers certify the contraction argument.
 
 Nerves of loop-free categories are turned into integer chain complexes,
-one chain per composable string of nonidentity arrows, so homology is
-computed exactly.
+one chain per composable string of nonidentity arrows (a tuple of arrow
+ids), so homology is computed exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .circled import enumerate_configs, relabel_whites, splice, white_addresses
@@ -55,151 +62,343 @@ class Arrow:
     label: object
 
 
+def _numbering(payloads, what: str) -> dict:
+    """Each payload's position; two equal payloads are a CategoryError."""
+    index = {x: n for n, x in enumerate(payloads)}
+    if len(index) != len(payloads):
+        raise CategoryError(f"duplicate {what}")
+    return index
+
+
+def _translate(mapping, keys: dict, values: dict, n: int) -> list:
+    """A payload map as a list over the key ids.
+
+    A value outside values becomes -1 and a key given no value stays None;
+    a key outside keys appends a None, so the list no longer has n entries.
+    """
+    out = [None] * n
+    for k, v in mapping.items():
+        i = keys.get(k)
+        if i is None:
+            out.append(None)
+        else:
+            out[i] = values.get(v, -1)
+    return out
+
+
+def _outgoing(n: int, ends) -> list:
+    """For each of n objects, the ids of the arrows whose end (one of src or
+    dst, as given) it is; a negative end belongs to no object."""
+    out = [[] for _ in range(n)]
+    for a, x in enumerate(ends):
+        if x >= 0:
+            out[x].append(a)
+    return out
+
+
 class FinCategory:
     """A finite category with an explicit, verified composition table.
 
-    identities maps each object to its identity arrow and table maps every
-    composable pair (g, f) with f.dst == g.src to the composite g after f.
+    The core is integer.  Objects and arrows are numbered 0..n-1 in the
+    order given, and their payloads, the tuples objects and arrows, are
+    side tables: they answer the payload queries below and render a
+    failure, and no construction or check hashes them.  The core holds the
+    src and dst id of every arrow, the identity arrow id of every object
+    (_ident) and, for every arrow f, one dict _comp[f] sending each g that
+    composes after f to the id of g after f.  Every categorical axiom is
+    checked on these ids at construction time.
+
+    The payload constructor takes identities mapping each object to its
+    identity arrow and table mapping every composable pair (g, f) with
+    f.dst == g.src to the composite g after f; it only numbers them.
+    identities and table read the same maps back from the core, table in
+    the order of f, then of g among the arrows out of f.dst.
     """
 
     def __init__(self, objects, arrows, identities, table):
+        objects, arrows = tuple(objects), tuple(arrows)
+        oid = _numbering(objects, "objects")
+        aid = _numbering(arrows, "arrows")
+        entries = [
+            (aid.get(g, -1), aid.get(f, -1), aid.get(h, -1))
+            for (g, f), h in table.items()
+        ]
+        comp = [{} for _ in arrows]
+        for g, f, h in entries:
+            if g >= 0 and f >= 0:
+                comp[f][g] = h
+        self._setup(
+            objects,
+            arrows,
+            [oid.get(a.src, -1) for a in arrows],
+            [oid.get(a.dst, -1) for a in arrows],
+            _translate(identities, oid, aid, len(objects)),
+            comp,
+            entries,
+        )
+        self.__dict__.update(_oid=oid, _aid=aid)
+
+    @classmethod
+    def _of_ids(cls, objects, arrows, src, dst, ident, comp) -> "FinCategory":
+        """The category on numbered payloads, checked like any other."""
+        C = cls.__new__(cls)
+        C._setup(objects, arrows, src, dst, ident, comp, None)
+        return C
+
+    def _setup(self, objects, arrows, src, dst, ident, comp, entries):
         self.objects = tuple(objects)
         self.arrows = tuple(arrows)
-        self.identities = dict(identities)
-        self.table = dict(table)
-        self._by_src = {}
-        self._by_dst = {}
-        self._hom = {}
-        for a in self.arrows:
-            self._by_src.setdefault(a.src, []).append(a)
-            self._by_dst.setdefault(a.dst, []).append(a)
-            self._hom.setdefault((a.src, a.dst), []).append(a)
-        self._verify()
+        self._src, self._dst, self._ident, self._comp = src, dst, ident, comp
+        self._out = _outgoing(len(self.objects), src)
+        self._verify(entries)
+
+    @cached_property
+    def _oid(self) -> dict:
+        return {x: n for n, x in enumerate(self.objects)}
+
+    @cached_property
+    def _aid(self) -> dict:
+        return {a: n for n, a in enumerate(self.arrows)}
+
+    @cached_property
+    def _into(self) -> list:
+        return _outgoing(len(self.objects), self._dst)
+
+    @cached_property
+    def _hom(self) -> dict:
+        """(x, y) -> the ids of the arrows x -> y, in arrow order."""
+        hom = {}
+        for a, key in enumerate(zip(self._src, self._dst)):
+            hom.setdefault(key, []).append(a)
+        return hom
+
+    @property
+    def identities(self) -> dict:
+        return {x: self.arrows[e] for x, e in zip(self.objects, self._ident)}
+
+    @property
+    def table(self) -> "_Table":
+        return _Table(self)
 
     def identity(self, x) -> Arrow:
-        return self.identities[x]
+        return self.arrows[self._ident[self._oid[x]]]
 
     def is_identity(self, a: Arrow) -> bool:
-        return self.identities.get(a.src) == a
+        x = self._oid.get(a.src)
+        return x is not None and self.arrows[self._ident[x]] == a
 
     def compose(self, g: Arrow, f: Arrow) -> Arrow:
         """The composite g after f."""
         try:
-            return self.table[(g, f)]
+            return self.arrows[self._comp[self._aid[f]][self._aid[g]]]
         except KeyError:
             raise CategoryError(f"arrows do not compose: {f} then {g}") from None
 
+    def _arrows_at(self, lists, x) -> tuple:
+        i = self._oid.get(x)
+        return () if i is None else tuple(self.arrows[a] for a in lists[i])
+
     def hom(self, x, y) -> tuple:
-        return tuple(self._hom.get((x, y), ()))
+        i, j = self._oid.get(x), self._oid.get(y)
+        return tuple(self.arrows[a] for a in self._hom.get((i, j), ()))
 
     def arrows_from(self, x) -> tuple:
-        return tuple(self._by_src.get(x, ()))
+        return self._arrows_at(self._out, x)
 
     def arrows_to(self, x) -> tuple:
-        return tuple(self._by_dst.get(x, ()))
+        return self._arrows_at(self._into, x)
 
     def nonidentity_arrows(self) -> tuple:
-        return tuple(a for a in self.arrows if not self.is_identity(a))
+        ident, src = self._ident, self._src
+        return tuple(a for n, a in enumerate(self.arrows) if ident[src[n]] != n)
 
-    def _verify(self):
-        objset = set(self.objects)
-        if len(objset) != len(self.objects):
-            raise CategoryError("duplicate objects")
-        arrset = set(self.arrows)
-        if len(arrset) != len(self.arrows):
-            raise CategoryError("duplicate arrows")
-        for a in self.arrows:
-            if a.src not in objset or a.dst not in objset:
-                raise CategoryError(f"arrow endpoints outside the category: {a}")
-        if set(self.identities) != objset:
+    def _verify(self, entries=None):
+        """The axioms on ids; entries are (g, f, g after f) triples, by
+        default read from _comp.  Payloads are read only to name a failure."""
+        objects, arrows = self.objects, self.arrows
+        src, dst, ident, comp, out = (
+            self._src, self._dst, self._ident, self._comp, self._out
+        )
+        for a in range(len(arrows)):
+            if src[a] < 0 or dst[a] < 0:
+                raise CategoryError(
+                    f"arrow endpoints outside the category: {arrows[a]}"
+                )
+        if len(ident) != len(objects) or None in ident:
             raise CategoryError("identities must cover exactly the objects")
-        for x, e in self.identities.items():
-            if e not in arrset or e.src != x or e.dst != x:
-                raise CategoryError(f"bad identity arrow at {x}")
-        composable = sum(len(self._by_src.get(f.dst, ())) for f in self.arrows)
-        if len(self.table) != composable:
-            raise CategoryError(
-                f"composition table has {len(self.table)} entries,"
-                f" expected {composable}"
+        for x, e in enumerate(ident):
+            if e < 0 or src[e] != x or dst[e] != x:
+                raise CategoryError(f"bad identity arrow at {objects[x]}")
+        if entries is None:
+            size = sum(map(len, comp))
+            entries = (
+                (g, f, h) for f, row in enumerate(comp) for g, h in row.items()
             )
-        for (g, f), h in self.table.items():
-            if f not in arrset or g not in arrset or h not in arrset:
+        else:
+            size = len(entries)
+        composable = sum(len(out[x]) for x in dst)
+        if size != composable:
+            raise CategoryError(
+                f"composition table has {size} entries, expected {composable}"
+            )
+        for g, f, h in entries:
+            if g < 0 or f < 0 or h < 0:
                 raise CategoryError("composition table mentions unknown arrows")
-            if f.dst != g.src:
-                raise CategoryError(f"table entry for non-composable pair ({f}, {g})")
-            if h.src != f.src or h.dst != g.dst:
-                raise CategoryError(f"composite of ({f}, {g}) has wrong endpoints")
-        for f in self.arrows:
-            if (
-                self.table[(f, self.identities[f.src])] != f
-                or self.table[(self.identities[f.dst], f)] != f
-            ):
-                raise CategoryError(f"unit law fails at {f}")
-        for f in self.arrows:
-            for g in self._by_src.get(f.dst, ()):
-                gf = self.table[(g, f)]
-                for h in self._by_src.get(g.dst, ()):
-                    if self.table[(h, gf)] != self.table[(self.table[(h, g)], f)]:
+            if dst[f] != src[g]:
+                raise CategoryError(
+                    f"table entry for non-composable pair ({arrows[f]}, {arrows[g]})"
+                )
+            if src[h] != src[f] or dst[h] != dst[g]:
+                raise CategoryError(
+                    f"composite of ({arrows[f]}, {arrows[g]}) has wrong endpoints"
+                )
+        for f, row in enumerate(comp):
+            if comp[ident[src[f]]][f] != f or row[ident[dst[f]]] != f:
+                raise CategoryError(f"unit law fails at {arrows[f]}")
+        for f, row in enumerate(comp):
+            for g in out[dst[f]]:
+                after_g, after_gf = comp[g], comp[row[g]]
+                for h in out[dst[g]]:
+                    if after_gf[h] != row[after_g[h]]:
                         raise CategoryError(
-                            f"associativity fails on {f} then {g} then {h}"
+                            f"associativity fails on {arrows[f]} then {arrows[g]}"
+                            f" then {arrows[h]}"
                         )
 
 
+class _Table(Mapping):
+    """The composition table of a FinCategory, read from its int core."""
+
+    def __init__(self, C: FinCategory):
+        self._C = C
+
+    def __len__(self) -> int:
+        return sum(map(len, self._C._comp))
+
+    def __iter__(self):
+        arrows = self._C.arrows
+        for f, row in enumerate(self._C._comp):
+            for g in row:
+                yield arrows[g], arrows[f]
+
+    def __getitem__(self, key):
+        C = self._C
+        try:
+            g, f = key
+            return C.arrows[C._comp[C._aid[f]][C._aid[g]]]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def items(self):
+        return _TableItems(self)
+
+
+class _TableItems(ItemsView):
+    def __iter__(self):
+        arrows = self._mapping._C.arrows
+        for f, row in enumerate(self._mapping._C._comp):
+            for g, h in row.items():
+                yield (arrows[g], arrows[f]), arrows[h]
+
+
 class FinFunctor:
-    """A functor between FinCategories, verified at construction time."""
+    """A functor between FinCategories, verified at construction time.
+
+    The core is two id lists, _omap over the domain's objects and _amap
+    over its arrows; the payload maps object_map and arrow_map are read
+    back from them.  The payload constructor only numbers its maps.
+    """
 
     def __init__(self, dom: FinCategory, cod: FinCategory, object_map, arrow_map):
-        self.dom = dom
-        self.cod = cod
-        self.object_map = dict(object_map)
-        self.arrow_map = dict(arrow_map)
-        if set(self.object_map) != set(dom.objects):
+        self._setup(
+            dom,
+            cod,
+            _translate(object_map, dom._oid, cod._oid, len(dom.objects)),
+            _translate(arrow_map, dom._aid, cod._aid, len(dom.arrows)),
+        )
+
+    @classmethod
+    def _of_ids(cls, dom, cod, omap, amap) -> "FinFunctor":
+        F = cls.__new__(cls)
+        F._setup(dom, cod, omap, amap)
+        return F
+
+    def _setup(self, dom, cod, omap, amap):
+        self.dom, self.cod, self._omap, self._amap = dom, cod, omap, amap
+        self._verify()
+
+    def _verify(self):
+        dom, cod, omap, amap = self.dom, self.cod, self._omap, self._amap
+        if len(omap) != len(dom.objects) or None in omap:
             raise CategoryError("object map must cover exactly the domain objects")
-        if set(self.arrow_map) != set(dom.arrows):
+        if len(amap) != len(dom.arrows) or None in amap:
             raise CategoryError("arrow map must cover exactly the domain arrows")
-        cod_objects = set(cod.objects)
-        cod_arrows = set(cod.arrows)
-        for x, y in self.object_map.items():
-            if y not in cod_objects:
-                raise CategoryError(f"image of {x} is not a codomain object")
-        for a, b in self.arrow_map.items():
-            if b not in cod_arrows:
-                raise CategoryError(f"image of {a} is not a codomain arrow")
-            if b.src != self.object_map[a.src] or b.dst != self.object_map[a.dst]:
-                raise CategoryError(f"functor breaks endpoints on {a}")
-        for x in dom.objects:
-            if self.arrow_map[dom.identity(x)] != cod.identity(self.object_map[x]):
-                raise CategoryError(f"functor breaks the identity at {x}")
-        for (g, f), h in dom.table.items():
-            if self.arrow_map[h] != cod.compose(self.arrow_map[g], self.arrow_map[f]):
-                raise CategoryError(f"functor breaks composition on ({f}, {g})")
+        for x, y in enumerate(omap):
+            if y < 0:
+                raise CategoryError(f"image of {dom.objects[x]} is not a codomain object")
+        for a, b in enumerate(amap):
+            if b < 0:
+                raise CategoryError(f"image of {dom.arrows[a]} is not a codomain arrow")
+            if cod._src[b] != omap[dom._src[a]] or cod._dst[b] != omap[dom._dst[a]]:
+                raise CategoryError(f"functor breaks endpoints on {dom.arrows[a]}")
+        for x, e in enumerate(dom._ident):
+            if amap[e] != cod._ident[omap[x]]:
+                raise CategoryError(f"functor breaks the identity at {dom.objects[x]}")
+        for f, row in enumerate(dom._comp):
+            after_f = cod._comp[amap[f]]
+            for g, h in row.items():
+                if amap[h] != after_f[amap[g]]:
+                    raise CategoryError(
+                        f"functor breaks composition on"
+                        f" ({dom.arrows[f]}, {dom.arrows[g]})"
+                    )
+
+    @cached_property
+    def object_map(self) -> dict:
+        cod = self.cod.objects
+        return {x: cod[y] for x, y in zip(self.dom.objects, self._omap)}
+
+    @cached_property
+    def arrow_map(self) -> dict:
+        cod = self.cod.arrows
+        return {a: cod[b] for a, b in zip(self.dom.arrows, self._amap)}
 
     def obj(self, x):
-        return self.object_map[x]
+        return self.cod.objects[self._omap[self.dom._oid[x]]]
 
     def arr(self, a: Arrow) -> Arrow:
-        return self.arrow_map[a]
+        return self.cod.arrows[self._amap[self.dom._aid[a]]]
 
 
-def _table_from(arrows, combine) -> dict:
-    """Composition table whose entries are found by label; raises if one is missing."""
+def _composition(n: int, arrows, src, dst, labels, combine):
+    """Composition rows for arrows numbered over n objects, each composite
+    found by label.
+
+    labels are hashable keys telling parallel arrows apart and combine(g, f)
+    gives the key of g after f.  Returns the rows and the index
+    (src, dst, label) -> arrow id; raises if two arrows share a key or a
+    composite is missing.  The payload arrows only name a failure.
+    """
     index = {}
-    for a in arrows:
-        key = (a.src, a.dst, a.label)
-        if key in index:
-            raise CategoryError(f"two arrows share source, target and label: {key}")
-        index[key] = a
-    by_src = {}
-    for a in arrows:
-        by_src.setdefault(a.src, []).append(a)
-    table = {}
-    for f in arrows:
-        for g in by_src.get(f.dst, ()):
-            h = index.get((f.src, g.dst, combine(g, f)))
+    for a, key in enumerate(zip(src, dst, labels)):
+        if index.setdefault(key, a) != a:
+            x = arrows[a]
+            raise CategoryError(
+                f"two arrows share source, target and label: {(x.src, x.dst, x.label)}"
+            )
+    out = _outgoing(n, src)
+    comp = []
+    for f, (s, t) in enumerate(zip(src, dst)):
+        row = {}
+        for g in out[t]:
+            h = index.get((s, dst[g], combine(g, f)))
             if h is None:
-                raise CategoryError(f"composite of {f} then {g} is not an arrow")
-            table[(g, f)] = h
-    return table
+                raise CategoryError(
+                    f"composite of {arrows[f]} then {arrows[g]} is not an arrow"
+                )
+            row[g] = h
+        comp.append(row)
+    return comp, index
 
 
 # --- general constructions ----------------------------------------------------
@@ -207,67 +406,137 @@ def _table_from(arrows, combine) -> dict:
 def poset_category(elements, leq) -> FinCategory:
     """The thin category of a preorder; composition exists by transitivity."""
     elements = tuple(elements)
-    arrows = tuple(
-        Arrow(x, y, None) for x in elements for y in elements if leq(x, y)
-    )
-    identities = {}
-    for x in elements:
-        if not leq(x, x):
+    src, dst, arrows, ident = [], [], [], [None] * len(elements)
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            if leq(x, y):
+                if i == j:
+                    ident[i] = len(src)
+                src.append(i)
+                dst.append(j)
+                arrows.append(Arrow(x, y, None))
+    for x, e in zip(elements, ident):
+        if e is None:
             raise CategoryError(f"order is not reflexive at {x}")
-        identities[x] = Arrow(x, x, None)
-    table = _table_from(arrows, lambda g, f: None)
-    return FinCategory(elements, arrows, identities, table)
+    _numbering(elements, "objects")
+    comp, _ = _composition(
+        len(elements), arrows, src, dst, [None] * len(src), lambda g, f: None
+    )
+    return FinCategory._of_ids(elements, arrows, src, dst, ident, comp)
 
 
-def _subcategory(C: FinCategory, keep_object, keep_arrow) -> FinCategory:
-    """The subcategory of the objects and arrows that pass the two predicates.
+def _subcategory(C: FinCategory, objs, keep_arrow):
+    """The subcategory on the object ids objs and the arrows between them
+    whose id passes keep_arrow; returns it with its arrows' ids in C.
 
     Identities and composites are inherited from C, so keep_arrow must pass
     identities and be closed under composition.
     """
-    objs = tuple(x for x in C.objects if keep_object(x))
-    keep = set(objs)
-    arrows = tuple(
-        a for a in C.arrows if a.src in keep and a.dst in keep and keep_arrow(a)
+    new_obj = [-1] * len(C.objects)
+    for n, x in enumerate(objs):
+        new_obj[x] = n
+    src, dst = C._src, C._dst
+    kept = [
+        a for a in range(len(C.arrows))
+        if new_obj[src[a]] >= 0 and new_obj[dst[a]] >= 0 and keep_arrow(a)
+    ]
+    new_arr = [-1] * len(C.arrows)
+    for n, a in enumerate(kept):
+        new_arr[a] = n
+    S = FinCategory._of_ids(
+        tuple(C.objects[x] for x in objs),
+        tuple(C.arrows[a] for a in kept),
+        [new_obj[src[a]] for a in kept],
+        [new_obj[dst[a]] for a in kept],
+        [new_arr[C._ident[x]] for x in objs],
+        [
+            {new_arr[g]: new_arr[h] for g, h in C._comp[f].items() if new_arr[g] >= 0}
+            for f in kept
+        ],
     )
-    arrset = set(arrows)
-    table = {
-        (g, f): h for (g, f), h in C.table.items() if g in arrset and f in arrset
-    }
-    return FinCategory(objs, arrows, {x: C.identity(x) for x in objs}, table)
+    return S, kept
 
 
 def full_subcategory(C: FinCategory, predicate) -> FinCategory:
     """The full subcategory on the objects satisfying the predicate."""
-    return _subcategory(C, predicate, lambda a: True)
+    objs = [x for x, o in enumerate(C.objects) if predicate(o)]
+    return _subcategory(C, objs, lambda a: True)[0]
 
 
 def identity_functor(C: FinCategory) -> FinFunctor:
-    return FinFunctor(C, C, {x: x for x in C.objects}, {a: a for a in C.arrows})
+    return FinFunctor._of_ids(
+        C, C, list(range(len(C.objects))), list(range(len(C.arrows)))
+    )
+
+
+def _universal(C: FinCategory, lists, far_end):
+    """The first object with exactly one arrow to or from every object."""
+    n = len(C.objects)
+    for x, arrows in enumerate(lists):
+        if len(arrows) == n and len({far_end[a] for a in arrows}) == n:
+            return C.objects[x]
+    return None
 
 
 def find_terminal(C: FinCategory):
     """The terminal object if one exists, else None."""
-    for t in C.objects:
-        if all(len(C.hom(x, t)) == 1 for x in C.objects):
-            return t
-    return None
+    return _universal(C, C._into, C._src)
 
 
 def find_initial(C: FinCategory):
     """The initial object if one exists, else None."""
-    for i in C.objects:
-        if all(len(C.hom(i, x)) == 1 for x in C.objects):
-            return i
-    return None
+    return _universal(C, C._out, C._dst)
 
 
-def _codomain_identity(F: FinFunctor, z) -> Arrow:
-    """id_z in F's codomain; raises CategoryError if z is not an object there."""
+def _object_id(F: FinFunctor, z) -> int:
+    """The id of z in F's codomain; raises CategoryError if z is not an object there."""
     try:
-        return F.cod.identities[z]
+        return F.cod._oid[z]
     except KeyError:
         raise CategoryError(f"{z} is not an object of the codomain") from None
+
+
+def _require_side(side: str):
+    if side not in ("under", "over"):
+        raise ValueError(f"side must be 'under' or 'over', not {side!r}")
+
+
+def _comma(F: FinFunctor, z: int, side: str):
+    """comma at the codomain object id z: returns the category, its object
+    ids by (w, g) pair and its arrow ids by (src, dst, domain arrow id)."""
+    A, B = F.dom, F.cod
+    omap, amap, hom, comp = F._omap, F._amap, B._hom, B._comp
+    under = side == "under"
+
+    def legs(w):
+        return hom.get((z, omap[w]) if under else (omap[w], z), ())
+
+    pairs = [(w, g) for w in range(len(A.objects)) for g in legs(w)]
+    pair_id = {p: n for n, p in enumerate(pairs)}
+    src, dst, labels = [], [], []
+    for m, (s, t) in enumerate(zip(A._src, A._dst)):
+        fm = amap[m]
+        for g in legs(s if under else t):
+            if under:
+                src.append(pair_id[(s, g)])
+                dst.append(pair_id[(t, comp[g][fm])])
+            else:
+                src.append(pair_id[(s, comp[fm][g])])
+                dst.append(pair_id[(t, g)])
+            labels.append(m)
+    objects = tuple((A.objects[w], B.arrows[g]) for w, g in pairs)
+    arrows = tuple(
+        Arrow(objects[s], objects[t], A.arrows[m])
+        for s, t, m in zip(src, dst, labels)
+    )
+    comp_k, index = _composition(
+        len(objects), arrows, src, dst, labels,
+        lambda g, f: A._comp[labels[f]][labels[g]],
+    )
+    ident = [index.get((n, n, A._ident[w]), -1) for n, (w, _) in enumerate(pairs)]
+    return (
+        FinCategory._of_ids(objects, arrows, src, dst, ident, comp_k), pair_id, index
+    )
 
 
 def comma(F: FinFunctor, z, side: str) -> FinCategory:
@@ -277,46 +546,39 @@ def comma(F: FinFunctor, z, side: str) -> FinCategory:
     An arrow (w, g) -> (w2, g2) is a domain arrow m: w -> w2 whose image
     makes the triangle with g and g2 commute; it is labelled by m.
     """
-    if side not in ("under", "over"):
-        raise ValueError(f"side must be 'under' or 'over', not {side!r}")
-    A, B = F.dom, F.cod
-    _codomain_identity(F, z)
-    arrows = []
-    if side == "under":
-        objects = tuple((w, g) for w in A.objects for g in B.hom(z, F.obj(w)))
-        for m in A.arrows:
-            fm = F.arr(m)
-            for g in B.hom(z, F.obj(m.src)):
-                arrows.append(Arrow((m.src, g), (m.dst, B.compose(fm, g)), m))
-    else:
-        objects = tuple((w, g) for w in A.objects for g in B.hom(F.obj(w), z))
-        for m in A.arrows:
-            fm = F.arr(m)
-            for g in B.hom(F.obj(m.dst), z):
-                arrows.append(Arrow((m.src, B.compose(g, fm)), (m.dst, g), m))
-    identities = {
-        (w, g): Arrow((w, g), (w, g), A.identity(w)) for (w, g) in objects
-    }
-    table = _table_from(arrows, lambda g, f: A.compose(g.label, f.label))
-    return FinCategory(objects, arrows, identities, table)
+    _require_side(side)
+    return _comma(F, _object_id(F, z), side)[0]
+
+
+def _fiber(F: FinFunctor, z: int):
+    """fiber on ids: returns it with its objects' and arrows' ids in F.dom."""
+    id_z = F.cod._ident[z]
+    objs = [x for x, y in enumerate(F._omap) if y == z]
+    S, kept = _subcategory(F.dom, objs, lambda u: F._amap[u] == id_z)
+    return S, objs, kept
 
 
 def fiber(F: FinFunctor, z) -> FinCategory:
     """The strict fiber over z: the x with F(x) == z and the arrows onto id_z."""
-    id_z = _codomain_identity(F, z)
-    return _subcategory(F.dom, lambda x: F.obj(x) == z, lambda u: F.arr(u) == id_z)
+    return _fiber(F, _object_id(F, z))[0]
+
+
+def _fiber_inclusion(F: FinFunctor, z: int, side: str) -> FinFunctor:
+    fib, objs, kept = _fiber(F, z)
+    _require_side(side)
+    K, pair_id, index = _comma(F, z, side)
+    id_z = F.cod._ident[z]
+    omap = [pair_id.get((x, id_z), -1) for x in objs]
+    amap = [
+        index.get((omap[s], omap[t], u), -1)
+        for s, t, u in zip(fib._src, fib._dst, kept)
+    ]
+    return FinFunctor._of_ids(fib, K, omap, amap)
 
 
 def fiber_inclusion(F: FinFunctor, z, side: str) -> FinFunctor:
     """The inclusion x -> (x, id_z) of fiber(F, z) into comma(F, z, side)."""
-    fiber_cat = fiber(F, z)
-    id_z = F.cod.identity(z)
-    return FinFunctor(
-        fiber_cat,
-        comma(F, z, side),
-        {x: (x, id_z) for x in fiber_cat.objects},
-        {u: Arrow((u.src, id_z), (u.dst, id_z), u) for u in fiber_cat.arrows},
-    )
+    return _fiber_inclusion(F, _object_id(F, z), side)
 
 
 def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
@@ -333,43 +595,65 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
         raise CategoryError("fibers must cover exactly the base objects")
     if set(transitions) != set(base.arrows):
         raise CategoryError("transitions must cover exactly the base arrows")
-    for a, T in transitions.items():
-        if T.dom is not fibers[a.src] or T.cod is not fibers[a.dst]:
-            raise CategoryError(f"transition along {a} joins the wrong fibers")
-    for b in base.objects:
-        T = transitions[base.identity(b)]
-        fb = fibers[b]
-        if any(T.obj(x) != x for x in fb.objects) or any(
-            T.arr(u) != u for u in fb.arrows
+    fib = [fibers[b] for b in base.objects]
+    trans = [transitions[a] for a in base.arrows]
+    for a, T in enumerate(trans):
+        if T.dom is not fib[base._src[a]] or T.cod is not fib[base._dst[a]]:
+            raise CategoryError(f"transition along {base.arrows[a]} joins the wrong fibers")
+    for b, e in enumerate(base._ident):
+        T = trans[e]
+        if T._omap != list(range(len(fib[b].objects))) or T._amap != list(
+            range(len(fib[b].arrows))
         ):
-            raise CategoryError(f"identity transition at {b} is not the identity")
-    for (g, f), h in base.table.items():
-        Tg, Tf, Th = transitions[g], transitions[f], transitions[h]
-        fb = fibers[f.src]
-        if any(Th.obj(x) != Tg.obj(Tf.obj(x)) for x in fb.objects) or any(
-            Th.arr(u) != Tg.arr(Tf.arr(u)) for u in fb.arrows
-        ):
-            raise CategoryError(f"transitions are not functorial over ({f}, {g})")
+            raise CategoryError(
+                f"identity transition at {base.objects[b]} is not the identity"
+            )
+    for f, row in enumerate(base._comp):
+        Tf = trans[f]
+        for g, h in row.items():
+            Tg, Th = trans[g], trans[h]
+            if any(Th._omap[x] != Tg._omap[y] for x, y in enumerate(Tf._omap)) or any(
+                Th._amap[u] != Tg._amap[v] for u, v in enumerate(Tf._amap)
+            ):
+                raise CategoryError(
+                    f"transitions are not functorial over"
+                    f" ({base.arrows[f]}, {base.arrows[g]})"
+                )
 
-    objects = tuple((b, x) for b in base.objects for x in fibers[b].objects)
-    arrows = []
-    for f in base.arrows:
-        T = transitions[f]
-        for x in fibers[f.src].objects:
-            for u in fibers[f.dst].arrows_from(T.obj(x)):
-                arrows.append(Arrow((f.src, x), (f.dst, u.dst), (f, u)))
-    identities = {
-        (b, x): Arrow((b, x), (b, x), (base.identity(b), fibers[b].identity(x)))
-        for (b, x) in objects
-    }
+    start = [0]
+    for F in fib:
+        start.append(start[-1] + len(F.objects))
+    objects = tuple(
+        (b, x) for b, F in zip(base.objects, fib) for x in F.objects
+    )
+    src, dst, labels = [], [], []
+    for f, (s, t) in enumerate(zip(base._src, base._dst)):
+        omap, target = trans[f]._omap, fib[t]
+        for x in range(len(fib[s].objects)):
+            for u in target._out[omap[x]]:
+                src.append(start[s] + x)
+                dst.append(start[t] + target._dst[u])
+                labels.append((f, u))
+    arrows = tuple(
+        Arrow(objects[s], objects[t], (base.arrows[f], fib[base._dst[f]].arrows[u]))
+        for s, t, (f, u) in zip(src, dst, labels)
+    )
 
     def combine(big, small):
-        f, u = small.label
-        g, v = big.label
-        return (base.compose(g, f), fibers[g.dst].compose(v, transitions[g].arr(u)))
+        f, u = labels[small]
+        g, v = labels[big]
+        return (
+            base._comp[f][g],
+            fib[base._dst[g]]._comp[trans[g]._amap[u]][v],
+        )
 
-    table = _table_from(arrows, combine)
-    return FinCategory(objects, arrows, identities, table)
+    comp, index = _composition(len(objects), arrows, src, dst, labels, combine)
+    ident = [
+        index.get((start[b] + x, start[b] + x, (base._ident[b], e)), -1)
+        for b, F in enumerate(fib)
+        for x, e in enumerate(F._ident)
+    ]
+    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp)
 
 
 def grothendieck_projection(total: FinCategory, base: FinCategory) -> FinFunctor:
@@ -382,6 +666,21 @@ def grothendieck_projection(total: FinCategory, base: FinCategory) -> FinFunctor
     )
 
 
+def _matching_arrow(C: FinCategory, s: int, t: int, a: Arrow) -> int:
+    """The id of the arrow s -> t of C equal to the payload a, or -1."""
+    return next((b for b in C._hom.get((s, t), ()) if C.arrows[b] == a), -1)
+
+
+def _inclusion(dom: FinCategory, cod: FinCategory) -> FinFunctor:
+    """The functor sending each object and arrow of dom to its equal in cod."""
+    omap = [cod._oid.get(x, -1) for x in dom.objects]
+    amap = [
+        _matching_arrow(cod, omap[s], omap[t], a)
+        for s, t, a in zip(dom._src, dom._dst, dom.arrows)
+    ]
+    return FinFunctor._of_ids(dom, cod, omap, amap)
+
+
 # --- comma categories of the operad --------------------------------------------
 
 def _unary_comma(objects, config, related) -> FinCategory:
@@ -391,34 +690,53 @@ def _unary_comma(objects, config, related) -> FinCategory:
     a tuple of unary operations, one per white circle of config(x2), whose
     substitution into config(x2) yields config(x), for every x with
     related(x, x2).  Only arrows with both ends in objects are built, which
-    keeps filtered commas cheap.
+    keeps filtered commas cheap.  The unary operations are numbered as they
+    are met, so arrows are told apart by id tuples, and the composite of
+    each pair of unary ids is computed once.
     """
     opify = lru_cache(maxsize=None)(HOperation)
-    unaries = lru_cache(maxsize=None)(lambda source: enumerate_configs(source, 1))
+    unary_terms, unary_id = [], {}
+
+    @lru_cache(maxsize=None)
+    def unaries(source) -> tuple:
+        first = len(unary_terms)
+        unary_terms.extend(enumerate_configs(source, 1))
+        for n in range(first, len(unary_terms)):
+            unary_id[unary_terms[n]] = n
+        return tuple(range(first, len(unary_terms)))
+
     carrying = {}
-    for x in objects:
-        carrying.setdefault(config(x), []).append(x)
-    arrows = []
-    for x2 in objects:
+    for n, x in enumerate(objects):
+        carrying.setdefault(config(x), []).append(n)
+    src, dst, labels, arrows = [], [], [], []
+    for t, x2 in enumerate(objects):
         op2 = opify(config(x2))
         for combo in product(*(unaries(s) for s in op2.sources)):
-            src = compose(op2, tuple(opify(p) for p in combo)).term
-            for x in carrying.get(src, ()):
-                if related(x, x2):
-                    arrows.append(Arrow(x, x2, combo))
-    index = {(a.src, a.dst, a.label): a for a in arrows}
-    identities = {}
-    for x in objects:
-        ids = tuple(identity_op(s).term for s in opify(config(x)).sources)
-        identities[x] = index[(x, x, ids)]
+            term = compose(op2, tuple(opify(unary_terms[p]) for p in combo)).term
+            label = tuple(unary_terms[p] for p in combo)
+            for s in carrying.get(term, ()):
+                if related(objects[s], x2):
+                    src.append(s)
+                    dst.append(t)
+                    labels.append(combo)
+                    arrows.append(Arrow(objects[s], x2, label))
+
+    @lru_cache(maxsize=None)
+    def composite(q: int, p: int) -> int:
+        term = compose(opify(unary_terms[q]), (opify(unary_terms[p]),)).term
+        return unary_id.get(term, -1)
 
     def combine(g, f):
-        return tuple(
-            compose(opify(q), (opify(p),)).term for q, p in zip(g.label, f.label)
-        )
+        return tuple(map(composite, labels[g], labels[f]))
 
-    table = _table_from(arrows, combine)
-    return FinCategory(objects, arrows, identities, table)
+    comp, index = _composition(len(objects), arrows, src, dst, labels, combine)
+    ident = []
+    for n, x in enumerate(objects):
+        ids = tuple(
+            unary_id.get(identity_op(s).term, -1) for s in opify(config(x)).sources
+        )
+        ident.append(index.get((n, n, ids), -1))
+    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp)
 
 
 def _comma_on_objects(objs) -> FinCategory:
@@ -490,15 +808,7 @@ def hat_comma_grothendieck(tree, level: int = 2, k: int = 2) -> FinCategory:
     fibers = {
         kap: comma_below(tree, k_iota(kap)) for kap in kappas
     }
-    transitions = {}
-    for a in base.arrows:
-        dom, cod = fibers[a.src], fibers[a.dst]
-        transitions[a] = FinFunctor(
-            dom,
-            cod,
-            {o: o for o in dom.objects},
-            {u: u for u in dom.arrows},
-        )
+    transitions = {a: _inclusion(fibers[a.src], fibers[a.dst]) for a in base.arrows}
     return grothendieck(base, fibers, transitions)
 
 
@@ -510,22 +820,22 @@ def hat_comma_isomorphism(tree, level: int = 2, k: int = 2) -> FinFunctor:
     """
     hat = build_hat_comma(tree, level, k)
     total = hat_comma_grothendieck(tree, level, k)
-    object_map = {(o, kap): (kap, o) for (o, kap) in hat.objects}
-    total_arrows = set(total.arrows)
-    arrow_map = {}
-    for a in hat.arrows:
+    omap = [total._oid.get((kap, o), -1) for (o, kap) in hat.objects]
+    amap = []
+    for a, s, t in zip(hat.arrows, hat._src, hat._dst):
         o, kap = a.src
         o2, kap2 = a.dst
         image = Arrow(
             (kap, o), (kap2, o2), (Arrow(kap, kap2, None), Arrow(o, o2, a.label))
         )
-        if image not in total_arrows:
+        b = _matching_arrow(total, omap[s], omap[t], image)
+        if b < 0:
             raise CategoryError(f"no matching total arrow for {a}")
-        arrow_map[a] = image
-    forward = FinFunctor(hat, total, object_map, arrow_map)
-    if set(object_map.values()) != set(total.objects):
+        amap.append(b)
+    forward = FinFunctor._of_ids(hat, total, omap, amap)
+    if set(omap) != set(range(len(total.objects))):
         raise CategoryError("object matching is not a bijection")
-    if len(set(arrow_map.values())) != len(total.arrows):
+    if len(set(amap)) != len(total.arrows):
         raise CategoryError("arrow matching is not a bijection")
     return forward
 
@@ -554,18 +864,21 @@ def deletion_functor(tree, cell: KElt) -> FinFunctor:
     lead = cell.perm.index(1) + 1
     dom = comma_below(tree, cell)
     cod = comma_below(tree, kelt_delete_vertex(cell, lead))
-    object_map = {o: _delete_white(o, lead) for o in dom.objects}
-    index = {(a.src, a.dst, a.label): a for a in cod.arrows}
-    arrow_map = {}
-    for a in dom.arrows:
+    omap = [cod._oid.get(_delete_white(o, lead), -1) for o in dom.objects]
+    amap = []
+    for a, s, t in zip(dom.arrows, dom._src, dom._dst):
         label = a.label[: lead - 1] + a.label[lead:]
-        key = (object_map[a.src], object_map[a.dst], label)
-        if key not in index:
+        b = next(
+            (b for b in cod._hom.get((omap[s], omap[t]), ())
+             if cod.arrows[b].label == label),
+            None,
+        )
+        if b is None:
             raise CategoryError(
                 f"deleted image of {a.src} -> {a.dst} is not a codomain arrow"
             )
-        arrow_map[a] = index[key]
-    return FinFunctor(dom, cod, object_map, arrow_map)
+        amap.append(b)
+    return FinFunctor._of_ids(dom, cod, omap, amap)
 
 
 @dataclass(frozen=True)
@@ -598,10 +911,11 @@ def fiber_adjoint_report(F: FinFunctor, target) -> FiberAdjointReport:
     left adjoint to the inclusion into the slice need not exist, so the
     coslice is the side that carries the adjunction.
     """
-    inclusion = fiber_inclusion(F, target, "under")
+    inclusion = _fiber_inclusion(F, _object_id(F, target), "under")
     terminal = find_terminal(inclusion.dom)
     approximations = tuple(
-        (z, find_terminal(comma(inclusion, z, "over"))) for z in inclusion.cod.objects
+        (z, find_terminal(_comma(inclusion, n, "over")[0]))
+        for n, z in enumerate(inclusion.cod.objects)
     )
     return FiberAdjointReport(target, terminal, approximations)
 
@@ -610,17 +924,20 @@ def fiber_adjoint_report(F: FinFunctor, target) -> FiberAdjointReport:
 
 def _require_loop_free(C: FinCategory):
     pairs = set()
-    for a in C.arrows:
-        if C.is_identity(a):
+    for a, (x, y) in enumerate(zip(C._src, C._dst)):
+        if C._ident[x] == a:
             continue
-        if a.src == a.dst:
+        if x == y:
             raise CategoryError(
-                f"not loop-free: nonidentity endomorphism at {a.src}"
+                f"not loop-free: nonidentity endomorphism at {C.objects[x]}"
             )
-        pairs.add((a.src, a.dst))
+        pairs.add((x, y))
     for x, y in pairs:
         if (y, x) in pairs:
-            raise CategoryError(f"not loop-free: arrows both ways between {x} and {y}")
+            raise CategoryError(
+                f"not loop-free: arrows both ways between {C.objects[x]}"
+                f" and {C.objects[y]}"
+            )
 
 
 def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
@@ -628,48 +945,49 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
 
     Requires the category to be loop-free, which guarantees finitely many
     nondegenerate simplices: the n-chains are the composable strings of n
-    nonidentity arrows.
+    nonidentity arrows, held as tuples of arrow ids.  Degree 0 is the
+    objects in order and each higher degree lists its strings in the order
+    of their first arrow, then of each next arrow out of the last target.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     _require_loop_free(C)
-    nonid_from = {
-        x: tuple(a for a in C.arrows_from(x) if not C.is_identity(a))
-        for x in C.objects
-    }
-    levels = [tuple(C.objects)]
-    current = [(a,) for a in C.arrows if not C.is_identity(a)]
-    for _ in range(max_dim):
-        levels.append(tuple(current))
-        current = [
-            chain + (g,) for chain in current for g in nonid_from[chain[-1].dst]
-        ]
-    levels = levels[: max_dim + 1]
-    indexes = [{s: n for n, s in enumerate(level)} for level in levels]
+    src, dst, comp = C._src, C._dst, C._comp
+    nonid = [a for a, x in enumerate(src) if C._ident[x] != a]
+    nonid_from = [[] for _ in C.objects]
+    for a in nonid:
+        nonid_from[src[a]].append(a)
+    levels = [range(len(C.objects))]
+    if max_dim:
+        levels.append([(a,) for a in nonid])
+    while len(levels) <= max_dim:
+        levels.append(
+            [chain + (g,) for chain in levels[-1] for g in nonid_from[dst[chain[-1]]]]
+        )
     matrices = []
     for n in range(1, len(levels)):
         entries = {}
-        below = indexes[n - 1]
-        for col, chain in enumerate(levels[n]):
-            if n == 1:
-                f = chain[0]
-                entries[(below[f.dst], col)] = entries.get((below[f.dst], col), 0) + 1
-                entries[(below[f.src], col)] = entries.get((below[f.src], col), 0) - 1
-                continue
-            for i in range(n + 1):
-                if i == 0:
-                    face = chain[1:]
-                elif i == n:
-                    face = chain[:-1]
-                else:
-                    face = (
-                        chain[: i - 1]
-                        + (C.compose(chain[i], chain[i - 1]),)
-                        + chain[i + 1 :]
-                    )
-                row = below[face]
-                sign = -1 if i % 2 else 1
-                entries[(row, col)] = entries.get((row, col), 0) + sign
+        if n == 1:
+            for col, (f,) in enumerate(levels[1]):
+                entries[(dst[f], col)] = entries.get((dst[f], col), 0) + 1
+                entries[(src[f], col)] = entries.get((src[f], col), 0) - 1
+        else:
+            below = {s: row for row, s in enumerate(levels[n - 1])}
+            for col, chain in enumerate(levels[n]):
+                for i in range(n + 1):
+                    if i == 0:
+                        face = chain[1:]
+                    elif i == n:
+                        face = chain[:-1]
+                    else:
+                        face = (
+                            chain[: i - 1]
+                            + (comp[chain[i - 1]][chain[i]],)
+                            + chain[i + 1 :]
+                        )
+                    row = below[face]
+                    sign = -1 if i % 2 else 1
+                    entries[(row, col)] = entries.get((row, col), 0) + sign
         matrices.append(
             matrix_from_dict(len(levels[n - 1]), len(levels[n]), entries)
         )

@@ -80,7 +80,6 @@ class RunConfig:
     seed: int = 0
     cache_dir: str | None = None
     r3: bool = True
-    inclusive: bool = False
     max_dim: int = 3
 
     def __post_init__(self):
@@ -94,19 +93,13 @@ class RunConfig:
             seed=args.seed,
             cache_dir=args.cache_dir or os.environ.get(CACHE_ENV) or None,
             r3=not args.no_r3,
-            inclusive=args.inclusive,
             max_dim=args.max_dim,
         )
-
-    def stage(self, m: int) -> int:
-        """The filtration stage whose labels run below m, or up to m if inclusive."""
-        return m + 1 if self.inclusive else m
 
     def flags(self) -> dict:
         return {
             "format": self.fmt,
             "r3": self.r3,
-            "inclusive": self.inclusive,
             "max_dim": self.max_dim,
         }
 
@@ -167,7 +160,7 @@ def _enumerate_records(cfg: RunConfig, args):
                       "text": str(c)})
             for c in enumerate_configs(tree, args.k)
         ]
-    cells = k_enumerate(cfg.stage(args.m), args.k)
+    cells = k_enumerate(args.m, args.k)
     return [
         (kelt_text(x), {"kind": "kelt", "m": args.m, "k": args.k,
                         "text": kelt_text(x)})
@@ -299,7 +292,7 @@ def _suite_inequality(cfg: RunConfig, args, records):
 
 def _suite_lemma(cfg: RunConfig, args, records):
     tree = _parse_tree_arg(args.tree)
-    for base in k_enumerate(cfg.stage(2), args.k):
+    for base in k_enumerate(2, args.k):
         cell = k_iota(base)
         report = acyclicity_report(comma_below(tree, cell), cfg.max_dim)
         _check(
@@ -352,7 +345,7 @@ def _suite_cowedge(cfg: RunConfig, args, records):
 
 def _suite_proof_structure(cfg: RunConfig, args, records):
     tree = _parse_tree_arg(args.tree)
-    for base in k_enumerate(cfg.stage(2), 2):
+    for base in k_enumerate(2, 2):
         cell = k_iota(base)
         F = deletion_functor(tree, cell)
         bad = []
@@ -394,7 +387,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 def _homology_records(cfg: RunConfig, args):
     if args.what == "kposet":
-        C = poset_category(k_enumerate(cfg.stage(args.m), args.k), k_leq)
+        C = poset_category(k_enumerate(args.m, args.k), k_leq)
         name = f"kposet m={args.m} k={args.k}"
     elif args.what == "comma":
         C = build_comma(_parse_tree_arg(args.tree), args.k)
@@ -516,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"result cache directory (or ${CACHE_ENV})")
     parser.add_argument("--no-r3", action="store_true",
                         help="drop the black-circles-inside-white rule")
-    parser.add_argument("--inclusive", action="store_true",
-                        help="let stage-m graph labels run up to m inclusive")
     parser.add_argument("--max-dim", type=int, default=3)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,6 +17,7 @@ from circleops.cattop import (
     fiber_adjoint_report,
     hat_comma_grothendieck,
     hat_comma_isomorphism,
+    nerve,
     nerve_homology,
     poset_category,
 )
@@ -344,3 +345,31 @@ def test_13_codecs_round_trip_and_reruns_are_byte_identical(capsys):
     assert run(args) == 0
     assert capsys.readouterr().out == first
     assert first.startswith("{")
+
+
+def test_14_stage_posets_have_the_homology_of_configuration_spaces():
+    # The nerve of the stage-m poset of arity k is equivalent to Conf_k(R^m)
+    # (Berger 1997), whose homology is free with Poincare polynomial
+    # prod_{j=1}^{k-1} (1 + j t^(m-1)) (Arnold 1969, F. Cohen 1976).
+    start = time.perf_counter()
+    for m, k in ((2, 2), (3, 2), (4, 2), (2, 3)):
+        poincare = [1]
+        for j in range(1, k):
+            step = [0] * (len(poincare) + m - 1)
+            for n, c in enumerate(poincare):
+                step[n] += c
+                step[n + m - 1] += j * c
+            poincare = step
+        # a strict step raises at least one of the C(k, 2) labels, each by
+        # at most m - 1, so no chain is longer than top
+        top = (m - 1) * k * (k - 1) // 2
+        P = poset_category(k_enumerate(m, k), k_leq)
+        cx = nerve(P, top + 1)
+        assert cx.dims[-1] == 0, (m, k)
+        h = nerve_homology(P, max(k, top))
+        expected = tuple(poincare) + (0,) * (max(k, top) + 1 - len(poincare))
+        assert h.betti == expected, (m, k, h.betti)
+        assert not any(h.torsion), (m, k)
+        euler = sum((-1) ** n * d for n, d in enumerate(cx.dims))
+        assert euler == sum((-1) ** n * c for n, c in enumerate(poincare)), (m, k)
+    assert time.perf_counter() - start < 1.0

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from circleops.cache import (
     entry_path,
     fetch,
     load,
+    source_digest,
     store,
 )
 from circleops.circled import enumerate_configs
@@ -21,11 +23,12 @@ from circleops.trees import LEAF
 
 
 def test_cache_key_is_canonical():
-    a = cache_key("enumerate", tree="|", k=2, inclusive=False)
-    b = cache_key("enumerate", k=2, inclusive=False, tree="|")
+    a = cache_key("enumerate", tree="|", k=2, r3=False)
+    b = cache_key("enumerate", k=2, r3=False, tree="|")
     assert a == b == (
-        '{"fields":{"inclusive":false,"k":2,"tree":"|"},'
-        f'"kind":"enumerate","version":"{__version__}"}}'
+        '{"fields":{"k":2,"r3":false,"tree":"|"},'
+        f'"kind":"enumerate","source":"{source_digest()}",'
+        f'"version":"{__version__}"}}'
     )
 
 
@@ -35,6 +38,31 @@ def test_cache_key_changes_with_package_version(monkeypatch):
     after = cache_key("enumerate", tree="|", k=2)
     assert before != after
     assert entry_path("d", before) != entry_path("d", after)
+
+
+def test_cache_key_changes_with_package_sources(monkeypatch):
+    before = cache_key("enumerate", tree="|", k=2)
+    monkeypatch.setattr(cachemod, "source_digest", lambda: "0" * 64)
+    after = cache_key("enumerate", tree="|", k=2)
+    assert before != after
+    assert entry_path("d", before) != entry_path("d", after)
+
+
+def test_source_digest_changes_with_any_module(tmp_path, monkeypatch):
+    for path in Path(cachemod.__file__).parent.glob("*.py"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    real = source_digest()
+    monkeypatch.setattr(cachemod, "__file__", str(tmp_path / "cache.py"))
+    try:
+        source_digest.cache_clear()
+        assert source_digest() == real
+        edited = tmp_path / "cattop.py"
+        edited.write_text(edited.read_text() + "# edited\n")
+        assert source_digest() == real  # read once per process
+        source_digest.cache_clear()
+        assert source_digest() != real
+    finally:
+        source_digest.cache_clear()
 
 
 def test_store_leaves_no_temporary_file(tmp_path):
@@ -56,8 +84,8 @@ def test_failed_store_removes_its_temporary_file(tmp_path, monkeypatch):
 
 
 def test_cache_key_separates_convention_flags():
-    a = cache_key("kgraph", m=2, k=2, inclusive=False)
-    b = cache_key("kgraph", m=2, k=2, inclusive=True)
+    a = cache_key("kgraph", m=2, k=2)
+    b = cache_key("kgraph", m=3, k=2)
     assert a != b
     assert entry_path("d", a) != entry_path("d", b)
 

@@ -1,5 +1,7 @@
 """Tests for finite categories, comma constructions, and their homology."""
 
+import re
+
 import pytest
 
 from circleops.trees import LEAF, parse_tree
@@ -91,6 +93,87 @@ def test_category_rejects_nonassociative_table():
                 table[(g, f)] = a if (g, f) == (a, a) else i
     with pytest.raises(CategoryError):
         FinCategory(("x",), (i, a, b), {"x": i}, table)
+
+
+def walking_arrow_table(ix, iy, f):
+    return {(ix, ix): ix, (f, ix): f, (iy, f): f, (iy, iy): iy}
+
+
+def idempotent(a_after_a="a"):
+    """One object x, its identity i and an endomorphism a; a.a is a_after_a."""
+    i, a = Arrow("x", "x", "i"), Arrow("x", "x", "a")
+    by_name = {"i": i, "a": a}
+    table = {(i, i): i, (a, i): a, (i, a): a, (a, a): by_name[a_after_a]}
+    return i, a, table
+
+
+def test_every_category_check_names_its_failure():
+    ix, iy = Arrow("x", "x", "ix"), Arrow("y", "y", "iy")
+    f, g = Arrow("x", "y", "f"), Arrow("y", "x", "g")
+    stray = Arrow("x", "x", "stray")
+    ok = walking_arrow_table(ix, iy, f)
+    cases = [
+        ((("x", "x"), (), {}, {}), "duplicate objects"),
+        ((("x",), (ix, ix), {"x": ix}, {}), "duplicate arrows"),
+        ((("x",), (ix, g), {"x": ix}, {}),
+         f"arrow endpoints outside the category: {g}"),
+        ((("x", "y"), (ix, iy, f), {"x": ix}, ok),
+         "identities must cover exactly the objects"),
+        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy, "z": iy}, ok),
+         "identities must cover exactly the objects"),
+        ((("x", "y"), (ix, iy, f), {"x": f, "y": iy}, ok), "bad identity arrow at x"),
+        ((("x", "y"), (ix, iy, f), {"x": stray, "y": iy}, ok),
+         "bad identity arrow at x"),
+        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy}, {(ix, ix): ix}),
+         "composition table has 1 entries, expected 4"),
+        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy}, {**ok, (iy, f): stray}),
+         "composition table mentions unknown arrows"),
+        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy},
+          {(ix, ix): ix, (f, ix): f, (iy, f): f, (f, f): f}),
+         f"table entry for non-composable pair ({f}, {f})"),
+        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy}, {**ok, (f, ix): ix}),
+         f"composite of ({ix}, {f}) has wrong endpoints"),
+    ]
+    i, a, table = idempotent()
+    cases.append(((("x",), (i, a), {"x": i}, {**table, (a, i): i}),
+                  f"unit law fails at {a}"))
+    b = Arrow("x", "x", "b")
+    twisted = {}
+    for h in (i, a, b):
+        for k in (i, a, b):
+            twisted[(h, k)] = k if h == i else h if k == i else (
+                a if (h, k) == (a, a) else i)
+    cases.append(((("x",), (i, a, b), {"x": i}, twisted),
+                  f"associativity fails on {a} then {a} then {b}"))
+    for args, message in cases:
+        with pytest.raises(CategoryError, match=f"^{re.escape(message)}$"):
+            FinCategory(*args)
+
+
+def test_every_functor_check_names_its_failure():
+    C, D = chain(3), chain(2)
+    omap = {0: 0, 1: 1, 2: 1}
+    amap = {a: D.hom(omap[a.src], omap[a.dst])[0] for a in C.arrows}
+    f02 = C.hom(0, 2)[0]
+    i, a, table = idempotent()
+    E = FinCategory(("x",), (i, a), {"x": i}, table)
+    cases = [
+        ((C, D, {0: 0, 1: 1}, amap), "object map must cover exactly the domain objects"),
+        ((C, D, {**omap, 3: 1}, amap), "object map must cover exactly the domain objects"),
+        ((C, D, omap, {f02: amap[f02]}), "arrow map must cover exactly the domain arrows"),
+        ((C, D, {**omap, 2: 5}, amap), "image of 2 is not a codomain object"),
+        ((C, D, omap, {**amap, f02: Arrow(0, 1, "f")}),
+         f"image of {f02} is not a codomain arrow"),
+        ((C, D, omap, {**amap, f02: D.identity(1)}), f"functor breaks endpoints on {f02}"),
+        ((E, E, {"x": "x"}, {i: a, a: a}), "functor breaks the identity at x"),
+    ]
+    # a functor that is right on identities and endpoints but not on a.a
+    E2 = FinCategory(("x",), (i, a), {"x": i}, idempotent("i")[2])
+    cases.append(((E2, E, {"x": "x"}, {i: i, a: a}),
+                  f"functor breaks composition on ({a}, {a})"))
+    for args, message in cases:
+        with pytest.raises(CategoryError, match=f"^{re.escape(message)}$"):
+            FinFunctor(*args)
 
 
 def test_functor_must_preserve_composition():

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from circleops.cattop import CategoryError, deletion_functor
 from circleops.circled import parse_config
 from circleops.cli import run
+from circleops.kgraph import k_iota, parse_kelt
+from circleops.trees import LEAF
 
 FIVE_CIRCLES = (
     "({w4 {w5 (| (| |)) / (|) | |} / | | |}"
@@ -35,7 +38,8 @@ def test_enumerate_kgraph_example(capsys):
 
 
 def test_enumerate_kgraph_inclusive_changes_count(capsys):
-    assert run(["--inclusive", "enumerate", "kgraph", "--m", "2", "--k", "2"]) == 0
+    # labels up to 2 inclusive are stage 3, reached with the explicit --m
+    assert run(["enumerate", "kgraph", "--m", "3", "--k", "2"]) == 0
     assert len(out_lines(capsys)) == 6
 
 
@@ -119,15 +123,17 @@ def test_verify_grothendieck_cowedge_proof_structure(capsys):
     assert all(line.startswith("ok ") for line in out_lines(capsys))
 
 
-def test_deletion_failure_names_the_arrow_by_its_terms(capsys):
-    # under --inclusive the suite reaches a cell outside the stage the
+def test_deletion_failure_names_the_arrow_by_its_terms():
+    # the shift of a stage-3 cell with label 2 lies outside the stage the
     # deletion functor is built for; the error names the arrow as term text
-    assert run(["--inclusive", "verify", "proof-structure", "--tree", "|"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: loop-free or category check failed: ")
-    assert "deleted image of {w1 | / {w2 | / |}} -> {w2 {w1 | / |} / |}" in captured.err
-    assert "Arrow(" not in captured.err and len(captured.err) < 200
+    cell = k_iota(parse_kelt("2; mu(1,2)=2; perm=[1 2]"))
+    with pytest.raises(CategoryError) as caught:
+        deletion_functor(LEAF, cell)
+    message = str(caught.value)
+    assert "\n" not in message
+    assert message.startswith(
+        "deleted image of {w1 | / {w2 | / |}} -> {w2 {w1 | / |} / |}")
+    assert "Arrow(" not in message and len(message) < 200
 
 
 def test_homology_kposet_example(capsys):
@@ -185,8 +191,7 @@ def test_cached_run_is_byte_identical_to_uncached(tmp_path, capsys):
 def test_cache_key_includes_flags(tmp_path, capsys):
     base = ["--cache-dir", str(tmp_path)]
     assert run(base + ["enumerate", "kgraph", "--m", "2", "--k", "2"]) == 0
-    assert run(base + ["--inclusive", "enumerate", "kgraph",
-                       "--m", "2", "--k", "2"]) == 0
+    assert run(base + ["enumerate", "kgraph", "--m", "3", "--k", "2"]) == 0
     capsys.readouterr()
     assert run(base + ["cache", "check"]) == 0
     assert out_lines(capsys) == ["ok 2 entries"]

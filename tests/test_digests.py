@@ -5,10 +5,19 @@ refactored; any change in the order `enumerate_configs` returns
 configurations in, or in how `random_config` consumes its random stream,
 changes them.  The third was recorded before the Smith normal form gained
 its unit-pivot phase; invariant factors are unique, so it must never move.
+The `CATTOP_SHA256` values were recorded before `FinCategory` was given its
+integer core: the objects, arrows, identities and composition tables of the
+categories, every entry of their nerve boundaries, and the deletion functors
+and fiber reports, all as codec text in the order the library returns them.
+`tools/digests.py` computes them and adds heavier sweeps.
 """
 
 import hashlib
 import random
+import sys
+from pathlib import Path
+
+import pytest
 
 from circleops.cattop import comma_below, nerve, poset_category
 from circleops.circled import enumerate_configs, random_config
@@ -16,6 +25,9 @@ from circleops.homology import smith_invariants
 from circleops.kgraph import k_enumerate, k_iota, k_leq, parse_kelt
 from circleops.operad_h import HOperation, compose
 from circleops.trees import enumerate_trees, parse_tree
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import digests  # noqa: E402
 
 ENUMERATION_SHA256 = (
     "da5599ee366328edc40cbcff95cf3a070ccddd6a8782d2c06b3bc4941d80b408"
@@ -26,6 +38,29 @@ COMPOSITION_SHA256 = (
 HOMOLOGY_SHA256 = (
     "9d01221328e1dacbad0f40bf1c3dcef845849f1844892967852ce5e2d19c4e10"
 )
+
+CATTOP_SHA256 = {
+    "categories/comma_below":
+        "f18aa28babf4a73fa9b062487fe5c2ed085b47990cfcdb65c0d4e84f69c724f3",
+    "categories/poset":
+        "22d1637efcf0679d29a48a832761511acc61e77ad32616ae6b460c6ec653d202",
+    "categories/build_comma":
+        "7ebbbc4ca41913e2e4e2965149be22fa61d60c6e7632eb08e5525798e75d4feb",
+    "categories/hat_comma":
+        "940bf2e4ef3221204eb4ce289c9f5cdd380a785f76223f90c2dbac2d8a11558d",
+    "nerve/comma_below":
+        "d28796446f9656cba3aac621e9c71f8a284294af27ad523923de80996baf2631",
+    "nerve/poset":
+        "3f7593980b09aa715a79d1945590089b73cfe30a1c87183732b7603eb952a560",
+    "nerve/build_comma":
+        "0aebcd6c32a0b21dcce76c9a6a690635863dea5d97f41387013bf4412f4e334a",
+    "functors/deletion":
+        "1ee536fbbcb7a8f6ec60a7710517fbf4ffdfc2318aedb59941887a050c58397a",
+    "functors/fiber_inclusion":
+        "bf4dddcbac685374f6dfe0d47e750ba60f532366918445aa6ae1d785d39e8f6c",
+    "functors/fiber_adjoint_report":
+        "64697e24737aba5faf902550d072234d61b1fe528d7b9b1672fff34c311ed879",
+}
 
 CORPUS = ["|", "(|)", "(| |)", "((|))", "((|) |)", "((|) (|))"]
 
@@ -80,3 +115,12 @@ def test_seeded_sampling_and_composition_are_pinned():
 
 def test_nerve_invariant_factors_are_pinned():
     assert sha256_lines(homology_lines()) == HOMOLOGY_SHA256
+
+
+def test_every_light_digest_item_is_pinned():
+    assert sorted(digests.LIGHT) == sorted(CATTOP_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(CATTOP_SHA256))
+def test_categories_nerves_and_functors_are_pinned(name):
+    assert digests.sha256_lines(digests.LIGHT[name]()) == CATTOP_SHA256[name]

@@ -1,0 +1,191 @@
+"""Digests of categories, nerves and functors, for comparing two checkouts.
+
+Every item renders its values as codec text, in the order the library
+returns them, and prints one ``name sha256`` line.  Run it from the root of
+each checkout and compare the outputs with ``diff``:
+
+    PYTHONPATH=src python3 tools/digests.py > digests.txt
+
+Optional arguments select the items whose names start with one of them.
+The light items are also pinned by ``tests/test_digests.py``; the heavy ones
+(``HEAVY``) take minutes and run only here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+from circleops.cattop import (
+    Arrow,
+    build_comma,
+    build_hat_comma,
+    comma_below,
+    deletion_functor,
+    fiber_adjoint_report,
+    fiber_inclusion,
+    hat_comma_grothendieck,
+    nerve,
+    poset_category,
+)
+from circleops.kgraph import k_enumerate, k_iota, k_leq, parse_kelt
+from circleops.trees import enumerate_trees, parse_tree
+
+FIVE_TREES = ("|", "(|)", "(| |)", "((|))", "((|) |)")
+DOWN_SET_TOP = "3; mu(1,2)=2 mu(1,3)=2 mu(2,3)=2; perm=[1 2 3]"
+
+
+def text(x) -> str:
+    """Codec text of a payload: terms, trees and graph elements print
+    themselves; arrows and tuples are spelled out around them."""
+    if isinstance(x, Arrow):
+        return f"[{text(x.src)} -> {text(x.dst)} : {text(x.label)}]"
+    if isinstance(x, tuple):
+        return "(" + ", ".join(text(y) for y in x) + ")"
+    return str(x)
+
+
+def sha256_lines(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def category_lines(name, C):
+    yield f"# {name}"
+    yield from (f"object {text(x)}" for x in C.objects)
+    yield from (f"arrow {text(a)}" for a in C.arrows)
+    yield from (f"identity {text(x)} = {text(e)}" for x, e in C.identities.items())
+    yield from (f"table {text(g)} . {text(f)} = {text(h)}"
+                for (g, f), h in C.table.items())
+
+
+def nerve_lines(name, C, max_dim):
+    yield f"# {name} to degree {max_dim}"
+    for n, b in enumerate(nerve(C, max_dim).boundaries):
+        yield f"d{n + 1} {b.nrows}x{b.ncols} {b.entries}"
+
+
+def functor_lines(name, F):
+    yield f"# {name}"
+    yield from (f"obj {text(x)} -> {text(y)}" for x, y in F.object_map.items())
+    yield from (f"arr {text(a)} -> {text(b)}" for a, b in F.arrow_map.items())
+
+
+def inclusion_lines(name, F):
+    for target in F.cod.objects:
+        for side in ("under", "over"):
+            inc = fiber_inclusion(F, target, side)
+            yield from category_lines(f"{name} {text(target)} {side}", inc.cod)
+            yield from functor_lines("inclusion", inc)
+
+
+def report_lines(name, F):
+    for target in F.cod.objects:
+        r = fiber_adjoint_report(F, target)
+        yield f"# {name} {text(target)} ok={r.ok}"
+        yield f"terminal {text(r.fiber_terminal)}"
+        yield from (f"approx {text(z)} -> {text(t)}" for z, t in r.approximations)
+
+
+def positive_cells():
+    """The four positive arity-2 cells, shifts of k_enumerate(2, 2)."""
+    return [k_iota(c) for c in k_enumerate(2, 2)]
+
+
+def comma_belows(trees=FIVE_TREES):
+    for t in trees:
+        for cell in positive_cells():
+            yield f"comma_below {t} [{cell}]", comma_below(parse_tree(t), cell)
+
+
+def posets():
+    for m, k in ((2, 3), (3, 2)):
+        yield f"poset k_enumerate({m}, {k})", poset_category(k_enumerate(m, k), k_leq)
+    top = parse_kelt(DOWN_SET_TOP)
+    below = [e for e in k_enumerate(3, 3) if k_leq(e, top)]
+    yield "poset down-set", poset_category(below, k_leq)
+
+
+def commas(pairs):
+    for t, k in pairs:
+        yield f"build_comma {t} k={k}", build_comma(parse_tree(t), k)
+
+
+def hat_commas():
+    for t in DELETION_TREES:
+        yield f"build_hat_comma {t}", build_hat_comma(parse_tree(t))
+    for t in ("|", "(|)"):
+        yield f"hat_comma_grothendieck {t}", hat_comma_grothendieck(parse_tree(t))
+
+
+def deletions(trees):
+    for t in trees:
+        for cell in positive_cells():
+            yield f"deletion {t} [{cell}]", deletion_functor(parse_tree(t), cell)
+
+
+def categories_item(source):
+    def lines():
+        for name, C in source():
+            yield from category_lines(name, C)
+    return lines
+
+
+def nerves_item(source, max_dim):
+    def lines():
+        for name, C in source():
+            yield from nerve_lines(name, C, max_dim)
+    return lines
+
+
+def functors_item(trees, render):
+    def lines():
+        for name, F in deletions(trees):
+            yield from render(name, F)
+    return lines
+
+
+def poset_nerve_lines():
+    for name, C in posets():
+        yield from nerve_lines(name, C, 2 if name.endswith("down-set") else 3)
+
+
+SMALL_COMMAS = (("(| |)", 2), ("((|) |)", 2))
+DELETION_TREES = ("|", "(|)", "(| |)")
+TEST_02_TREES = tuple(str(t) for t in enumerate_trees(2, 2))
+
+LIGHT = {
+    "categories/comma_below": categories_item(comma_belows),
+    "categories/poset": categories_item(posets),
+    "categories/build_comma": categories_item(lambda: commas(SMALL_COMMAS)),
+    "categories/hat_comma": categories_item(hat_commas),
+    "nerve/comma_below": nerves_item(comma_belows, 4),
+    "nerve/poset": poset_nerve_lines,
+    "nerve/build_comma": nerves_item(lambda: commas(SMALL_COMMAS), 3),
+    "functors/deletion": functors_item(DELETION_TREES, functor_lines),
+    "functors/fiber_inclusion": functors_item(("|", "(|)"), inclusion_lines),
+    "functors/fiber_adjoint_report": functors_item(DELETION_TREES, report_lines),
+}
+
+HEAVY = {
+    "heavy/build_comma k=3": categories_item(
+        lambda: commas((("(|)", 3), ("((|) |)", 3)))),
+    "heavy/build_comma test_02 corpus": categories_item(
+        lambda: commas((t, k) for t in TEST_02_TREES for k in (1, 2))),
+    "heavy/nerve stage 3": nerves_item(
+        lambda: (("poset k_enumerate(3, 3)",
+                  poset_category(k_enumerate(3, 3), k_leq)),), 4),
+    "heavy/deletion five trees": functors_item(FIVE_TREES, functor_lines),
+    "heavy/fiber_adjoint_report five trees": functors_item(FIVE_TREES, report_lines),
+}
+
+
+def main(argv) -> int:
+    for name, lines in {**LIGHT, **HEAVY}.items():
+        if argv and not any(name.startswith(p) for p in argv):
+            continue
+        print(name, sha256_lines(lines()), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
