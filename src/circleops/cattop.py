@@ -658,11 +658,12 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
 
 def grothendieck_projection(total: FinCategory, base: FinCategory) -> FinFunctor:
     """The projection of a Grothendieck total onto its base."""
-    return FinFunctor(
+    oid, aid = base._oid, base._aid
+    return FinFunctor._of_ids(
         total,
         base,
-        {pair: pair[0] for pair in total.objects},
-        {a: a.label[0] for a in total.arrows},
+        [oid.get(pair[0], -1) for pair in total.objects],
+        [aid.get(a.label[0], -1) for a in total.arrows],
     )
 
 

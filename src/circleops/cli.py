@@ -2,8 +2,8 @@
 
 Subcommands: enumerate (trees, configurations, graph elements), compose
 (operadic composition), verify (the property suites), homology (exact
-integral nerve homology), render (SVG drawings), and cache (managing the
-result cache).
+integral nerve homology) and render (SVG drawings).  Every command computes
+what it prints; nothing is stored between runs.
 
 Reports are line-delimited; with ``--format records`` each line is a JSON
 object carrying a schema version.  A fixed seed and fixed flags give
@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
 
-from . import cache as cachemod
 from .cattop import (
     CategoryError,
     acyclicity_report,
@@ -65,7 +63,6 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 SCHEMA = 1
-CACHE_ENV = "CIRCLEOPS_CACHE"
 
 
 class CheckFailure(Exception):
@@ -78,7 +75,6 @@ class RunConfig:
 
     fmt: str = "text"
     seed: int = 0
-    cache_dir: str | None = None
     r3: bool = True
     max_dim: int = 3
 
@@ -91,17 +87,9 @@ class RunConfig:
         return cls(
             fmt=args.format,
             seed=args.seed,
-            cache_dir=args.cache_dir or os.environ.get(CACHE_ENV) or None,
             r3=not args.no_r3,
             max_dim=args.max_dim,
         )
-
-    def flags(self) -> dict:
-        return {
-            "format": self.fmt,
-            "r3": self.r3,
-            "max_dim": self.max_dim,
-        }
 
 
 def _render_records(cfg: RunConfig, records) -> str:
@@ -169,20 +157,7 @@ def _enumerate_records(cfg: RunConfig, args):
 
 
 def cmd_enumerate(cfg: RunConfig, args) -> int:
-    key_fields = {
-        "what": args.what,
-        "max_vertices": getattr(args, "max_vertices", None),
-        "max_leaves": getattr(args, "max_leaves", None),
-        "tree": getattr(args, "tree", None),
-        "k": getattr(args, "k", None),
-        "m": getattr(args, "m", None),
-        **cfg.flags(),
-    }
-    payload = _maybe_cached(
-        cfg, cachemod.cache_key("enumerate", **key_fields),
-        lambda: _render_records(cfg, _enumerate_records(cfg, args)),
-    )
-    print(payload)
+    print(_render_records(cfg, _enumerate_records(cfg, args)))
     return EXIT_OK
 
 
@@ -411,24 +386,11 @@ def _homology_records(cfg: RunConfig, args):
 
 
 def cmd_homology(cfg: RunConfig, args) -> int:
-    key_fields = {
-        "what": args.what,
-        "m": getattr(args, "m", None),
-        "k": getattr(args, "k", None),
-        "tree": getattr(args, "tree", None),
-        "level": getattr(args, "level", None),
-        "cell": getattr(args, "cell", None),
-        **cfg.flags(),
-    }
-    payload = _maybe_cached(
-        cfg, cachemod.cache_key("homology", **key_fields),
-        lambda: _render_records(cfg, _homology_records(cfg, args)),
-    )
-    print(payload)
+    print(_render_records(cfg, _homology_records(cfg, args)))
     return EXIT_OK
 
 
-# --- render and cache -------------------------------------------------------------
+# --- render -------------------------------------------------------------------
 
 def cmd_render(cfg: RunConfig, args) -> int:
     config = _parse_config_arg(args.config)
@@ -449,46 +411,6 @@ def cmd_render(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_cache(cfg: RunConfig, args) -> int:
-    if cfg.cache_dir is None:
-        raise ValueError(
-            f"no cache directory: pass --cache-dir or set {CACHE_ENV}"
-        )
-    if args.action == "path":
-        print(cfg.cache_dir)
-        return EXIT_OK
-    if args.action == "clear":
-        removed = cachemod.clear(cfg.cache_dir)
-        print(_render_records(cfg, [
-            (f"cleared {removed} entries",
-             {"kind": "cache", "action": "clear", "removed": removed})
-        ]))
-        return EXIT_OK
-    ok, problems = cachemod.check(cfg.cache_dir)
-    records = [
-        (f"ok {ok} entries",
-         {"kind": "cache", "action": "check", "ok": ok,
-          "problems": len(problems)})
-    ]
-    records.extend(
-        (f"FAIL {p}", {"kind": "cache", "action": "check", "problem": p})
-        for p in problems
-    )
-    print(_render_records(cfg, records))
-    if problems:
-        raise CheckFailure(f"{len(problems)} corrupted cache entries")
-    return EXIT_OK
-
-
-def _maybe_cached(cfg: RunConfig, key: str, build) -> str:
-    if cfg.cache_dir is None:
-        return build()
-    result = cachemod.fetch(cfg.cache_dir, key, build)
-    if result.warning:
-        print(f"warning: {result.warning}", file=sys.stderr)
-    return result.payload
-
-
 # --- argument parsing ---------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
@@ -505,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "records"), default="text")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cache-dir", default=None,
-                        help=f"result cache directory (or ${CACHE_ENV})")
     parser.add_argument("--no-r3", action="store_true",
                         help="drop the black-circles-inside-white rule")
     parser.add_argument("--max-dim", type=int, default=3)
@@ -578,10 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail if any curves intersect")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("cache", help="manage the result cache")
-    p.add_argument("action", choices=("path", "check", "clear"))
-    p.set_defaults(func=cmd_cache)
-
     return parser
 
 
@@ -610,7 +526,7 @@ def run(argv=None) -> int:
     except (HomologyError, RuntimeError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except (ValueError, cachemod.CacheError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -85,11 +85,11 @@ def k_leq(x: KElt, y: KElt) -> bool:
     """Edgewise order: each edge grows strictly or keeps label and orientation."""
     if x.k != y.k:
         raise ValueError(f"cannot compare arity {x.k} with arity {y.k}")
-    for i, j in vertex_pairs(x.k):
-        a, b = x.mu(i, j), y.mu(i, j)
+    xp, yp = x.perm, y.perm
+    for (i, j), a, b in zip(vertex_pairs(x.k), x.labels, y.labels):
         if a > b:
             return False
-        if a == b and x.before(i, j) != y.before(i, j):
+        if a == b and (xp[i - 1] < xp[j - 1]) != (yp[i - 1] < yp[j - 1]):
             return False
     return True
 

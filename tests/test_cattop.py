@@ -307,6 +307,7 @@ def test_grothendieck_chain_of_terminal_fibers_is_chain():
     assert len(G.arrows) == 3
     P = grothendieck_projection(G, base)
     assert P.obj((0, "p")) == 0
+    assert all(P.arr(a) == a.label[0] for a in G.arrows)
 
 
 def test_grothendieck_rejects_wrong_fiber_coverage():

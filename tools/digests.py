@@ -1,20 +1,29 @@
-"""Digests of categories, nerves and functors, for comparing two checkouts.
+"""Digests of categories, nerves, functors and CLI runs, for comparing two
+checkouts.
 
-Every item renders its values as codec text, in the order the library
-returns them, and prints one ``name sha256`` line.  Run it from the root of
+Every category, nerve and functor item renders its values as codec text, in
+the order the library returns them; every ``cli/...`` item runs one command
+in-process through ``cli.run`` and renders its exit code, stdout and stderr.
+Each item prints one ``name sha256`` line.  Run it from the root of
 each checkout and compare the outputs with ``diff``:
 
     PYTHONPATH=src python3 tools/digests.py > digests.txt
 
 Optional arguments select the items whose names start with one of them.
-The light items are also pinned by ``tests/test_digests.py``; the heavy ones
-(``HEAVY``) take minutes and run only here.
+The light items (``LIGHT`` and ``CLI``) are also pinned by
+``tests/test_digests.py``; the heavy ones (``HEAVY``) take minutes and run
+only here.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from circleops import cli
 
 from circleops.cattop import (
     Arrow,
@@ -179,8 +188,54 @@ HEAVY = {
 }
 
 
+def cli_item(argv):
+    def lines():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(list(argv))
+        yield f"exit {code}"
+        yield json.dumps(out.getvalue())
+        yield json.dumps(err.getvalue())
+    return lines
+
+
+# The README's CLI quick start; render writes its SVG to stdout, not a file.
+README_COMMANDS = (
+    ("enumerate", "trees", "--max-vertices", "1", "--max-leaves", "2"),
+    ("enumerate", "configs", "--tree", "(| |)", "--k", "2"),
+    ("compose", "kgraph", "--outer", "2; mu(1,2)=1; perm=[1 2]",
+     "--inner", "3; mu(1,2)=0 mu(1,3)=2 mu(2,3)=2; perm=[1 2 3]",
+     "--inner", "2; mu(1,2)=0; perm=[1 2]"),
+    ("--seed", "7", "verify", "axioms", "--samples", "200"),
+    ("verify", "lemma", "--tree", "(| |)", "--k", "2"),
+    ("homology", "kposet", "--m", "3", "--k", "2"),
+    ("render", "--config", "{w1 (| |) / | |}", "--check", "--out", "-"),
+    ("homology", "hat", "--tree", "(|)"),
+)
+SUITE_ARGS = {
+    "axioms": (), "inequality": (), "lemma": ("--tree", "(| |)"),
+    "remark-linear": (), "grothendieck": ("--tree", "(| |)"), "cowedge": (),
+    "proof-structure": ("--tree", "(| |)"),
+}
+VERIFY_COMMANDS = tuple(
+    ("--seed", seed, "--format", fmt, "verify", suite, *args)
+    for suite, args in SUITE_ARGS.items()
+    for seed in ("0", "7")
+    for fmt in ("text", "records")
+)
+ERROR_COMMANDS = (
+    ("verify", "lemma", "--tree", "(("),
+    ("--max-dim", "-1", "homology", "kposet", "--m", "2", "--k", "2"),
+)
+
+CLI = {
+    "cli/" + " ".join(argv): cli_item(argv)
+    for argv in README_COMMANDS + VERIFY_COMMANDS + ERROR_COMMANDS
+}
+
+
 def main(argv) -> int:
-    for name, lines in {**LIGHT, **HEAVY}.items():
+    for name, lines in {**LIGHT, **CLI, **HEAVY}.items():
         if argv and not any(name.startswith(p) for p in argv):
             continue
         print(name, sha256_lines(lines()), flush=True)
