@@ -12,6 +12,9 @@ and fiber reports, all as codec text in the order the library returns them.
 The `CLI_SHA256` values were recorded before the result cache was removed:
 exit code, stdout and stderr of the README's CLI commands, of every `verify`
 suite at two seeds in both formats, and of two usage errors.
+The `TERM_SHA256` values were recorded before composition became one walk
+per stage: both sides of each operad law on seeded operations, with and
+without the uncovered-black rule, and the errors of rejected compositions.
 `tools/digests.py` computes them and adds heavier sweeps.
 """
 
@@ -63,6 +66,13 @@ CATTOP_SHA256 = {
         "bf4dddcbac685374f6dfe0d47e750ba60f532366918445aa6ae1d785d39e8f6c",
     "functors/fiber_adjoint_report":
         "64697e24737aba5faf902550d072234d61b1fe528d7b9b1672fff34c311ed879",
+}
+
+TERM_SHA256 = {
+    "terms/laws":
+        "c9c3a47ff2b9f816dd9ab2dfb7b4255f12703bdf42c6215ccb3a55febbac0983",
+    "terms/rejected":
+        "766516dc9249bb441e66f143242b93a852478f7afd51982d470de31f3f92a4f9",
 }
 
 CLI_SHA256 = {
@@ -203,12 +213,18 @@ def test_nerve_invariant_factors_are_pinned():
 
 def test_every_light_digest_item_is_pinned():
     assert sorted(digests.LIGHT) == sorted(CATTOP_SHA256)
+    assert sorted(digests.TERM) == sorted(TERM_SHA256)
     assert sorted(digests.CLI) == sorted(CLI_SHA256)
 
 
 @pytest.mark.parametrize("name", sorted(CATTOP_SHA256))
 def test_categories_nerves_and_functors_are_pinned(name):
     assert digests.sha256_lines(digests.LIGHT[name]()) == CATTOP_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TERM_SHA256))
+def test_operad_laws_and_rejections_are_pinned(name):
+    assert digests.sha256_lines(digests.TERM[name]()) == TERM_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_SHA256))

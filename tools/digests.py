@@ -1,16 +1,17 @@
-"""Digests of categories, nerves, functors and CLI runs, for comparing two
-checkouts.
+"""Digests of categories, nerves, functors, composites and CLI runs, for
+comparing two checkouts.
 
-Every category, nerve and functor item renders its values as codec text, in
-the order the library returns them; every ``cli/...`` item runs one command
-in-process through ``cli.run`` and renders its exit code, stdout and stderr.
-Each item prints one ``name sha256`` line.  Run it from the root of
-each checkout and compare the outputs with ``diff``:
+Every category, nerve, functor and term item renders its values as codec
+text, in the order the library returns them (a rejected composition as its
+error); every ``cli/...`` item runs one command in-process through
+``cli.run`` and renders its exit code, stdout and stderr.  Each item prints
+one ``name sha256`` line.  Run it from the root of each checkout and compare
+the outputs with ``diff``:
 
     PYTHONPATH=src python3 tools/digests.py > digests.txt
 
 Optional arguments select the items whose names start with one of them.
-The light items (``LIGHT`` and ``CLI``) are also pinned by
+The light items (``LIGHT``, ``TERM`` and ``CLI``) are also pinned by
 ``tests/test_digests.py``; the heavy ones (``HEAVY``) take minutes and run
 only here.
 """
@@ -20,8 +21,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 
 from circleops import cli
 
@@ -37,11 +40,23 @@ from circleops.cattop import (
     nerve,
     poset_category,
 )
+from circleops.circled import enumerate_configs, parse_config, random_config
 from circleops.kgraph import k_enumerate, k_iota, k_leq, parse_kelt
+from circleops.operad_h import (
+    HOperation,
+    associativity_sides,
+    compose,
+    equivariance_sides,
+    identity_op,
+    operations,
+    unit_sides,
+)
 from circleops.trees import enumerate_trees, parse_tree
+from circleops.trees import vertices as tree_vertices
 
 FIVE_TREES = ("|", "(|)", "(| |)", "((|))", "((|) |)")
 DOWN_SET_TOP = "3; mu(1,2)=2 mu(1,3)=2 mu(2,3)=2; perm=[1 2 3]"
+LAW_TREES = ("|", "(|)", "(| |)", "((|))", "((|) |)", "((|) (|))")
 
 
 def text(x) -> str:
@@ -188,6 +203,132 @@ HEAVY = {
 }
 
 
+def outcome(f, *args) -> str:
+    """The text of f's result, or the type and message of what it raised."""
+    try:
+        return text(f(*args))
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def law_lines(samples=400, seed=20261018):
+    """Both sides of each operad law on seeded operations, with and without
+    the uncovered-black rule; without it a side may be rejected."""
+    rng = random.Random(seed)
+    trees = [parse_tree(t) for t in LAW_TREES]
+    for i in range(samples):
+        o = HOperation(random_config(rng, trees[i % len(trees)], 1 + i % 3))
+        ps = tuple(HOperation(random_config(rng, s, 1 + rng.randrange(2)))
+                   for s in o.sources)
+        qss = tuple(tuple(HOperation(random_config(rng, s, 1 + rng.randrange(2)))
+                          for s in p.sources)
+                    for p in ps)
+        sigma = list(range(1, o.k + 1))
+        rng.shuffle(sigma)
+        yield f"# {o} ; {text(ps)} ; {text(qss)} ; {text(tuple(sigma))}"
+        for r3 in (True, False):
+            yield f"unit r3={r3} {outcome(unit_sides, o, r3)}"
+            yield f"assoc r3={r3} {outcome(associativity_sides, o, ps, qss, r3)}"
+            yield (f"equiv r3={r3}"
+                   f" {outcome(equivariance_sides, tuple(sigma), o, ps, r3)}")
+
+
+# (outer, arguments): each composition is rejected.
+REJECTED = (
+    ("{w1 (| |) / | |}", ()),
+    ("{w1 (| |) / | |}", ("{w1 (| |) / | |}", "{w1 (| |) / | |}")),
+    ("{w1 (| |) / | |}", ("{w1 (|) / |}",)),
+    ("({w1 | / |} {w2 (|) / |})", ("{w1 | / |}", "{w1 | / |}")),
+    ("({w2 | / |} {w1 (|) / |})", ("{w1 (|) / |}", "{w1 (| |) / | |}")),
+)
+
+
+def rejected_lines():
+    for outer, inners in REJECTED:
+        o = HOperation(parse_config(outer))
+        args = tuple(HOperation(parse_config(a)) for a in inners)
+        yield f"{outer} ; {' ; '.join(inners)} => {outcome(compose, o, args)}"
+
+
+TERM = {
+    "terms/laws": law_lines,
+    "terms/rejected": rejected_lines,
+}
+
+
+def two_vertex_ops():
+    return [o for t in enumerate_trees(2, 2) for k in (1, 2)
+            for o in operations(t, k)]
+
+
+def test_02_lines():
+    """Every composite test_02 forms, in its order: the unit laws, both
+    associativity sides, both equivariance sides and the seeded sweep."""
+    pool = {}
+
+    def ops_for(s):
+        if s not in pool:
+            pool[s] = operations(s, 1) + operations(s, 2)
+        return pool[s]
+
+    counter = 0
+
+    def rot_args(o):
+        nonlocal counter
+        picked = []
+        for s in o.sources:
+            options = ops_for(s)
+            picked.append(options[counter % len(options)])
+            counter += 1
+        return tuple(picked)
+
+    def units(o):
+        yield text(compose(o, tuple(identity_op(s) for s in o.sources)))
+        yield text(compose(identity_op(o.target), (o,)))
+
+    corpus = two_vertex_ops()
+    for o in corpus:
+        yield from units(o)
+    for o in corpus:
+        if tree_vertices(o.target) <= 1:
+            middle_tuples = product(*[ops_for(s) for s in o.sources])
+        else:
+            middle_tuples = (rot_args(o),)
+        for ps in middle_tuples:
+            qss = tuple(rot_args(p) for p in ps)
+            yield text(associativity_sides(o, ps, qss))
+    for o in corpus:
+        if o.k == 2:
+            yield text(equivariance_sides((2, 1), o, rot_args(o)))
+    rng = random.Random(20260815)
+    trees = list(enumerate_trees(3, 3))
+    for i in range(200):
+        o = HOperation(random_config(rng, trees[i % len(trees)], 1 + i % 3))
+        ps = tuple(HOperation(random_config(rng, s, 1 + rng.randrange(3)))
+                   for s in o.sources)
+        qss = tuple(tuple(HOperation(random_config(rng, s, 1 + rng.randrange(2)))
+                          for s in p.sources)
+                    for p in ps)
+        yield text(associativity_sides(o, ps, qss))
+        yield from units(o)
+        sigma = list(range(1, o.k + 1))
+        rng.shuffle(sigma)
+        yield text(equivariance_sides(tuple(sigma), o, ps))
+
+
+def enumeration_lines():
+    for t in enumerate_trees(3, 3):
+        for k in range(3):
+            yield f"# {t} k={k}"
+            yield from (str(c) for c in enumerate_configs(t, k))
+
+
+HEAVY.update({
+    "heavy/test_02 composites": test_02_lines,
+    "heavy/enumerate_configs trees(3, 3) k<=2": enumeration_lines,
+})
+
+
 def cli_item(argv):
     def lines():
         out, err = io.StringIO(), io.StringIO()
@@ -235,7 +376,7 @@ CLI = {
 
 
 def main(argv) -> int:
-    for name, lines in {**LIGHT, **CLI, **HEAVY}.items():
+    for name, lines in {**LIGHT, **TERM, **CLI, **HEAVY}.items():
         if argv and not any(name.startswith(p) for p in argv):
             continue
         print(name, sha256_lines(lines()), flush=True)
