@@ -484,10 +484,14 @@ def enumerate_configs(t, k: int, profile=None):
     for term, _, whites in _gen(t, budget, False, False, k):
         if whites != k:
             continue
+        valid = None
         for labelled in _all_labellings(term, k):
-            report = validate_config(labelled)
-            if not report.ok:
-                continue
+            # Every labelling uses 1..k once, so validity does not depend on
+            # which one: check the first and skip them all if it fails.
+            if valid is None:
+                valid = validate_config(labelled).ok
+            if not valid:
+                break
             if profile is not None:
                 if white_profile(labelled)[0] != tuple(profile):
                     continue

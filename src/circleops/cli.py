@@ -420,16 +420,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="circleops",
-        description="workbench for circled planar trees and their homology",
-    )
+def _add_global_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "records"), default="text")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-r3", action="store_true",
                         help="drop the black-circles-inside-white rule")
     parser.add_argument("--max-dim", type=int, default=3)
+
+
+def _check_global_options(argv) -> None:
+    """Reject an unknown option before the subcommand by its name.
+
+    The full parser would take the option's value for the subcommand and
+    report that value as an invalid choice instead.
+    """
+    parser = _Parser(add_help=False)
+    _add_global_options(parser)
+    parser.add_argument("-h", "--help", action="store_true")
+    parser.add_argument("rest", nargs=argparse.REMAINDER)
+    _, unknown = parser.parse_known_args(argv)
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="circleops",
+        description="workbench for circled planar trees and their homology",
+    )
+    _add_global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list trees, configurations, or cells")
@@ -504,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     try:
+        _check_global_options(argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK

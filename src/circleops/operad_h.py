@@ -26,12 +26,12 @@ from .circled import (
     Circ,
     LeftOf,
     White,
+    _map_whites,
+    circle_graft,
+    contracted,
     enumerate_configs,
     relabel_whites,
     relative_position,
-    replace_at,
-    resolve,
-    splice,
     underlying,
     validate_config,
     white_addresses,
@@ -40,6 +40,7 @@ from .circled import (
 from .kgraph import KElt, block_perm, k_compose, k_iota, k_leq, vertex_pairs
 from .trees import LEAF, Leaf, Node
 from .trees import leaves as tree_leaves
+from .trees import vertices as tree_vertices
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,37 @@ def reduction_violations(term, r3: bool = True):
 
 
 def reduce_term(term, r3: bool = True):
-    """Splice away removable black circles until none is left."""
-    while True:
-        viols = reduction_violations(term, r3=r3)
-        if not viols:
-            return term
-        term = splice(term, viols[0][0])
+    """Splice away every removable black circle, in one bottom-up pass.
+
+    A circle's grafts and content are reduced before the circle itself; a
+    black circle's content is reduced as lying directly inside a black
+    circle, so only white circles are left at its top level.  The black
+    circle is then spliced when it sits directly inside a black circle,
+    outside every white circle (a rule that r3 switches), or around fewer
+    than two vertices of its reduced content.  Each of these splices removes
+    a circle that violates a rule at that moment, and the result violates
+    none, so the pass is one splice order of the iterative reduction; that
+    reduction is confluent, so the result is its unique normal form.
+    """
+    return _reduce(term, r3, False, False)
+
+
+def _reduce(c, r3, in_white, black_parent):
+    # in_white: some enclosing circle is white; black_parent: the nearest
+    # enclosing circle is black.  Grafts sit beside their circle, not in it.
+    if isinstance(c, Leaf):
+        return c
+    if isinstance(c, Node):
+        return Node(tuple([_reduce(x, r3, in_white, black_parent)
+                           for x in c.children]))
+    grafts = tuple([_reduce(g, r3, in_white, black_parent) for g in c.grafts])
+    if isinstance(c.kind, White):
+        return Circ(c.kind, _reduce(c.content, r3, True, False), grafts)
+    content = _reduce(c.content, r3, in_white, True)
+    if (black_parent or (r3 and not in_white)
+            or tree_vertices(contracted(content)) < 2):
+        return circle_graft(content, grafts)
+    return Circ(BLACK, content, grafts)
 
 
 def substitute_whites(term, arg_terms):
@@ -161,37 +187,55 @@ def substitute_whites(term, arg_terms):
 
     The j-th argument term, its white labels shifted past those of the
     earlier arguments, is superimposed onto the content of white circle j.
-    The result is unreduced; deeper circles are processed first so recorded
-    addresses stay valid.
+    The result is unreduced.  The term is rebuilt bottom-up, so a white
+    circle's content has its own white circles substituted before the
+    argument is superimposed onto it; superimpose treats each circle of the
+    content as one vertex, and substitution keeps a circle's grafts, so this
+    is the same term as substituting the deepest circles first.
     """
     insides, _ = white_profile(term)
     arg_terms = tuple(arg_terms)
-    if len(arg_terms) != len(insides):
+    return _substitute(term, _shifted_arguments(
+        insides, len(arg_terms),
+        ((a, underlying(a), len(white_addresses(a))) for a in arg_terms)))
+
+
+def _shifted_arguments(insides, count, args):
+    """Check the arguments against the inside trees and shift their labels.
+
+    args yields (term, tree, whites) for each argument in turn, so a
+    mismatch is reported before any later argument is looked at.
+    """
+    if count != len(insides):
         raise ValueError(
             f"operation with {len(insides)} white circles composed"
-            f" with {len(arg_terms)} arguments"
+            f" with {count} arguments"
         )
     shifted = []
     offset = 0
-    for j, arg in enumerate(arg_terms, start=1):
-        if underlying(arg) != insides[j - 1]:
+    for j, (term, tree, whites) in enumerate(args, start=1):
+        if tree != insides[j - 1]:
             raise ValueError(
-                f"argument {j} lives on {underlying(arg)},"
-                f" expected {insides[j - 1]}"
-            )
-        labels = white_addresses(arg)
-        if not labels:
+                f"argument {j} lives on {tree}, expected {insides[j - 1]}")
+        if not whites:
             raise ValueError(f"argument {j} has no white circles")
-        shifted.append(relabel_whites(
-            arg, {i: offset + i for i in labels}))
-        offset += len(labels)
-    addrs = white_addresses(term)
-    cur = term
-    for label in sorted(addrs, key=lambda l: (-len(addrs[l]), addrs[l])):
-        circ = resolve(cur, addrs[label])
-        merged = superimpose(shifted[label - 1], circ.content)
-        cur = replace_at(cur, addrs[label], Circ(BLACK, merged, circ.grafts))
-    return cur
+        shifted.append(_map_whites(term, lambda label: offset + label))
+        offset += whites
+    return shifted
+
+
+def _substitute(c, shifted):
+    # White circle l becomes a black circle around shifted[l - 1]
+    # superimposed onto its (already substituted) content.
+    if isinstance(c, Leaf):
+        return c
+    if isinstance(c, Node):
+        return Node(tuple([_substitute(x, shifted) for x in c.children]))
+    content = _substitute(c.content, shifted)
+    grafts = tuple([_substitute(g, shifted) for g in c.grafts])
+    if isinstance(c.kind, White):
+        return Circ(BLACK, superimpose(shifted[c.kind.label - 1], content), grafts)
+    return Circ(c.kind, content, grafts)
 
 
 def compose_terms(term, arg_terms, r3: bool = True):
@@ -201,7 +245,9 @@ def compose_terms(term, arg_terms, r3: bool = True):
 def compose(o: HOperation, args, r3: bool = True) -> HOperation:
     """Operadic composition; sources concatenate and the target is kept."""
     args = tuple(args)
-    result = HOperation(compose_terms(o.term, tuple(a.term for a in args), r3=r3))
+    shifted = _shifted_arguments(o.sources, len(args),
+                                 ((a.term, a.target, a.k) for a in args))
+    result = HOperation(reduce_term(_substitute(o.term, shifted), r3=r3))
     expected = tuple(chain.from_iterable(a.sources for a in args))
     if result.sources != expected or result.target != o.target:
         raise RuntimeError("composition changed the operation profile")

@@ -211,6 +211,20 @@ def test_usage_error_exit_code(capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_unknown_global_option_is_named(capsys):
+    # the option, not its value taken for the subcommand, is reported
+    for args, named in (
+            ([REMOVED_FLAG, "d", "enumerate", "trees", "--max-vertices", "1",
+              "--max-leaves", "1"], REMOVED_FLAG),
+            ([REMOVED_FLAG + "=d", "enumerate", "trees", "--max-vertices", "1",
+              "--max-leaves", "1"], REMOVED_FLAG + "=d"),
+            (["--tree", "(|)", "verify", "lemma"], "--tree")):
+        assert run(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {named}\n"
+
+
 def test_removed_cache_variable_is_ignored(tmp_path, capsys, monkeypatch):
     args = ["enumerate", "trees", "--max-vertices", "1", "--max-leaves", "1"]
     assert run(args) == 0
@@ -236,8 +250,8 @@ def assert_internal_failure(capsys, args, reason):
 def test_compose_profile_check_failure_exits_1(capsys, monkeypatch):
     operad_h = importlib.import_module("circleops.operad_h")
     # a composite on the wrong tree trips the profile check in compose
-    monkeypatch.setattr(operad_h, "compose_terms",
-                        lambda term, args, r3=True: parse_config("{w1 (|) / |}"))
+    monkeypatch.setattr(operad_h, "reduce_term",
+                        lambda term, r3=True: parse_config("{w1 (|) / |}"))
     assert_internal_failure(
         capsys, ["compose", "config", "--outer", "{w1 | / |}",
                  "--inner", "{w1 | / |}"],

@@ -173,6 +173,26 @@ def test_compose_rejects_profile_mismatch():
         compose(o, ())
 
 
+def test_compose_names_a_wrong_argument_count_and_tree():
+    o = HOperation(parse_config("({w2 | / |} {w1 (|) / |})"))
+    one = identity_op(parse_tree("(|)"))
+    with pytest.raises(ValueError) as err:
+        compose(o, (one,))
+    assert str(err.value) == "operation with 2 white circles composed with 1 arguments"
+    with pytest.raises(ValueError) as err:
+        compose(o, (one, one))
+    assert str(err.value) == "argument 2 lives on (|), expected |"
+
+
+def test_compose_reaches_the_parser_nesting_limit():
+    # a chain as deep as parsed text may nest composes with itself
+    chain = LEAF
+    for _ in range(200):
+        chain = Node((chain,))
+    o = identity_op(chain)
+    assert compose(o, (o,)) == o
+
+
 def test_compose_concatenates_sources():
     rng = random.Random(5)
     for _ in range(30):

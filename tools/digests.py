@@ -190,18 +190,6 @@ LIGHT = {
     "functors/fiber_adjoint_report": functors_item(DELETION_TREES, report_lines),
 }
 
-HEAVY = {
-    "heavy/build_comma k=3": categories_item(
-        lambda: commas((("(|)", 3), ("((|) |)", 3)))),
-    "heavy/build_comma test_02 corpus": categories_item(
-        lambda: commas((t, k) for t in TEST_02_TREES for k in (1, 2))),
-    "heavy/nerve stage 3": nerves_item(
-        lambda: (("poset k_enumerate(3, 3)",
-                  poset_category(k_enumerate(3, 3), k_leq)),), 4),
-    "heavy/deletion five trees": functors_item(FIVE_TREES, functor_lines),
-    "heavy/fiber_adjoint_report five trees": functors_item(FIVE_TREES, report_lines),
-}
-
 
 def outcome(f, *args) -> str:
     """The text of f's result, or the type and message of what it raised."""
@@ -256,11 +244,6 @@ TERM = {
 }
 
 
-def two_vertex_ops():
-    return [o for t in enumerate_trees(2, 2) for k in (1, 2)
-            for o in operations(t, k)]
-
-
 def test_02_lines():
     """Every composite test_02 forms, in its order: the unit laws, both
     associativity sides, both equivariance sides and the seeded sweep."""
@@ -286,7 +269,8 @@ def test_02_lines():
         yield text(compose(o, tuple(identity_op(s) for s in o.sources)))
         yield text(compose(identity_op(o.target), (o,)))
 
-    corpus = two_vertex_ops()
+    corpus = [o for t in enumerate_trees(2, 2) for k in (1, 2)
+              for o in operations(t, k)]
     for o in corpus:
         yield from units(o)
     for o in corpus:
@@ -323,10 +307,19 @@ def enumeration_lines():
             yield from (str(c) for c in enumerate_configs(t, k))
 
 
-HEAVY.update({
+HEAVY = {
+    "heavy/build_comma k=3": categories_item(
+        lambda: commas((("(|)", 3), ("((|) |)", 3)))),
+    "heavy/build_comma test_02 corpus": categories_item(
+        lambda: commas((t, k) for t in TEST_02_TREES for k in (1, 2))),
+    "heavy/nerve stage 3": nerves_item(
+        lambda: (("poset k_enumerate(3, 3)",
+                  poset_category(k_enumerate(3, 3), k_leq)),), 4),
+    "heavy/deletion five trees": functors_item(FIVE_TREES, functor_lines),
+    "heavy/fiber_adjoint_report five trees": functors_item(FIVE_TREES, report_lines),
     "heavy/test_02 composites": test_02_lines,
     "heavy/enumerate_configs trees(3, 3) k<=2": enumeration_lines,
-})
+}
 
 
 def cli_item(argv):
