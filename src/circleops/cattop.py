@@ -194,23 +194,9 @@ class FinCategory:
         except KeyError:
             raise CategoryError(f"arrows do not compose: {f} then {g}") from None
 
-    def _arrows_at(self, lists, x) -> tuple:
-        i = self._oid.get(x)
-        return () if i is None else tuple(self.arrows[a] for a in lists[i])
-
     def hom(self, x, y) -> tuple:
         i, j = self._oid.get(x), self._oid.get(y)
         return tuple(self.arrows[a] for a in self._hom.get((i, j), ()))
-
-    def arrows_from(self, x) -> tuple:
-        return self._arrows_at(self._out, x)
-
-    def arrows_to(self, x) -> tuple:
-        return self._arrows_at(self._into, x)
-
-    def nonidentity_arrows(self) -> tuple:
-        ident, src = self._ident, self._src
-        return tuple(a for n, a in enumerate(self.arrows) if ident[src[n]] != n)
 
     def _verify(self, entries=None):
         """The axioms on ids; entries are (g, f, g after f) triples, by
@@ -745,6 +731,12 @@ def _comma_on_objects(objs) -> FinCategory:
     return _unary_comma(objs, lambda o: o, lambda o, o2: True)
 
 
+def _point(x) -> FinCategory:
+    """The category with the one object x and its identity, labelled ()."""
+    ident = Arrow(x, x, ())
+    return FinCategory((x,), (ident,), {x: ident}, {(ident, ident): ident})
+
+
 @lru_cache(maxsize=None)
 def build_comma(tree, k: int) -> FinCategory:
     """The category of k-white configurations on tree.
@@ -756,8 +748,7 @@ def build_comma(tree, k: int) -> FinCategory:
     if k < 0:
         raise ValueError("white count must be nonnegative")
     if k == 0:
-        ident = Arrow(tree, tree, ())
-        return FinCategory((tree,), (ident,), {tree: ident}, {(ident, ident): ident})
+        return _point(tree)
     # every composite of a config with unaries is again a config, so no
     # arrow is lost to the endpoint filter
     return _comma_on_objects(enumerate_configs(tree, k))
@@ -770,11 +761,13 @@ def _complexity_of(term) -> KElt:
 
 @lru_cache(maxsize=None)
 def comma_below(tree, cell: KElt) -> FinCategory:
-    """Configurations on tree whose complexity is bounded by the given cell."""
+    """Configurations on tree whose complexity is bounded by the given cell.
+
+    The bare tree is the one configuration without whites, and the only
+    arity-0 cell is below itself, so an arity-0 cell gives build_comma(tree, 0).
+    """
     if cell.k == 0:
-        return full_subcategory(
-            build_comma(tree, 0), lambda o: k_leq(_complexity_of(o), cell)
-        )
+        return build_comma(tree, 0)
     keep = tuple(
         o for o in enumerate_configs(tree, cell.k)
         if k_leq(_complexity_of(o), cell)
@@ -789,9 +782,12 @@ def build_hat_comma(tree, level: int = 2, k: int = 2) -> FinCategory:
     Objects are pairs (o, kappa) with kappa an arity-k element of the given
     filtration stage and the complexity of o bounded by the shift of kappa.
     An arrow (o, kappa) -> (o2, kappa2) is a unary tuple composing o2 into o,
-    available whenever kappa <= kappa2.
+    available whenever kappa <= kappa2.  With k = 0 the one object is the
+    bare tree with the one arity-0 tag.
     """
     kappas = k_enumerate(level, k)
+    if k == 0:
+        return _point((tree, kappas[0]))
     objs = enumerate_configs(tree, k)
     objects = tuple(
         (o, kap)

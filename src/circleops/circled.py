@@ -466,11 +466,6 @@ def _map_whites(c, f):
 
 # --- enumeration ---------------------------------------------------------------
 
-def circle_budget(t, k: int) -> int:
-    """Upper bound on circles in a valid configuration on t with k whites."""
-    return 2 * k + tree_vertices(t)
-
-
 def enumerate_configs(t, k: int, profile=None):
     """All valid configurations on t with white labels 1..k, sorted by text.
 
@@ -479,9 +474,8 @@ def enumerate_configs(t, k: int, profile=None):
     """
     if k < 0:
         raise ValueError("white circle count must be nonnegative")
-    budget = circle_budget(t, k)
     out = []
-    for term, _, whites in _gen(t, budget, False, False, k):
+    for term, whites in _gen(t, False, False, k):
         if whites != k:
             continue
         valid = None
@@ -509,53 +503,56 @@ def enumerate_unary(source, target):
 
 
 @lru_cache(maxsize=None)
-def _gen(t, budget: int, in_white: bool, black_parent: bool, white_cap: int):
-    """Terms over t with at most budget circles, pruned by the black rules.
+def _gen(t, in_white: bool, black_parent: bool, white_cap: int):
+    """Terms over t with at most white_cap whites, pruned by the black rules.
 
-    Returns tuples (term, circles, whites); white circles carry the
-    placeholder label 0.
+    Returns pairs (term, whites); white circles carry the placeholder label 0.
+
+    The circles are bounded without being counted.  Each black circle
+    directly encloses at least two vertices or white circles, and each of
+    those has exactly one nearest circle, so 2 * blacks <= vertices + whites:
+    a valid term with k whites has at most k + (vertices + k) / 2 circles.
+    The recursion ends because a white circle lowers white_cap for its
+    content and its grafts, a black circle's content cannot start with a
+    black circle, and a black circle's grafts are reached only when its
+    content has at least two vertices or white circles, so they are proper
+    subtrees of t or have a lower white_cap.
     """
     results = []
     if isinstance(t, Leaf):
-        results.append((LEAF, 0, 0))
+        results.append((LEAF, 0))
     else:
-        for kids, used, whites in _gen_forest(t.children, budget, in_white,
-                                              black_parent, white_cap):
-            results.append((Node(kids), used, whites))
-    if budget >= 1:
-        for shape, tops in _region_cuts(t):
-            for is_white in (True, False):
-                if is_white and white_cap == 0:
+        for kids, whites in _gen_forest(t.children, in_white, black_parent,
+                                        white_cap):
+            results.append((Node(kids), whites))
+    for shape, tops in _region_cuts(t):
+        for is_white in (True, False):
+            if is_white and white_cap == 0:
+                continue
+            if not is_white and (not in_white or black_parent):
+                continue
+            kind = White(0) if is_white else BLACK
+            cap_inside = white_cap - 1 if is_white else white_cap
+            for cont, w1 in _gen(shape, in_white or is_white, not is_white,
+                                 cap_inside):
+                if not is_white and tree_vertices(contracted(cont)) < 2:
                     continue
-                if not is_white and (not in_white or black_parent):
-                    continue
-                kind = White(0) if is_white else BLACK
-                cap_inside = white_cap - 1 if is_white else white_cap
-                for cont, c1, w1 in _gen(shape, budget - 1,
-                                         in_white or is_white,
-                                         not is_white, cap_inside):
-                    if not is_white and tree_vertices(contracted(cont)) < 2:
-                        continue
-                    used = 1 + c1
-                    whites = w1 + (1 if is_white else 0)
-                    for gs, c2, w2 in _gen_forest(tops, budget - used, in_white,
-                                                  black_parent,
-                                                  white_cap - whites):
-                        results.append((Circ(kind, cont, gs),
-                                        used + c2, whites + w2))
+                whites = w1 + (1 if is_white else 0)
+                for gs, w2 in _gen_forest(tops, in_white, black_parent,
+                                          white_cap - whites):
+                    results.append((Circ(kind, cont, gs), whites + w2))
     return tuple(results)
 
 
 @lru_cache(maxsize=None)
-def _gen_forest(ts, budget: int, in_white: bool, black_parent: bool,
-                white_cap: int):
+def _gen_forest(ts, in_white: bool, black_parent: bool, white_cap: int):
     if not ts:
-        return (((), 0, 0),)
+        return (((), 0),)
     out = []
-    for first, c1, w1 in _gen(ts[0], budget, in_white, black_parent, white_cap):
-        for rest, c2, w2 in _gen_forest(ts[1:], budget - c1, in_white,
-                                        black_parent, white_cap - w1):
-            out.append(((first,) + rest, c1 + c2, w1 + w2))
+    for first, w1 in _gen(ts[0], in_white, black_parent, white_cap):
+        for rest, w2 in _gen_forest(ts[1:], in_white, black_parent,
+                                    white_cap - w1):
+            out.append(((first,) + rest, w1 + w2))
     return tuple(out)
 
 
@@ -567,12 +564,16 @@ def _all_labellings(term, k: int):
 
 # --- random sampling -----------------------------------------------------------
 
-def random_config(rng, t, k: int, black_tries: int = 2):
-    """A pseudo-random valid configuration on t with k whites, seeded by rng."""
+def random_config(rng, t, k: int):
+    """A pseudo-random valid configuration on t with k whites, seeded by rng.
+
+    After the whites, two black circles are tried and each is kept if the
+    term stays valid.
+    """
     term = t
     for label in range(1, k + 1):
         term = _random_insert(rng, term, White(label))
-    for _ in range(black_tries):
+    for _ in range(2):
         cand = _random_insert(rng, term, BLACK)
         if validate_config(cand).ok:
             term = cand

@@ -19,7 +19,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .cattop import (
     CategoryError,
@@ -33,7 +32,7 @@ from .cattop import (
     nerve_homology,
     poset_category,
 )
-from .circled import parse_config, random_config
+from .circled import enumerate_configs, parse_config, random_config
 from .homology import HomologyError
 from .kgraph import (
     KElt,
@@ -69,32 +68,9 @@ class CheckFailure(Exception):
     """A verification or report-level check did not pass."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Global switches shared by all subcommands."""
-
-    fmt: str = "text"
-    seed: int = 0
-    r3: bool = True
-    max_dim: int = 3
-
-    def __post_init__(self):
-        if self.max_dim < 0:
-            raise ValueError(f"--max-dim must be nonnegative, got {self.max_dim}")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            fmt=args.format,
-            seed=args.seed,
-            r3=not args.no_r3,
-            max_dim=args.max_dim,
-        )
-
-
-def _render_records(cfg: RunConfig, records) -> str:
+def _render_records(args, records) -> str:
     """One line per record: plain text or JSON with a schema field."""
-    if cfg.fmt == "records":
+    if args.format == "records":
         lines = [
             json.dumps({"schema": SCHEMA, **fields}, sort_keys=True)
             for _, fields in records
@@ -127,7 +103,7 @@ def _parse_kelt_arg(text: str) -> KElt:
 
 # --- enumerate -----------------------------------------------------------------
 
-def _enumerate_records(cfg: RunConfig, args):
+def _enumerate_records(args):
     if args.what == "trees":
         out = []
         for t in enumerate_trees(args.max_vertices, args.max_leaves):
@@ -141,8 +117,6 @@ def _enumerate_records(cfg: RunConfig, args):
         return out
     if args.what == "configs":
         tree = _parse_tree_arg(args.tree)
-        from .circled import enumerate_configs
-
         return [
             (str(c), {"kind": "config", "tree": args.tree, "k": args.k,
                       "text": str(c)})
@@ -156,14 +130,14 @@ def _enumerate_records(cfg: RunConfig, args):
     ]
 
 
-def cmd_enumerate(cfg: RunConfig, args) -> int:
-    print(_render_records(cfg, _enumerate_records(cfg, args)))
+def cmd_enumerate(args) -> int:
+    print(_render_records(args, _enumerate_records(args)))
     return EXIT_OK
 
 
 # --- compose -------------------------------------------------------------------
 
-def cmd_compose(cfg: RunConfig, args) -> int:
+def cmd_compose(args) -> int:
     if args.what == "config":
         outer = HOperation(_parse_config_arg(args.outer))
         inners = tuple(HOperation(_parse_config_arg(t)) for t in args.inner)
@@ -172,7 +146,7 @@ def cmd_compose(cfg: RunConfig, args) -> int:
                 f"outer operation has {outer.k} white circles,"
                 f" got {len(inners)} --inner arguments"
             )
-        result = compose(outer, inners, r3=cfg.r3)
+        result = compose(outer, inners, r3=args.r3)
         text = str(result.term)
         fields = {"kind": "config", "text": text,
                   "target": str(result.target),
@@ -188,7 +162,7 @@ def cmd_compose(cfg: RunConfig, args) -> int:
         result = k_compose(outer, inners)
         text = kelt_text(result)
         fields = {"kind": "kelt", "text": text}
-    print(_render_records(cfg, [(text, fields)]))
+    print(_render_records(args, [(text, fields)]))
     return EXIT_OK
 
 
@@ -211,14 +185,14 @@ def _check(records, ok: bool, name: str, detail: str, **fields):
     )
 
 
-def _check_samples(cfg: RunConfig, args, records, name: str, holds):
+def _check_samples(args, records, name: str, holds):
     """Record whether holds(rng, o) is true on every seeded sample.
 
     Sample i draws o on corpus tree i (cyclically) with 1 + i % 3 whites, and
     holds draws the rest from rng before it composes, so a failing sample does
     not shift later ones.  A composite that is not a valid operation fails."""
     trees = [parse_tree(t) for t in _CORPUS]
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     failing = []
     for i in range(args.samples):
         o = HOperation(random_config(rng, trees[i % len(trees)], 1 + i % 3))
@@ -230,17 +204,17 @@ def _check_samples(cfg: RunConfig, args, records, name: str, holds):
             failing.append(i)
     first = f" first={failing[0]}" if failing else ""
     _check(records, not failing, name,
-           f"samples={args.samples} failures={len(failing)}{first}", seed=cfg.seed)
+           f"samples={args.samples} failures={len(failing)}{first}", seed=args.seed)
 
 
-def _suite_axioms(cfg: RunConfig, args, records):
+def _suite_axioms(args, records):
     tiny = [o for t in (LEAF, parse_tree("(|)")) for k in (1, 2)
             for o in operations(t, k)]
     # Unit laws at the term level, so switching the reduction rule off shows
     # the genuine law failure instead of an invalid-term error.
-    bad = sum(unit_sides(o, r3=cfg.r3) != (o.term, o.term) for o in tiny)
+    bad = sum(unit_sides(o, r3=args.r3) != (o.term, o.term) for o in tiny)
     _check(records, bad == 0, "axioms/units-exhaustive",
-           f"operations={len(tiny)} failures={bad}", r3=cfg.r3)
+           f"operations={len(tiny)} failures={bad}", r3=args.r3)
 
     def holds(rng, o):
         ps = _random_args(rng, o)
@@ -248,28 +222,28 @@ def _suite_axioms(cfg: RunConfig, args, records):
         sigma = list(range(1, o.k + 1))
         rng.shuffle(sigma)
         gathered = _random_args(rng, o)
-        assoc = associativity_sides(o, ps, qss, r3=cfg.r3)
-        equiv = equivariance_sides(tuple(sigma), o, gathered, r3=cfg.r3)
+        assoc = associativity_sides(o, ps, qss, r3=args.r3)
+        equiv = equivariance_sides(tuple(sigma), o, gathered, r3=args.r3)
         return (assoc[0] == assoc[1] and equiv[0] == equiv[1]
-                and unit_sides(o, r3=cfg.r3) == (o.term, o.term))
+                and unit_sides(o, r3=args.r3) == (o.term, o.term))
 
-    _check_samples(cfg, args, records, "axioms/randomized", holds)
+    _check_samples(args, records, "axioms/randomized", holds)
 
 
-def _suite_inequality(cfg: RunConfig, args, records):
+def _suite_inequality(args, records):
     def holds(rng, o):
         ps = _random_args(rng, o)
         bound = k_compose(complexity(o), tuple(complexity(p) for p in ps))
-        return k_leq(complexity(compose(o, ps, r3=cfg.r3)), bound)
+        return k_leq(complexity(compose(o, ps, r3=args.r3)), bound)
 
-    _check_samples(cfg, args, records, "inequality", holds)
+    _check_samples(args, records, "inequality", holds)
 
 
-def _suite_lemma(cfg: RunConfig, args, records):
+def _suite_lemma(args, records):
     tree = _parse_tree_arg(args.tree)
     for base in k_enumerate(2, args.k):
         cell = k_iota(base)
-        report = acyclicity_report(comma_below(tree, cell), cfg.max_dim)
+        report = acyclicity_report(comma_below(tree, cell), args.max_dim)
         _check(
             records, report.acyclic, "lemma",
             f"tree={args.tree} cell=[{kelt_text(cell)}]"
@@ -277,7 +251,7 @@ def _suite_lemma(cfg: RunConfig, args, records):
         )
 
 
-def _suite_remark_linear(cfg: RunConfig, args, records):
+def _suite_remark_linear(args, records):
     tree = LEAF
     for v in range(args.vertices + 1):
         for perm in ((1, 2), (2, 1)):
@@ -290,7 +264,7 @@ def _suite_remark_linear(cfg: RunConfig, args, records):
         tree = Node((tree,))
 
 
-def _suite_grothendieck(cfg: RunConfig, args, records):
+def _suite_grothendieck(args, records):
     tree = _parse_tree_arg(args.tree)
     iso = hat_comma_isomorphism(tree)
     objects_ok = len(set(iso.object_map.values())) == len(iso.object_map) and (
@@ -306,19 +280,19 @@ def _suite_grothendieck(cfg: RunConfig, args, records):
     )
 
 
-def _suite_cowedge(cfg: RunConfig, args, records):
+def _suite_cowedge(args, records):
     # The two-step composition squares: associativity with one-white middle
     # and inner layers.
     def holds(rng, o):
         fs = _random_args(rng, o, whites=1)
         lhs, rhs = associativity_sides(
-            o, fs, tuple(_random_args(rng, f, whites=1) for f in fs), r3=cfg.r3)
+            o, fs, tuple(_random_args(rng, f, whites=1) for f in fs), r3=args.r3)
         return lhs == rhs
 
-    _check_samples(cfg, args, records, "cowedge", holds)
+    _check_samples(args, records, "cowedge", holds)
 
 
-def _suite_proof_structure(cfg: RunConfig, args, records):
+def _suite_proof_structure(args, records):
     tree = _parse_tree_arg(args.tree)
     for base in k_enumerate(2, 2):
         cell = k_iota(base)
@@ -345,13 +319,13 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
+def cmd_verify(args) -> int:
     records = []
     try:
-        _SUITES[args.suite](cfg, args, records)
+        _SUITES[args.suite](args, records)
     finally:
         if records:
-            print(_render_records(cfg, records))
+            print(_render_records(args, records))
     failed = dict.fromkeys(f["name"] for _, f in records if not f["ok"])
     if failed:
         raise CheckFailure(f"checks failed: {', '.join(failed)}")
@@ -360,7 +334,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 # --- homology -------------------------------------------------------------------
 
-def _homology_records(cfg: RunConfig, args):
+def _homology_records(args):
     if args.what == "kposet":
         C = poset_category(k_enumerate(args.m, args.k), k_leq)
         name = f"kposet m={args.m} k={args.k}"
@@ -373,7 +347,7 @@ def _homology_records(cfg: RunConfig, args):
     else:
         C = comma_below(_parse_tree_arg(args.tree), _parse_kelt_arg(args.cell))
         name = f"below tree={args.tree} cell=[{args.cell}]"
-    result = nerve_homology(C, cfg.max_dim)
+    result = nerve_homology(C, args.max_dim)
     out = []
     for n in range(len(result.betti)):
         out.append(
@@ -385,14 +359,14 @@ def _homology_records(cfg: RunConfig, args):
     return out
 
 
-def cmd_homology(cfg: RunConfig, args) -> int:
-    print(_render_records(cfg, _homology_records(cfg, args)))
+def cmd_homology(args) -> int:
+    print(_render_records(args, _homology_records(args)))
     return EXIT_OK
 
 
 # --- render -------------------------------------------------------------------
 
-def cmd_render(cfg: RunConfig, args) -> int:
+def cmd_render(args) -> int:
     config = _parse_config_arg(args.config)
     layout = layout_config(config)
     if args.check:
@@ -423,7 +397,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_global_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "records"), default="text")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-r3", action="store_true",
+    parser.add_argument("--no-r3", dest="r3", action="store_false",
                         help="drop the black-circles-inside-white rule")
     parser.add_argument("--max-dim", type=int, default=3)
 
@@ -528,8 +502,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(cfg, args)
+        if args.max_dim < 0:
+            raise ValueError(f"--max-dim must be nonnegative, got {args.max_dim}")
+        return args.func(args)
     except CheckFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK

@@ -48,9 +48,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def entry_dict(self) -> dict:
-        return {pos: v for pos, v in self.entries}
-
 
 def matrix_from_dict(nrows: int, ncols: int, entries) -> IntMatrix:
     """Build an IntMatrix from any {(row, col): value} mapping, dropping zeros."""

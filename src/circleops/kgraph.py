@@ -211,6 +211,8 @@ def k_enumerate(m: int, k: int):
     """
     if m < 1:
         raise ValueError("filtration stage must be positive")
+    if k < 0:
+        raise ValueError("arity must be nonnegative")
     out = []
     for labels in product(range(m), repeat=comb(k, 2)):
         for perm in permutations(range(1, k + 1)):

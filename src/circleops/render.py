@@ -9,8 +9,8 @@ inside it) offset outwards by a fixed margin, so nested circles are nested
 curves by construction.  White circles are dashed and labelled, black circles
 are solid.
 
-Aesthetics are secondary to determinism: the same term and options always
-produce byte-identical SVG.  ``clearance_violations`` checks the drawing
+Aesthetics are secondary to determinism: the same term always produces
+byte-identical SVG.  ``clearance_violations`` checks the drawing
 geometrically, curve against curve and curve against edge, against the
 combinatorial nesting structure of the term.
 """
@@ -24,23 +24,17 @@ from .circled import Black, Circ, White
 from .trees import Leaf, Node
 
 
-@dataclass(frozen=True)
-class LayoutOptions:
-    """Geometry knobs; defaults keep curves clear of neighbouring branches.
-
-    Deeply nested circles grow by one margin per level, so very deep nestings
-    may need a larger slot_width or layer_height to stay clear.
-    """
-
-    slot_width: float = 100.0
-    layer_height: float = 80.0
-    crossing_stretch: float = 0.5
-    margin: float = 14.0
-    corner_samples: int = 16
-    pad: float = 30.0
-    stroke_width: float = 1.5
-    vertex_radius: float = 3.0
-    font_size: float = 12.0
+# Geometry.  Deeply nested circles grow by one margin per level, so very deep
+# nestings can outgrow a slot or a layer.
+_SLOT_WIDTH = 100.0
+_LAYER_HEIGHT = 80.0
+_CROSSING_STRETCH = 0.5
+_MARGIN = 14.0
+_CORNER_SAMPLES = 16
+_PAD = 30.0
+_STROKE_WIDTH = 1.5
+_VERTEX_RADIUS = 3.0
+_FONT_SIZE = 12.0
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,6 @@ class Layout:
     edges: tuple
     curves: tuple
     regions: tuple
-    options: LayoutOptions
 
 
 class _Edge:
@@ -88,9 +81,8 @@ class _Edge:
         self.crossings = []
 
 
-def layout_config(c, options: LayoutOptions | None = None) -> Layout:
+def layout_config(c) -> Layout:
     """Lay out a circled tree; node 0 is the root tip below the root edge."""
-    opt = options or LayoutOptions()
     kinds = ["root"]
     ys = [0.0]
     children: dict[int, list[int]] = {0: []}
@@ -104,7 +96,7 @@ def layout_config(c, options: LayoutOptions | None = None) -> Layout:
         kinds.append(kind)
         ys.append(
             ys[edge.src]
-            + opt.layer_height * (1 + opt.crossing_stretch * len(edge.crossings))
+            + _LAYER_HEIGHT * (1 + _CROSSING_STRETCH * len(edge.crossings))
         )
         children[nid] = []
         children[edge.src].append(nid)
@@ -147,7 +139,7 @@ def layout_config(c, options: LayoutOptions | None = None) -> Layout:
 
     def place(nid: int):
         if not children[nid]:
-            xs[nid] = slot[0] * opt.slot_width
+            xs[nid] = slot[0] * _SLOT_WIDTH
             slot[0] += 1
         else:
             for child in children[nid]:
@@ -190,10 +182,10 @@ def layout_config(c, options: LayoutOptions | None = None) -> Layout:
             pts = [anchor(cid)]
         # Half-step offset keeps hull corners off the vertical edge lines,
         # so curve/edge crossings stay transversal.
-        step = 2 * math.pi / opt.corner_samples
-        angles = [(i + 0.5) * step for i in range(opt.corner_samples)]
+        step = 2 * math.pi / _CORNER_SAMPLES
+        angles = [(i + 0.5) * step for i in range(_CORNER_SAMPLES)]
         aug = [
-            (x + opt.margin * math.cos(a), y + opt.margin * math.sin(a))
+            (x + _MARGIN * math.cos(a), y + _MARGIN * math.sin(a))
             for x, y in pts
             for a in angles
         ]
@@ -211,7 +203,7 @@ def layout_config(c, options: LayoutOptions | None = None) -> Layout:
     layout_edges = tuple(
         LayoutEdge(e.src, e.dst, tuple(e.crossings)) for e in edges
     )
-    return Layout(nodes, layout_edges, curves, regions, opt)
+    return Layout(nodes, layout_edges, curves, regions)
 
 
 # --- plane geometry ----------------------------------------------------------------
@@ -370,14 +362,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(c, options: LayoutOptions | None = None) -> str:
+def render_svg(c) -> str:
     """Render a circled tree to a standalone SVG document."""
-    layout = layout_config(c, options)
-    return render_layout(layout)
+    return render_layout(layout_config(c))
 
 
 def render_layout(layout: Layout) -> str:
-    opt = layout.options
     pts = [(n.x, n.y) for n in layout.nodes]
     for curve in layout.curves:
         pts.extend(curve.points)
@@ -385,19 +375,19 @@ def render_layout(layout: Layout) -> str:
     max_x = max(x for x, _ in pts)
     min_y = min(y for _, y in pts)
     max_y = max(y for _, y in pts)
-    width = (max_x - min_x) + 2 * opt.pad
-    height = (max_y - min_y) + 2 * opt.pad
+    width = (max_x - min_x) + 2 * _PAD
+    height = (max_y - min_y) + 2 * _PAD
 
     def at(p):
         # Flip: layout y grows upward, SVG y grows downward.
-        return (p[0] - min_x + opt.pad, (max_y - p[1]) + opt.pad)
+        return (p[0] - min_x + _PAD, (max_y - p[1]) + _PAD)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}"'
         f' height="{_fmt(height)}"'
         f' viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<g stroke="black" stroke-width="{_fmt(opt.stroke_width)}" fill="none">',
+        f'<g stroke="black" stroke-width="{_fmt(_STROKE_WIDTH)}" fill="none">',
     ]
     for e in layout.edges:
         (x1, y1) = at((layout.nodes[e.src].x, layout.nodes[e.src].y))
@@ -411,7 +401,7 @@ def render_layout(layout: Layout) -> str:
             (cx, cy) = at((n.x, n.y))
             lines.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}"'
-                f' r="{_fmt(opt.vertex_radius)}" fill="black"/>'
+                f' r="{_fmt(_VERTEX_RADIUS)}" fill="black"/>'
             )
     for curve in layout.curves:
         path = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in map(at, curve.points))
@@ -423,7 +413,7 @@ def render_layout(layout: Layout) -> str:
             lines.append(
                 f'<text x="{_fmt(tx)}" y="{_fmt(ty - 6)}" fill="black"'
                 f' stroke="none" font-family="monospace"'
-                f' font-size="{_fmt(opt.font_size)}"'
+                f' font-size="{_fmt(_FONT_SIZE)}"'
                 f' text-anchor="middle">{curve.kind.label}</text>'
             )
     lines.append("</g>")

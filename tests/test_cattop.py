@@ -388,6 +388,15 @@ def test_comma_below_acyclic_on_corpus():
             assert rep.acyclic, f"{txt} {cell}"
 
 
+def test_arity_zero_cell_gives_the_bare_tree():
+    # the only arity-0 cell is below itself, so it keeps the bare tree
+    for txt in ["|", "(|)", "(| |)"]:
+        t = parse_tree(txt)
+        C = comma_below(t, KElt(0, (), ()))
+        assert C.objects == build_comma(t, 0).objects == (t,)
+        assert len(C.arrows) == 1
+
+
 def test_left_of_cells_empty_on_linear_trees():
     for txt in ["|", "(|)", "((|))", "(((|)))"]:
         t = parse_tree(txt)
@@ -479,6 +488,16 @@ def test_hat_comma_matches_grothendieck():
         assert len(H.arrows) == len(G.arrows)
         assert len({iso.obj(x) for x in H.objects}) == len(H.objects)
         assert len({iso.arr(a) for a in H.arrows}) == len(H.arrows)
+
+
+def test_hat_comma_with_no_whites_is_a_point():
+    t = parse_tree("(|)")
+    H = build_hat_comma(t, 2, 0)
+    assert H.objects == ((t, KElt(0, (), ())),)
+    assert len(H.arrows) == 1
+    iso = hat_comma_isomorphism(t, 2, 0)
+    assert iso.obj(H.objects[0]) == hat_comma_grothendieck(t, 2, 0).objects[0]
+    assert nerve_homology(H, 2).betti == (1, 0, 0)
 
 
 # --- deletion functor and its fibers -----------------------------------------------

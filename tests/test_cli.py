@@ -157,6 +157,29 @@ def test_homology_comma_k0_example(capsys):
     assert out_lines(capsys) == ["H0 = Z", "H1 = 0", "H2 = 0", "H3 = 0"]
 
 
+def test_no_white_circles_is_a_point(capsys):
+    point = ["H0 = Z", "H1 = 0", "H2 = 0", "H3 = 0"]
+    for argv, want in (
+        (["verify", "lemma", "--tree", "(|)", "--k", "0"],
+         ["ok lemma tree=(|) cell=[0; ; perm=[]] objects=1 acyclic=True"]),
+        (["homology", "below", "--tree", "(|)", "--cell", "0; ; perm=[]"], point),
+        (["homology", "hat", "--tree", "(|)", "--k", "0"], point),
+    ):
+        assert run(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert (captured.out.splitlines(), captured.err) == (want, "")
+
+
+def test_negative_arity_is_usage_error(capsys):
+    for argv in (["enumerate", "kgraph", "--m", "2", "--k", "-1"],
+                 ["homology", "kposet", "--m", "2", "--k", "-1"],
+                 ["verify", "lemma", "--tree", "(|)", "--k", "-1"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: arity must be nonnegative\n"
+
+
 def test_homology_below(capsys):
     assert run(["homology", "below", "--tree", "(|)",
                 "--cell", "2; mu(1,2)=1; perm=[1 2]"]) == 0

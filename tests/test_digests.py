@@ -11,7 +11,9 @@ categories, every entry of their nerve boundaries, and the deletion functors
 and fiber reports, all as codec text in the order the library returns them.
 The `CLI_SHA256` values were recorded before the result cache was removed:
 exit code, stdout and stderr of the README's CLI commands, of every `verify`
-suite at two seeds in both formats, and of two usage errors.
+suite at two seeds in both formats, and of two usage errors.  The two arity
+runs were recorded once the lemma with no white circles ran and a negative
+arity was reported by name.
 The `TERM_SHA256` values were recorded before composition became one walk
 per stage: both sides of each operad law on seeded operations, with and
 without the uncovered-black rule, and the errors of rejected compositions.
@@ -154,6 +156,10 @@ CLI_SHA256 = {
         "9101fa6231baf69389d530428e8bdbafa25069cd6a363c144ac1c72af946db3b",
     "cli/--max-dim -1 homology kposet --m 2 --k 2":
         "0bcf552b8985e333f8d85d3117a0022c5537ab496d1b0fd73f569cbd5f8ba08f",
+    "cli/verify lemma --tree (|) --k 0":
+        "c6601d47002d084186c3f64a65388d3e402989722df362cebd3705cc406072c3",
+    "cli/enumerate kgraph --m 2 --k -1":
+        "e739eb8774e3262874de00bf0ffaa9acf6acd1a393ac6925f6e0b9a19bad2d92",
 }
 
 CORPUS = ["|", "(|)", "(| |)", "((|))", "((|) |)", "((|) (|))"]

@@ -288,6 +288,8 @@ def test_enumerate_counts_and_determinism():
         assert max(x.labels) < 3
     with pytest.raises(ValueError):
         k_enumerate(0, 2)
+    with pytest.raises(ValueError, match="^arity must be nonnegative$"):
+        k_enumerate(2, -1)
 
 
 def test_codec_round_trip():

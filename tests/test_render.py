@@ -2,7 +2,6 @@ import random
 
 from circleops.circled import BLACK, White, parse_config, random_config, underlying
 from circleops.render import (
-    LayoutOptions,
     clearance_violations,
     convex_hull,
     layout_config,
@@ -140,11 +139,6 @@ def test_svg_is_deterministic_and_well_formed():
     assert svg.count("<path") == 5
     assert svg.count("stroke-dasharray") == 5
     assert svg.count("<text") == 5
-
-
-def test_svg_options_change_output():
-    c = parse_config("{w1 | / |}")
-    assert render_svg(c) != render_svg(c, LayoutOptions(margin=20.0))
 
 
 def test_svg_black_circles_are_solid_and_unlabelled():

@@ -361,10 +361,15 @@ ERROR_COMMANDS = (
     ("verify", "lemma", "--tree", "(("),
     ("--max-dim", "-1", "homology", "kposet", "--m", "2", "--k", "2"),
 )
+# Arity at and below zero: no white circles is a point, fewer is an error.
+ARITY_COMMANDS = (
+    ("verify", "lemma", "--tree", "(|)", "--k", "0"),
+    ("enumerate", "kgraph", "--m", "2", "--k", "-1"),
+)
 
 CLI = {
     "cli/" + " ".join(argv): cli_item(argv)
-    for argv in README_COMMANDS + VERIFY_COMMANDS + ERROR_COMMANDS
+    for argv in README_COMMANDS + VERIFY_COMMANDS + ERROR_COMMANDS + ARITY_COMMANDS
 }
 
 
