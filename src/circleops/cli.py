@@ -502,8 +502,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.max_dim < 0:
-            raise ValueError(f"--max-dim must be nonnegative, got {args.max_dim}")
+        # A negative count would check nothing and still report success.
+        for name in ("max_dim", "samples", "vertices"):
+            value = getattr(args, name, 0)
+            if value < 0:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} must be nonnegative, got {value}")
         return args.func(args)
     except CheckFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

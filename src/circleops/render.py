@@ -12,7 +12,12 @@ are solid.
 Aesthetics are secondary to determinism: the same term always produces
 byte-identical SVG.  ``clearance_violations`` checks the drawing
 geometrically, curve against curve and curve against edge, against the
-combinatorial nesting structure of the term.
+combinatorial nesting structure of the term.  It prepares each curve's sides
+and bounding box once, then decides the relation of two curves in three
+steps: nested when every vertex of one is strictly inside the other,
+disjoint when their boxes are apart, and otherwise by scanning every pair of
+sides for a crossing.  An edge whose box is apart from a curve's crosses it
+nowhere and has both endpoints outside it.
 """
 
 from __future__ import annotations
@@ -237,16 +242,67 @@ def convex_hull(points) -> tuple:
     return tuple(lower[:-1] + upper[:-1])
 
 
-def point_in_convex(p, poly) -> bool:
-    """Strict interior test for a counterclockwise convex polygon."""
-    if len(poly) < 3:
+# Shapes whose boxes are more than _BOX_SLACK apart are disjoint, and an edge
+# whose box is that far from a curve's crosses it nowhere and has both ends
+# outside it.  In exact arithmetic any gap would do: two segments can cross,
+# and a point can lie inside a polygon, only where their boxes meet.  In
+# floats a ``_cross`` of points within D of each other is off by at most about
+# 2**-50 * D**2, below 1e-9 for the drawings layout_config makes (they span
+# under a thousand units at six white circles), so far below _EPS; as a
+# distance, each value is exact for its points moved by about 2**-52 * D,
+# under 1e-12 units.  One unit, a hundredth of a slot, is some twelve orders
+# of magnitude more room than that.
+_BOX_SLACK = 1.0
+
+
+class _Shape:
+    """A polygon prepared for the clearance tests, once per curve.
+
+    ``sides`` holds (x, y, dx, dy, tol) per side: its start, its direction and
+    the margin by which a point must lie to its left to count as strictly
+    inside.  Every test evaluates ``_cross`` as dx * (py - y) - dy * (px - x),
+    the same operations in the same order.  ``box`` is (min x, min y, max x,
+    max y), or None for no points.
+    """
+
+    __slots__ = ("points", "sides", "box")
+
+    def __init__(self, points):
+        self.points = points
+        sides = []
+        for i in range(len(points)):
+            (x, y), (wx, wy) = points[i], points[(i + 1) % len(points)]
+            dx, dy = wx - x, wy - y
+            sides.append((x, y, dx, dy, _EPS * max(math.hypot(dx, dy), 1.0)))
+        self.sides = tuple(sides)
+        xs = [x for x, _ in points]
+        ys = [y for _, y in points]
+        self.box = (min(xs), min(ys), max(xs), max(ys)) if points else None
+
+
+def _apart(box, other) -> bool:
+    return (
+        box[2] + _BOX_SLACK < other[0]
+        or other[2] + _BOX_SLACK < box[0]
+        or box[3] + _BOX_SLACK < other[1]
+        or other[3] + _BOX_SLACK < box[1]
+    )
+
+
+def _inside(p, shape: _Shape) -> bool:
+    # A shape of fewer than three points contains nothing.
+    if len(shape.points) < 3:
         return False
-    for i in range(len(poly)):
-        v, w = poly[i], poly[(i + 1) % len(poly)]
-        length = math.hypot(w[0] - v[0], w[1] - v[1])
-        if _cross(v, w, p) <= _EPS * max(length, 1.0):
+    px, py = p
+    for x, y, dx, dy, tol in shape.sides:
+        if dx * (py - y) - dy * (px - x) <= tol:
             return False
     return True
+
+
+def point_in_convex(p, poly) -> bool:
+    """Strict interior test for a counterclockwise convex polygon."""
+    return _inside(p, _Shape(poly))
 
 
 def _segments_cross(p, q, r, s) -> bool:
@@ -270,11 +326,14 @@ def segment_polygon_crossings(a, b, poly) -> int:
     is how many ends of the clipped parameter interval are interior to the
     segment.  Vertex grazings do not count as crossings.
     """
+    return _segment_crossings(a, b, _Shape(poly))
+
+
+def _segment_crossings(a, b, shape: _Shape) -> int:
     t0, t1 = 0.0, 1.0
-    for i in range(len(poly)):
-        v, w = poly[i], poly[(i + 1) % len(poly)]
-        f0 = _cross(v, w, a)
-        f1 = _cross(v, w, b)
+    for x, y, dx, dy, _ in shape.sides:
+        f0 = dx * (a[1] - y) - dy * (a[0] - x)
+        f1 = dx * (b[1] - y) - dy * (b[0] - x)
         if f0 < 0 and f1 < 0:
             return 0
         if f0 < 0:
@@ -288,19 +347,30 @@ def segment_polygon_crossings(a, b, poly) -> int:
 
 def polygon_relation(p, q) -> str:
     """'crossing', 'nested_pq' (p inside q), 'nested_qp', or 'disjoint'."""
-    for i in range(len(p)):
-        for j in range(len(q)):
+    return _relation(_Shape(p), _Shape(q))
+
+
+def _relation(p: _Shape, q: _Shape) -> str:
+    # Containment first.  When every vertex of p is strictly inside q, each
+    # clears every side of q by more than _EPS, in the very _cross values
+    # _segments_cross compares with _EPS, so no pair of sides counts as a
+    # crossing and the scan would also answer nested_pq (and the same for q).
+    if all(_inside(v, q) for v in p.points):
+        return "nested_pq"
+    if all(_inside(v, p) for v in q.points):
+        return "nested_qp"
+    if _apart(p.box, q.box):
+        return "disjoint"
+    # The scan decides what is left: neither curve inside the other, and
+    # boxes within _BOX_SLACK of each other.
+    pts, qts = p.points, q.points
+    for i in range(len(pts)):
+        for j in range(len(qts)):
             if _segments_cross(
-                p[i], p[(i + 1) % len(p)], q[j], q[(j + 1) % len(q)]
+                pts[i], pts[(i + 1) % len(pts)], qts[j], qts[(j + 1) % len(qts)]
             ):
                 return "crossing"
-    if all(point_in_convex(v, q) for v in p):
-        return "nested_pq"
-    if all(point_in_convex(v, p) for v in q):
-        return "nested_qp"
-    if any(point_in_convex(v, q) for v in p) or any(
-        point_in_convex(v, p) for v in q
-    ):
+    if any(_inside(v, q) for v in pts) or any(_inside(v, p) for v in qts):
         return "crossing"
     return "disjoint"
 
@@ -324,12 +394,14 @@ def clearance_violations(layout: Layout) -> tuple:
     """
     out = []
     curves = layout.curves
+    shapes = [_Shape(curve.points) for curve in curves]
+    ancestors = [_ancestors(curves, cid) for cid in range(len(curves))]
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
-            rel = polygon_relation(curves[i].points, curves[j].points)
-            if i in _ancestors(curves, j):
+            rel = _relation(shapes[i], shapes[j])
+            if i in ancestors[j]:
                 want = "nested_qp"
-            elif j in _ancestors(curves, i):
+            elif j in ancestors[i]:
                 want = "nested_pq"
             else:
                 want = "disjoint"
@@ -338,16 +410,18 @@ def clearance_violations(layout: Layout) -> tuple:
     for e in layout.edges:
         a = (layout.nodes[e.src].x, layout.nodes[e.src].y)
         b = (layout.nodes[e.dst].x, layout.nodes[e.dst].y)
-        for cid, curve in enumerate(curves):
+        box = (min(a[0], b[0]), min(a[1], b[1]), max(a[0], b[0]), max(a[1], b[1]))
+        for cid, shape in enumerate(shapes):
+            far = _apart(box, shape.box)
             for nid, p in ((e.src, a), (e.dst, b)):
                 want_in = nid in layout.regions[cid]
-                if point_in_convex(p, curve.points) != want_in:
+                if (not far and _inside(p, shape)) != want_in:
                     side = "inside" if want_in else "outside"
                     out.append(
                         f"node {nid} should be {side} curve {cid}"
                     )
             want = e.crossings.count(cid)
-            got = segment_polygon_crossings(a, b, curve.points)
+            got = 0 if far else _segment_crossings(a, b, shape)
             if got != want:
                 out.append(
                     f"edge {e.src}->{e.dst} crosses curve {cid}"

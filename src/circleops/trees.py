@@ -208,6 +208,9 @@ def tree_sort_key(t):
 
 def enumerate_trees(max_vertices: int, max_leaves: int):
     """All planar trees within the given bounds, smallest first, no duplicates."""
+    for name, bound in (("max_vertices", max_vertices), ("max_leaves", max_leaves)):
+        if bound < 0:
+            raise ValueError(f"{name} must be nonnegative, got {bound}")
     out = []
     for nv in range(max_vertices + 1):
         out.extend(_trees_exact(nv, max_leaves))

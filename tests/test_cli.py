@@ -216,6 +216,35 @@ def test_negative_max_dim_is_usage_error(capsys):
         assert "--max-dim" in captured.err
 
 
+def test_negative_sample_and_vertex_counts_are_usage_errors(capsys):
+    for argv, flag in ((["verify", "axioms", "--samples", "-1"], "--samples"),
+                       (["verify", "inequality", "--samples", "-1"], "--samples"),
+                       (["verify", "cowedge", "--samples", "-1"], "--samples"),
+                       (["verify", "remark-linear", "--vertices", "-1"], "--vertices")):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be nonnegative, got -1\n"
+
+
+def test_zero_samples_still_run(capsys):
+    assert run(["verify", "axioms", "--samples", "0"]) == 0
+    assert "samples=0 failures=0" in capsys.readouterr().out
+
+
+def test_negative_tree_bounds_are_usage_errors(capsys):
+    for argv, message in (
+        (["--max-vertices", "-1", "--max-leaves", "2"],
+         "max_vertices must be nonnegative, got -1"),
+        (["--max-vertices", "2", "--max-leaves", "-1"],
+         "max_leaves must be nonnegative, got -1"),
+    ):
+        assert run(["enumerate", "trees"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["enumerate", "nonsense"]) == 2
     assert run([]) == 2

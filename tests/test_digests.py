@@ -17,6 +17,9 @@ arity was reported by name.
 The `TERM_SHA256` values were recorded before composition became one walk
 per stage: both sides of each operad law on seeded operations, with and
 without the uncovered-black rule, and the errors of rejected compositions.
+The `RENDER_SHA256` value was recorded before the clearance check stopped
+scanning every pair of curve sides: 300 seeded drawings with 1 to 6 white
+circles, each with its clearance violations and, when clear, its SVG.
 `tools/digests.py` computes them and adds heavier sweeps.
 """
 
@@ -75,6 +78,11 @@ TERM_SHA256 = {
         "c9c3a47ff2b9f816dd9ab2dfb7b4255f12703bdf42c6215ccb3a55febbac0983",
     "terms/rejected":
         "766516dc9249bb441e66f143242b93a852478f7afd51982d470de31f3f92a4f9",
+}
+
+RENDER_SHA256 = {
+    "render/drawings":
+        "828c8c1241ac9f4886b431ea3f5268d6fbb65552b75c4fdb25646b3fb7ecb69c",
 }
 
 CLI_SHA256 = {
@@ -220,6 +228,7 @@ def test_nerve_invariant_factors_are_pinned():
 def test_every_light_digest_item_is_pinned():
     assert sorted(digests.LIGHT) == sorted(CATTOP_SHA256)
     assert sorted(digests.TERM) == sorted(TERM_SHA256)
+    assert sorted(digests.RENDER) == sorted(RENDER_SHA256)
     assert sorted(digests.CLI) == sorted(CLI_SHA256)
 
 
@@ -231,6 +240,11 @@ def test_categories_nerves_and_functors_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(TERM_SHA256))
 def test_operad_laws_and_rejections_are_pinned(name):
     assert digests.sha256_lines(digests.TERM[name]()) == TERM_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_SHA256))
+def test_drawings_and_clearance_are_pinned(name):
+    assert digests.sha256_lines(digests.RENDER[name]()) == RENDER_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(CLI_SHA256))

@@ -1,7 +1,11 @@
+import math
 import random
+import sys
+from pathlib import Path
 
 from circleops.circled import BLACK, White, parse_config, random_config, underlying
 from circleops.render import (
+    _BOX_SLACK,
     clearance_violations,
     convex_hull,
     layout_config,
@@ -11,6 +15,9 @@ from circleops.render import (
     segment_polygon_crossings,
 )
 from circleops.trees import LEAF, parse_tree
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import digests  # noqa: E402
 
 # Six vertices, five circles: two nested on the left branch, three on the
 # right branch where the outer pair encloses the same region.
@@ -47,10 +54,92 @@ def test_polygon_relation_cases():
     inner = ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0))
     far = ((10.0, 0.0), (14.0, 0.0), (14.0, 4.0), (10.0, 4.0))
     shifted = ((2.0, 2.0), (6.0, 2.0), (6.0, 6.0), (2.0, 6.0))
+    diamond = ((2.0, -3.0), (7.0, 2.0), (2.0, 7.0), (-3.0, 2.0))
+    # Crossing sides, and no vertex of either inside the other.
+    tall = ((1.0, -2.0), (3.0, -2.0), (3.0, 6.0), (1.0, 6.0))
+    wide = ((-2.0, 1.0), (6.0, 1.0), (6.0, 3.0), (-2.0, 3.0))
     assert polygon_relation(inner, SQUARE) == "nested_pq"
     assert polygon_relation(SQUARE, inner) == "nested_qp"
+    assert polygon_relation(SQUARE, diamond) == "nested_pq"
+    assert polygon_relation(diamond, SQUARE) == "nested_qp"
     assert polygon_relation(SQUARE, far) == "disjoint"
     assert polygon_relation(SQUARE, shifted) == "crossing"
+    assert polygon_relation(tall, wide) == "crossing"
+    assert polygon_relation(wide, tall) == "crossing"
+
+
+def test_near_boxes_are_decided_by_the_scan():
+    # The diamonds' boxes share [1, 2] x [1, 2] but the diamonds do not meet.
+    a = ((2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0))
+    b = ((3.0, 1.0), (5.0, 3.0), (3.0, 5.0), (1.0, 3.0))
+    assert polygon_relation(a, b) == "disjoint"
+    assert polygon_relation(b, a) == "disjoint"
+    near = tuple((x + 4.0 + _BOX_SLACK / 2, y) for x, y in SQUARE)
+    touching = tuple((x + 4.0, y) for x, y in SQUARE)
+    assert polygon_relation(SQUARE, near) == "disjoint"
+    assert polygon_relation(near, SQUARE) == "disjoint"
+    assert polygon_relation(SQUARE, touching) == "disjoint"
+
+
+def test_polygons_with_fewer_than_three_points():
+    # A point or a segment contains nothing, but can lie inside a polygon.
+    assert polygon_relation(((2.0, 2.0),), SQUARE) == "nested_pq"
+    assert polygon_relation(SQUARE, ((2.0, 2.0),)) == "nested_qp"
+    assert polygon_relation(((9.0, 9.0),), SQUARE) == "disjoint"
+    assert polygon_relation(((2.0, 2.0), (6.0, 2.0)), SQUARE) == "crossing"
+
+
+# The scan-first relation, kept as the reference polygon_relation must match.
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _strictly_inside(p, poly):
+    if len(poly) < 3:
+        return False
+    for i in range(len(poly)):
+        v, w = poly[i], poly[(i + 1) % len(poly)]
+        length = math.hypot(w[0] - v[0], w[1] - v[1])
+        if _cross(v, w, p) <= 1e-7 * max(length, 1.0):
+            return False
+    return True
+
+
+def _sides_cross(p, q, r, s):
+    d1, d2 = _cross(p, q, r), _cross(p, q, s)
+    d3, d4 = _cross(r, s, p), _cross(r, s, q)
+    eps = 1e-7
+    return ((d1 > eps) != (d2 > eps) and (d1 < -eps) != (d2 < -eps)
+            and (d3 > eps) != (d4 > eps) and (d3 < -eps) != (d4 < -eps))
+
+
+def _scan_relation(p, q):
+    for i in range(len(p)):
+        for j in range(len(q)):
+            if _sides_cross(p[i], p[(i + 1) % len(p)], q[j], q[(j + 1) % len(q)]):
+                return "crossing"
+    if all(_strictly_inside(v, q) for v in p):
+        return "nested_pq"
+    if all(_strictly_inside(v, p) for v in q):
+        return "nested_qp"
+    if any(_strictly_inside(v, q) for v in p) or any(
+        _strictly_inside(v, p) for v in q
+    ):
+        return "crossing"
+    return "disjoint"
+
+
+def test_relation_matches_the_scan_on_the_seeded_drawings():
+    pairs = 0
+    for c in digests.render_configs():
+        curves = layout_config(c).curves
+        for i in range(len(curves)):
+            for j in range(i + 1, len(curves)):
+                p, q = curves[i].points, curves[j].points
+                assert polygon_relation(p, q) == _scan_relation(p, q), str(c)
+                pairs += 1
+    assert pairs > 1000
 
 
 # --- layout ---------------------------------------------------------------------

@@ -259,6 +259,14 @@ def test_enumerate_is_sorted_bounded_duplicate_free():
             assert leaves(t) <= ml
 
 
+def test_enumerate_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="^max_vertices must be nonnegative, got -1$"):
+        enumerate_trees(-1, 2)
+    with pytest.raises(ValueError, match="^max_leaves must be nonnegative, got -2$"):
+        enumerate_trees(2, -2)
+    assert enumerate_trees(0, 0) == ()
+
+
 def test_enumerate_matches_filter_of_larger_bounds():
     big = enumerate_trees(4, 4)
     small = enumerate_trees(3, 2)

@@ -1,17 +1,19 @@
-"""Digests of categories, nerves, functors, composites and CLI runs, for
-comparing two checkouts.
+"""Digests of categories, nerves, functors, composites, drawings and CLI
+runs, for comparing two checkouts.
 
 Every category, nerve, functor and term item renders its values as codec
 text, in the order the library returns them (a rejected composition as its
-error); every ``cli/...`` item runs one command in-process through
-``cli.run`` and renders its exit code, stdout and stderr.  Each item prints
+error); every ``render/...`` item renders each seeded configuration, its
+clearance violations and, for a clear drawing, its SVG; every ``cli/...``
+item runs one command in-process through ``cli.run`` and renders its exit
+code, stdout and stderr.  Each item prints
 one ``name sha256`` line.  Run it from the root of each checkout and compare
 the outputs with ``diff``:
 
     PYTHONPATH=src python3 tools/digests.py > digests.txt
 
 Optional arguments select the items whose names start with one of them.
-The light items (``LIGHT``, ``TERM`` and ``CLI``) are also pinned by
+The light items (``LIGHT``, ``TERM``, ``RENDER`` and ``CLI``) are also pinned by
 ``tests/test_digests.py``; the heavy ones (``HEAVY``) take minutes and run
 only here.
 """
@@ -51,6 +53,7 @@ from circleops.operad_h import (
     operations,
     unit_sides,
 )
+from circleops.render import clearance_violations, layout_config, render_layout
 from circleops.trees import enumerate_trees, parse_tree
 from circleops.trees import vertices as tree_vertices
 
@@ -244,6 +247,42 @@ TERM = {
 }
 
 
+RENDER_TREES = enumerate_trees(3, 3)
+
+
+def render_configs(seed=20261018, samples=300):
+    """Seeded draws on the trees of enumerate_trees(3, 3), cycling through
+    the trees and through 1..6 white circles."""
+    rng = random.Random(seed)
+    for i in range(samples):
+        yield random_config(rng, RENDER_TREES[i % len(RENDER_TREES)], 1 + i % 6)
+
+
+def every_render_config(seed):
+    """One seeded draw for every (tree, k) with k = 1..6."""
+    rng = random.Random(seed)
+    for t in RENDER_TREES:
+        for k in range(1, 7):
+            yield random_config(rng, t, k)
+
+
+def drawing_lines(configs):
+    """Each configuration, its clearance violations and, when there are
+    none, its SVG; failing drawings stay in."""
+    for c in configs:
+        layout = layout_config(c)
+        violations = clearance_violations(layout)
+        yield f"# {c}"
+        yield from violations
+        if not violations:
+            yield render_layout(layout)
+
+
+RENDER = {
+    "render/drawings": lambda: drawing_lines(render_configs()),
+}
+
+
 def test_02_lines():
     """Every composite test_02 forms, in its order: the unit laws, both
     associativity sides, both equivariance sides and the seeded sweep."""
@@ -319,6 +358,8 @@ HEAVY = {
     "heavy/fiber_adjoint_report five trees": functors_item(FIVE_TREES, report_lines),
     "heavy/test_02 composites": test_02_lines,
     "heavy/enumerate_configs trees(3, 3) k<=2": enumeration_lines,
+    "heavy/render every (tree, k<=6) at seeds 1, 2, 3": lambda: drawing_lines(
+        c for seed in (1, 2, 3) for c in every_render_config(seed)),
 }
 
 
@@ -374,7 +415,7 @@ CLI = {
 
 
 def main(argv) -> int:
-    for name, lines in {**LIGHT, **TERM, **CLI, **HEAVY}.items():
+    for name, lines in {**LIGHT, **TERM, **RENDER, **CLI, **HEAVY}.items():
         if argv and not any(name.startswith(p) for p in argv):
             continue
         print(name, sha256_lines(lines()), flush=True)
