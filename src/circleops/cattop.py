@@ -17,12 +17,13 @@ total of a diagram of categories.
 
 The bridge to the operad is build_comma: its objects are the k-white
 configurations on a fixed tree and its arrows are k-tuples of unary
-operations composing one object into another.  The tagged comma category
-build_hat_comma has the same arrows between (configuration, tag) pairs
-whose tags are ordered.  Bounding the complexity of the objects by a fixed
-labelled graph gives the filtered subcategories the acyclicity suites run
-on, and forgetting a distinguished white circle gives the deletion functor
-whose fibers certify the contraction argument.
+operations composing one object into another; it alone composes, once
+per (tree, k), and the commas below are read off its ids.  Bounding the
+complexity of the objects by a labelled graph gives its full subcategories
+comma_below, which the acyclicity suites run on; build_hat_comma has its
+arrows between (configuration, tag) pairs whose tags are ordered; and
+forgetting a distinguished white circle gives the deletion functor whose
+fibers certify the contraction argument.
 
 Nerves of loop-free categories are turned into integer chain complexes,
 one chain per composable string of nonidentity arrows (a tuple of arrow
@@ -670,17 +671,33 @@ def _inclusion(dom: FinCategory, cod: FinCategory) -> FinFunctor:
 
 # --- comma categories of the operad --------------------------------------------
 
-def _unary_comma(objects, config, related) -> FinCategory:
-    """The category on objects whose arrows are tuples of unary operations.
+def _point(x) -> FinCategory:
+    """The category with the one object x and its identity, labelled ()."""
+    ident = Arrow(x, x, ())
+    return FinCategory((x,), (ident,), {x: ident}, {(ident, ident): ident})
 
-    Each object x carries the configuration config(x).  An arrow x -> x2 is
-    a tuple of unary operations, one per white circle of config(x2), whose
-    substitution into config(x2) yields config(x), for every x with
-    related(x, x2).  Only arrows with both ends in objects are built, which
-    keeps filtered commas cheap.  The unary operations are numbered as they
-    are met, so arrows are told apart by id tuples, and the composite of
-    each pair of unary ids is computed once.
+
+# the objects of build_comma(tree, k), enumerated once for it and the commas
+# read off it
+_configs = lru_cache(maxsize=None)(enumerate_configs)
+
+
+@lru_cache(maxsize=None)
+def build_comma(tree, k: int) -> FinCategory:
+    """The category of k-white configurations on tree.
+
+    Arrows o -> o2 are k-tuples of unary operations, one per white circle of
+    o2, whose substitution into o2 yields o.  With k = 0 the category is
+    terminal: the bare tree and its identity.  The only compose sweep of the
+    commas: unary operations are numbered as they are met, arrows are told
+    apart by id tuples, and each pair of unary ids is composed once.
     """
+    if k < 0:
+        raise ValueError("white count must be nonnegative")
+    if k == 0:
+        return _point(tree)
+    objects = _configs(tree, k)
+    oid = {o: n for n, o in enumerate(objects)}
     opify = lru_cache(maxsize=None)(HOperation)
     unary_terms, unary_id = [], {}
 
@@ -692,21 +709,18 @@ def _unary_comma(objects, config, related) -> FinCategory:
             unary_id[unary_terms[n]] = n
         return tuple(range(first, len(unary_terms)))
 
-    carrying = {}
-    for n, x in enumerate(objects):
-        carrying.setdefault(config(x), []).append(n)
     src, dst, labels, arrows = [], [], [], []
-    for t, x2 in enumerate(objects):
-        op2 = opify(config(x2))
+    for t, o2 in enumerate(objects):
+        op2 = opify(o2)
         for combo in product(*(unaries(s) for s in op2.sources)):
             term = compose(op2, tuple(opify(unary_terms[p]) for p in combo)).term
-            label = tuple(unary_terms[p] for p in combo)
-            for s in carrying.get(term, ()):
-                if related(objects[s], x2):
-                    src.append(s)
-                    dst.append(t)
-                    labels.append(combo)
-                    arrows.append(Arrow(objects[s], x2, label))
+            s = oid.get(term)
+            if s is None:
+                raise CategoryError(f"composite {term} into {o2} is not an object")
+            src.append(s)
+            dst.append(t)
+            labels.append(combo)
+            arrows.append(Arrow(objects[s], o2, tuple(unary_terms[p] for p in combo)))
 
     @lru_cache(maxsize=None)
     def composite(q: int, p: int) -> int:
@@ -718,40 +732,10 @@ def _unary_comma(objects, config, related) -> FinCategory:
 
     comp, index = _composition(len(objects), arrows, src, dst, labels, combine)
     ident = []
-    for n, x in enumerate(objects):
-        ids = tuple(
-            unary_id.get(identity_op(s).term, -1) for s in opify(config(x)).sources
-        )
+    for n, o in enumerate(objects):
+        ids = tuple(unary_id.get(identity_op(s).term, -1) for s in opify(o).sources)
         ident.append(index.get((n, n, ids), -1))
     return FinCategory._of_ids(objects, arrows, src, dst, ident, comp)
-
-
-def _comma_on_objects(objs) -> FinCategory:
-    """The full subcategory of the comma category on the given configurations."""
-    return _unary_comma(objs, lambda o: o, lambda o, o2: True)
-
-
-def _point(x) -> FinCategory:
-    """The category with the one object x and its identity, labelled ()."""
-    ident = Arrow(x, x, ())
-    return FinCategory((x,), (ident,), {x: ident}, {(ident, ident): ident})
-
-
-@lru_cache(maxsize=None)
-def build_comma(tree, k: int) -> FinCategory:
-    """The category of k-white configurations on tree.
-
-    Arrows o -> o2 are k-tuples of unary operations, one per white circle of
-    o2, whose substitution into o2 yields o.  With k = 0 the category is
-    terminal: the bare tree and its identity.
-    """
-    if k < 0:
-        raise ValueError("white count must be nonnegative")
-    if k == 0:
-        return _point(tree)
-    # every composite of a config with unaries is again a config, so no
-    # arrow is lost to the endpoint filter
-    return _comma_on_objects(enumerate_configs(tree, k))
 
 
 @lru_cache(maxsize=None)
@@ -763,16 +747,20 @@ def _complexity_of(term) -> KElt:
 def comma_below(tree, cell: KElt) -> FinCategory:
     """Configurations on tree whose complexity is bounded by the given cell.
 
-    The bare tree is the one configuration without whites, and the only
-    arity-0 cell is below itself, so an arity-0 cell gives build_comma(tree, 0).
+    The full subcategory of build_comma(tree, cell.k) on them; if there are
+    none, the empty category, and build_comma is not built.  The bare tree is
+    the one configuration without whites, and the only arity-0 cell is below
+    itself, so an arity-0 cell gives build_comma(tree, 0).
     """
     if cell.k == 0:
         return build_comma(tree, 0)
-    keep = tuple(
-        o for o in enumerate_configs(tree, cell.k)
+    ids = [
+        n for n, o in enumerate(_configs(tree, cell.k))
         if k_leq(_complexity_of(o), cell)
-    )
-    return _comma_on_objects(keep)
+    ]
+    if not ids:
+        return FinCategory._of_ids((), (), [], [], [], [])
+    return _subcategory(build_comma(tree, cell.k), ids, lambda a: True)[0]
 
 
 @lru_cache(maxsize=None)
@@ -781,21 +769,40 @@ def build_hat_comma(tree, level: int = 2, k: int = 2) -> FinCategory:
 
     Objects are pairs (o, kappa) with kappa an arity-k element of the given
     filtration stage and the complexity of o bounded by the shift of kappa.
-    An arrow (o, kappa) -> (o2, kappa2) is a unary tuple composing o2 into o,
-    available whenever kappa <= kappa2.  With k = 0 the one object is the
-    bare tree with the one arity-0 tag.
+    An arrow (o, kappa) -> (o2, kappa2) is an arrow o -> o2 of build_comma,
+    available whenever kappa <= kappa2, and composes as there.  With k = 0
+    the one object is the bare tree with the one arity-0 tag.
     """
     kappas = k_enumerate(level, k)
     if k == 0:
         return _point((tree, kappas[0]))
-    objs = enumerate_configs(tree, k)
-    objects = tuple(
-        (o, kap)
+    configs = _configs(tree, k)
+    tagged = [
+        (n, kap)
         for kap in kappas
-        for o in objs
+        for n, o in enumerate(configs)
         if k_leq(_complexity_of(o), k_iota(kap))
+    ]
+    objects = tuple((configs[n], kap) for n, kap in tagged)
+    carrying = [[] for _ in configs]
+    for x, (n, _) in enumerate(tagged):
+        carrying[n].append(x)
+    C = build_comma(tree, k)
+    src, dst, base, arrows = [], [], [], []
+    for t, (n2, kap2) in enumerate(tagged):
+        for a in C._into[n2]:
+            for s in carrying[C._src[a]]:
+                if k_leq(tagged[s][1], kap2):
+                    src.append(s)
+                    dst.append(t)
+                    base.append(a)
+                    arrows.append(Arrow(objects[s], objects[t], C.arrows[a].label))
+    comp, index = _composition(
+        len(objects), arrows, src, dst, base,
+        lambda g, f: C._comp[base[f]][base[g]],
     )
-    return _unary_comma(objects, lambda x: x[0], lambda x, x2: k_leq(x[1], x2[1]))
+    ident = [index.get((x, x, C._ident[n]), -1) for x, (n, _) in enumerate(tagged)]
+    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp)
 
 
 def hat_comma_grothendieck(tree, level: int = 2, k: int = 2) -> FinCategory:

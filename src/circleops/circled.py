@@ -466,12 +466,8 @@ def _map_whites(c, f):
 
 # --- enumeration ---------------------------------------------------------------
 
-def enumerate_configs(t, k: int, profile=None):
-    """All valid configurations on t with white labels 1..k, sorted by text.
-
-    With profile given, keep only configurations whose inside trees by label
-    equal the profile tuple exactly.
-    """
+def enumerate_configs(t, k: int):
+    """All valid configurations on t with white labels 1..k, sorted by text."""
     if k < 0:
         raise ValueError("white circle count must be nonnegative")
     out = []
@@ -486,20 +482,12 @@ def enumerate_configs(t, k: int, profile=None):
                 valid = validate_config(labelled).ok
             if not valid:
                 break
-            if profile is not None:
-                if white_profile(labelled)[0] != tuple(profile):
-                    continue
             out.append(labelled)
     out.sort(key=str)
     for x, y in zip(out, out[1:]):
         if x == y:
             raise RuntimeError("enumeration produced a duplicate configuration")
     return tuple(out)
-
-
-def enumerate_unary(source, target):
-    """All one-white configurations on target whose inside tree is source."""
-    return enumerate_configs(target, 1, profile=(source,))
 
 
 @lru_cache(maxsize=None)

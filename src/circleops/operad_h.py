@@ -85,14 +85,9 @@ def identity_op(t) -> HOperation:
     return HOperation(Circ(White(1), t, (LEAF,) * tree_leaves(t)))
 
 
-def operations(t, k: int, profile=None):
-    """All operations with k white circles on t, optionally source-filtered."""
-    return tuple(HOperation(c) for c in enumerate_configs(t, k, profile=profile))
-
-
-def unary_operations(source, target):
-    """All operations in the single-source homset from source to target."""
-    return operations(target, 1, profile=(source,))
+def operations(t, k: int):
+    """All operations with k white circles on t."""
+    return tuple(HOperation(c) for c in enumerate_configs(t, k))
 
 
 # --- composition ------------------------------------------------------------------

@@ -373,3 +373,17 @@ def test_14_stage_posets_have_the_homology_of_configuration_spaces():
         euler = sum((-1) ** n * d for n, d in enumerate(cx.dims))
         assert euler == sum((-1) ** n * c for n, c in enumerate(poincare)), (m, k)
     assert time.perf_counter() - start < 1.0
+
+
+def test_15_comma_below_positive_cells_is_acyclic_at_k3():
+    # the lemma at three white circles: every shifted stage-2 cell of arity 3
+    start = time.perf_counter()
+    tree = parse_tree("(| |)")
+    cells = [k_iota(c) for c in k_enumerate(2, 3)]
+    assert len(cells) == 48
+    for cell in cells:
+        report = acyclicity_report(comma_below(tree, cell), 3)
+        assert report.object_count > 0, kelt_text(cell)
+        assert report.component_count == 1, kelt_text(cell)
+        assert report.acyclic, (kelt_text(cell), report)
+    assert time.perf_counter() - start < 15.0

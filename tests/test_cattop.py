@@ -6,7 +6,9 @@ import pytest
 
 from circleops.trees import LEAF, parse_tree
 from circleops.kgraph import KElt, k_enumerate, k_iota, k_leq, parse_kelt
+from circleops import cattop
 from circleops.circled import parse_config
+from circleops.operad_h import identity_op
 from circleops.cattop import (
     Arrow,
     CategoryError,
@@ -405,6 +407,41 @@ def test_left_of_cells_empty_on_linear_trees():
             assert C.objects == ()
             rep = acyclicity_report(C, max_dim=1)
             assert not rep.acyclic and rep.object_count == 0
+
+
+def test_commas_are_read_off_build_comma(monkeypatch):
+    # once build_comma(t, 2) is built, the filtered and tagged commas compose
+    # nothing; a cell with no configuration below it does not build it at all
+    t = parse_tree("(| |)")
+    build_comma(t, 2)
+    comma_below.cache_clear()
+    build_hat_comma.cache_clear()
+    calls = []
+    real = cattop.compose
+
+    def counting(outer, inner):
+        calls.append((outer, inner))
+        return real(outer, inner)
+
+    monkeypatch.setattr(cattop, "compose", counting)
+    for cell in cells22():
+        assert comma_below(t, cell).objects
+    assert build_hat_comma(t).objects
+    assert calls == []
+    chain3 = parse_tree("(((|)))")
+    before = build_comma.cache_info()
+    for perm in [(1, 2), (2, 1)]:
+        assert comma_below(chain3, KElt(2, (0,), perm)).objects == ()
+    assert build_comma.cache_info() == before
+    assert calls == []
+
+
+def test_composite_off_the_objects_is_a_category_error(monkeypatch):
+    # a composite that is no configuration on the tree names the failure
+    stray = identity_op(parse_tree("((|) |)"))
+    monkeypatch.setattr(cattop, "compose", lambda outer, inner: stray)
+    with pytest.raises(CategoryError, match="is not an object"):
+        build_comma.__wrapped__(parse_tree("(|)"), 1)
 
 
 # --- nerve and homology of the complete-graph posets -------------------------------

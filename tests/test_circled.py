@@ -19,7 +19,6 @@ from circleops.circled import (
     circle_graft,
     contracted,
     enumerate_configs,
-    enumerate_unary,
     inside_tree,
     open_leaves,
     parse_config,
@@ -501,18 +500,6 @@ def test_enumerate_is_sorted_valid_and_deterministic():
             report = validate_config(c)
             assert report.ok and report.whites == k
             assert underlying(c) == t
-
-
-def test_enumerate_profile_filter():
-    target = parse_tree("(|)")
-    assert enumerate_unary(LEAF, target) == (
-        parse_config("({w1 | / |})"),
-        parse_config("{w1 | / (|)}"),
-    )
-    assert enumerate_unary(target, target) == (parse_config("{w1 (|) / |}"),)
-    whole = enumerate_configs(target, 1)
-    split = [c for s in (LEAF, target) for c in enumerate_unary(s, target)]
-    assert sorted(split, key=str) == sorted(whole, key=str)
 
 
 def test_enumerate_rejects_negative_k():

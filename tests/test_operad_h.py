@@ -45,7 +45,6 @@ from circleops.operad_h import (
     sigma_act,
     substitute_whites,
     superimpose,
-    unary_operations,
     unit_sides,
 )
 from circleops.trees import LEAF, Node, corolla, node, parse_tree
@@ -98,13 +97,6 @@ def test_identity_op():
     assert e.term == Circ(White(1), t, (LEAF, LEAF))
     assert e.sources == (t,) and e.target == t
     assert complexity(e) == KElt(1, (), (1,))
-
-
-def test_unary_operations_are_profiled():
-    t = parse_tree("(|)")
-    for o in unary_operations(LEAF, t):
-        assert o.sources == (LEAF,) and o.target == t
-    assert len(unary_operations(t, t)) == 1
 
 
 # --- superimpose -------------------------------------------------------------------

@@ -113,15 +113,20 @@ def report_lines(name, F):
         yield from (f"approx {text(z)} -> {text(t)}" for z, t in r.approximations)
 
 
-def positive_cells():
-    """The four positive arity-2 cells, shifts of k_enumerate(2, 2)."""
-    return [k_iota(c) for c in k_enumerate(2, 2)]
+def positive_cells(k=2):
+    """The positive arity-k cells, shifts of k_enumerate(2, k): four at k=2."""
+    return [k_iota(c) for c in k_enumerate(2, k)]
 
 
-def comma_belows(trees=FIVE_TREES):
+def comma_belows(trees=FIVE_TREES, k=2):
     for t in trees:
-        for cell in positive_cells():
+        for cell in positive_cells(k):
             yield f"comma_below {t} [{cell}]", comma_below(parse_tree(t), cell)
+
+
+def k3_hat_commas():
+    for t in ("|", "(|)"):
+        yield f"build_hat_comma {t} k=3", build_hat_comma(parse_tree(t), 2, 3)
 
 
 def posets():
@@ -349,6 +354,8 @@ def enumeration_lines():
 HEAVY = {
     "heavy/build_comma k=3": categories_item(
         lambda: commas((("(|)", 3), ("((|) |)", 3)))),
+    "heavy/comma_below k=3": categories_item(lambda: comma_belows(("(| |)",), 3)),
+    "heavy/build_hat_comma k=3": categories_item(k3_hat_commas),
     "heavy/build_comma test_02 corpus": categories_item(
         lambda: commas((t, k) for t in TEST_02_TREES for k in (1, 2))),
     "heavy/nerve stage 3": nerves_item(
