@@ -819,8 +819,10 @@ def hat_comma_grothendieck(tree, level: int = 2, k: int = 2) -> FinCategory:
 def hat_comma_isomorphism(tree, level: int = 2, k: int = 2) -> FinFunctor:
     """The canonical matching of the hat comma with its Grothendieck model.
 
-    Returns the forward functor after checking it is bijective on objects
-    and arrows; a failure raises CategoryError.
+    Returns the forward functor after checking that it is onto the objects
+    and the arrows of the Grothendieck model; a failure raises
+    CategoryError.  It is one-to-one by construction, so that is not
+    checked: distinct hat objects and arrows look up distinct keys.
     """
     hat = build_hat_comma(tree, level, k)
     total = hat_comma_grothendieck(tree, level, k)

@@ -173,20 +173,16 @@ CONTENT = ("content", 0)
 
 
 def resolve(c, addr):
-    for step in addr:
-        c = _descend(c, step)
+    for what, idx in addr:
+        if what == "child" and isinstance(c, Node) and idx < len(c.children):
+            c = c.children[idx]
+        elif what == "content" and isinstance(c, Circ):
+            c = c.content
+        elif what == "graft" and isinstance(c, Circ) and idx < len(c.grafts):
+            c = c.grafts[idx]
+        else:
+            raise ValueError(f"address step {(what, idx)} does not match term {c}")
     return c
-
-
-def _descend(c, step):
-    what, idx = step
-    if what == "child" and isinstance(c, Node) and idx < len(c.children):
-        return c.children[idx]
-    if what == "content" and isinstance(c, Circ):
-        return c.content
-    if what == "graft" and isinstance(c, Circ) and idx < len(c.grafts):
-        return c.grafts[idx]
-    raise ValueError(f"address step {step} does not match term {c}")
 
 
 def replace_at(c, addr, new):
@@ -306,106 +302,6 @@ def validate_config(c) -> ValidityReport:
         violations.append(((), "white-labels-not-contiguous",
                            f"white labels {sorted(labels_seen)} are not 1..{k}"))
     return ValidityReport(ok=not violations, whites=k, violations=tuple(violations))
-
-
-# --- relative position of two circles ---------------------------------------
-
-@dataclass(frozen=True)
-class Outside:
-    """One circle encloses the other; outer is the enclosing one."""
-
-    outer: tuple
-
-
-@dataclass(frozen=True)
-class Below:
-    """Disjoint, and the root path of one passes through the other (lower)."""
-
-    lower: tuple
-
-
-@dataclass(frozen=True)
-class LeftOf:
-    """Disjoint subtrees diverging at a planar branching; left comes first."""
-
-    left: tuple
-
-
-def relative_position(c, a, b):
-    """Position of the circles at addresses a and b; symmetric in a and b."""
-    if a == b:
-        raise ValueError("relative_position needs two distinct circles")
-    cur = c
-    i = 0
-    while True:
-        if i == len(a) or i == len(b):
-            outer, rest = (a, b) if i == len(a) else (b, a)
-            what = rest[i][0]
-            if what == "content":
-                return Outside(outer=outer)
-            if what == "graft":
-                return Below(lower=outer)
-            raise ValueError("address does not point at a circle")
-        sa, sb = a[i], b[i]
-        if sa == sb:
-            cur = _descend(cur, sa)
-            i += 1
-            continue
-        if isinstance(cur, Node):
-            return LeftOf(left=a if sa[1] < sb[1] else b)
-        if sa[0] == "graft" and sb[0] == "graft":
-            return LeftOf(left=a if sa[1] < sb[1] else b)
-        # One descends into the content, the other sits above a graft: decide
-        # by running the content circle against the exit path of that graft.
-        inner, exit_idx = (a, sb[1]) if sa[0] == "content" else (b, sa[1])
-        verdict = _against_exit_path(cur.content, inner[i + 1:],
-                                     _leaf_path(cur.content, exit_idx))
-        if verdict == "through":
-            return Below(lower=inner)
-        if verdict == "left":
-            return LeftOf(left=inner)
-        return LeftOf(left=b if inner is a else a)
-
-
-def _leaf_path(t, n):
-    """Address of the n-th open leaf; such paths never enter a content."""
-    if isinstance(t, Leaf):
-        if n != 0:
-            raise ValueError("leaf index out of range")
-        return ()
-    parts = t.children if isinstance(t, Node) else t.grafts
-    what = "child" if isinstance(t, Node) else "graft"
-    for i, part in enumerate(parts):
-        m = open_leaves(part)
-        if n < m:
-            return ((what, i),) + _leaf_path(part, n)
-        n -= m
-    raise ValueError("leaf index out of range")
-
-
-def _against_exit_path(t, caddr, laddr):
-    """How a circle inside t sits against the downward path from an open leaf.
-
-    Returns "through" when the path passes through the circle, otherwise on
-    which side of the path the circle diverges.
-    """
-    cur = t
-    i = 0
-    while True:
-        if i == len(caddr):
-            return "through"
-        sa, sl = caddr[i], laddr[i]
-        if sa == sl:
-            cur = _descend(cur, sa)
-            i += 1
-            continue
-        if isinstance(cur, Node):
-            return "left" if sa[1] < sl[1] else "right"
-        if sa[0] == "graft" and sl[0] == "graft":
-            return "left" if sa[1] < sl[1] else "right"
-        # the circle enters an intermediate circle, the path crosses above it
-        return _against_exit_path(cur.content, caddr[i + 1:],
-                                  _leaf_path(cur.content, sl[1]))
 
 
 # --- surgery -----------------------------------------------------------------

@@ -9,9 +9,14 @@ black circles that enclose fewer than two vertices, sit directly inside
 another black circle, or sit outside every white circle.
 
 The complexity of an operation records, for every pair of white circles,
-how they sit relative to each other (side by side, stacked, or nested) and
-which of the two dominates, as an edge-labelled complete graph.  Composition
-never increases complexity beyond the composite of the complexities.
+how they sit relative to each other and which of the two dominates, as an
+edge-labelled complete graph.  It is read off one walk of the underlying
+tree.  A pair is nested (2) when one circle holds the other, and the outer
+one dominates; stacked (1) when both are entered on one edge or one
+entering edge lies above the other's, and the lower one dominates; side by
+side (0) otherwise, and the circle on the earlier edge in preorder, the
+left one, dominates.  Composition never increases complexity beyond the
+composite of the complexities.
 """
 
 from __future__ import annotations
@@ -22,16 +27,13 @@ from itertools import chain
 
 from .circled import (
     BLACK,
-    Below,
     Circ,
-    LeftOf,
     White,
     _map_whites,
     circle_graft,
     contracted,
     enumerate_configs,
     relabel_whites,
-    relative_position,
     underlying,
     validate_config,
     white_addresses,
@@ -291,31 +293,75 @@ def equivariance_sides(sigma, o: HOperation, gathered, r3: bool = True):
 def complexity(o: HOperation) -> KElt:
     """The labelled complete graph of pairwise white-circle positions.
 
-    Side-by-side pairs get label 0, stacked pairs 1, nested pairs 2; the
-    dominant circle of a pair is the left, lower or outer one.  Dominance
-    is always transitive on a valid configuration and orders the vertices.
+    A pair is nested (label 2) when one circle holds the other; the outer
+    one dominates.  Otherwise it is stacked (label 1) when both circles are
+    entered on one edge of the underlying tree, or when one entering edge
+    lies above the other's; the lower one dominates.  Otherwise the pair is
+    side by side (label 0), and the circle on the earlier edge in preorder
+    is on the left and dominates.  Dominance is always transitive on a
+    valid configuration and orders the vertices.
     """
-    addrs = white_addresses(o.term)
-    names = {addr: label for label, addr in addrs.items()}
-    k = o.k
+    sites, ends = _white_sites(o.term)
+    k = len(sites)
     labels = []
     wins = dict.fromkeys(range(1, k + 1), 0)
     for i, j in vertex_pairs(k):
-        rel = relative_position(o.term, addrs[i], addrs[j])
-        if isinstance(rel, LeftOf):
-            labels.append(0)
-            dominant = names[rel.left]
-        elif isinstance(rel, Below):
-            labels.append(1)
-            dominant = names[rel.lower]
-        else:
-            labels.append(2)
-            dominant = names[rel.outer]
-        wins[dominant] += 1
+        # The walk reaches the outer, lower or left circle of a pair first,
+        # so i's edge is at most j's; the edges above edge e are numbered
+        # from e + 1 up to ends[e] - 1.
+        if sites[j][1] < sites[i][1]:
+            i, j = j, i
+        edge_j, _, around_j = sites[j]
+        stacked = edge_j < ends[sites[i][0]]
+        labels.append(2 if i in around_j else 1 if stacked else 0)
+        wins[i] += 1
     if sorted(wins.values()) != list(range(k)):
         raise ValueError("dominance between white circles is not transitive")
     perm = tuple(k - wins[i] for i in range(1, k + 1))
     return KElt(k, tuple(labels), perm)
+
+
+def _white_sites(term):
+    """Where the white circles of term sit on its underlying tree.
+
+    The edges of the underlying tree are numbered in preorder, the root edge
+    0.  Returns (sites, ends): sites maps each white label to (edge, visit,
+    around), the edge the circle is entered on, its place in the walk (which
+    orders the circles along an edge from the bottom up) and the labels of
+    the white circles around it; ends[e] is the first edge number past the
+    part of the tree above edge e.  An exit leaf of a circle's content
+    continues into the matching graft on the same edge, so the walk recurses
+    only at the vertices of the underlying tree.
+    """
+    sites = {}
+    ends = [0]
+
+    def walk(c, edge, around, exits):
+        # exits: (remaining grafts, around, exits) of the innermost circle
+        # whose content c lies in, or None outside every circle.
+        while True:
+            if isinstance(c, Node):
+                for x in c.children:
+                    n = len(ends)
+                    ends.append(n)
+                    walk(x, n, around, exits)
+                    ends[n] = len(ends)
+                return
+            if isinstance(c, Circ):
+                exits = (iter(c.grafts), around, exits)
+                if isinstance(c.kind, White):
+                    sites[c.kind.label] = (edge, len(sites), around)
+                    around = around | {c.kind.label}
+                c = c.content
+            elif exits is None:
+                return
+            else:
+                grafts, around, exits = exits
+                c = next(grafts)
+
+    walk(term, 0, frozenset(), None)
+    ends[0] = len(ends)
+    return sites, ends
 
 
 # --- the filtered extension ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for circled trees: codec, validity, positions, surgery, enumeration."""
+"""Tests for circled trees: codec, validity, surgery, enumeration."""
 
 import itertools
 import random
@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from circleops.circled import (
     BLACK,
     CONTENT,
-    Below,
     Circ,
-    LeftOf,
-    Outside,
     White,
     circle_addresses,
     circle_graft,
@@ -24,7 +21,6 @@ from circleops.circled import (
     parse_config,
     random_config,
     relabel_whites,
-    relative_position,
     replace_at,
     resolve,
     splice,
@@ -33,6 +29,7 @@ from circleops.circled import (
     white_addresses,
     white_profile,
 )
+from circleops.operad_h import HOperation, complexity
 from circleops.trees import LEAF, Node, ParseError, corolla, node, parse_tree
 from circleops.trees import vertices as tree_vertices
 
@@ -292,95 +289,18 @@ def test_white_label_rules():
     assert codes(parse_config("({w1 | / |} {w1 | / |})")) == ("duplicate-white-label",)
 
 
-# --- relative position ----------------------------------------------------------
-
-def test_relative_position_basic_pairs():
-    conc = parse_config(CONCENTRIC)
-    assert relative_position(conc, (), (CONTENT,)) == Outside(outer=())
-    stack = parse_config(STACKED)
-    assert relative_position(stack, (), (("graft", 0),)) == Below(lower=())
-    side = parse_config("({w1 | / |} {w2 | / |})")
-    a, b = (("child", 0),), (("child", 1),)
-    assert relative_position(side, a, b) == LeftOf(left=a)
-
-
-def test_relative_position_content_versus_graft():
-    # a nested circle against one stacked above: disjoint, nested one lower
-    c = cw(1, cw(2, LEAF, LEAF), cw(3, LEAF, LEAF))
-    w = white_addresses(c)
-    assert relative_position(c, w[2], w[3]) == Below(lower=w[2])
-    # the nested circle sits on the left branch, the stacked one above the
-    # right exit, so they diverge sideways
-    c = cw(1, Node((cw(2, LEAF, LEAF), LEAF)), LEAF, cw(3, LEAF, LEAF))
-    w = white_addresses(c)
-    assert relative_position(c, w[2], w[3]) == LeftOf(left=w[2])
-    c = cw(1, Node((LEAF, cw(2, LEAF, LEAF))), cw(3, LEAF, LEAF), LEAF)
-    w = white_addresses(c)
-    assert relative_position(c, w[2], w[3]) == LeftOf(left=w[3])
-
-
-def test_relative_position_through_intermediate_circle():
-    # the inner circle hides in the grafts of an intermediate circle
-    c = cw(1, cw(2, LEAF, cw(3, LEAF, LEAF)), cw(4, LEAF, LEAF))
-    w = white_addresses(c)
-    assert relative_position(c, w[3], w[4]) == Below(lower=w[3])
-    # or inside its content
-    c = cw(1, cw(2, cw(3, LEAF, LEAF), LEAF), cw(4, LEAF, LEAF))
-    w = white_addresses(c)
-    assert relative_position(c, w[3], w[4]) == Below(lower=w[3])
-    # sideways once the intermediate circle has two exits
-    c = cw(1, cw(2, corolla(2), cw(3, LEAF, LEAF), LEAF), LEAF, cw(4, LEAF, LEAF))
-    w = white_addresses(c)
-    assert relative_position(c, w[3], w[4]) == LeftOf(left=w[3])
-
-
-def test_relative_position_five_circle_demo():
-    c = five_circle_demo()
-    w = white_addresses(c)
-    expect = {
-        (1, 2): Outside(outer=w[1]),
-        (1, 3): Outside(outer=w[1]),
-        (1, 4): Below(lower=w[1]),
-        (1, 5): Below(lower=w[1]),
-        (2, 3): Outside(outer=w[2]),
-        (2, 4): LeftOf(left=w[4]),
-        (2, 5): LeftOf(left=w[5]),
-        (3, 4): LeftOf(left=w[4]),
-        (3, 5): LeftOf(left=w[5]),
-        (4, 5): Outside(outer=w[4]),
-    }
-    for (i, j), want in expect.items():
-        assert relative_position(c, w[i], w[j]) == want
-        assert relative_position(c, w[j], w[i]) == want
-
-
-def test_relative_position_rejects_equal_addresses():
-    c = parse_config(CONCENTRIC)
-    with pytest.raises(ValueError):
-        relative_position(c, (), ())
-
+# --- pairwise relations of white circles ---------------------------------------
 
 def rel_by_label(c):
-    """Pairwise relation of white circles keyed by labels, not addresses."""
-    addrs = white_addresses(c)
-    names = {addr: label for label, addr in addrs.items()}
-    out = {}
-    for i, j in itertools.combinations(sorted(addrs), 2):
-        r = relative_position(c, addrs[i], addrs[j])
-        if isinstance(r, Outside):
-            out[(i, j)] = ("outside", names[r.outer])
-        elif isinstance(r, Below):
-            out[(i, j)] = ("below", names[r.lower])
-        else:
-            out[(i, j)] = ("left", names[r.left])
-    return out
+    """Pairwise relations of the white circles, as the complexity graph."""
+    return complexity(HOperation(c))
 
 
 def test_every_white_pair_is_classified():
     for t, k in [(LEAF, 2), (LEAF, 3), (node(LEAF, LEAF), 2)]:
         for c in enumerate_configs(t, k):
             rel = rel_by_label(c)
-            assert len(rel) == k * (k - 1) // 2
+            assert rel.k == k and len(rel.labels) == k * (k - 1) // 2
 
 
 # --- surgery -------------------------------------------------------------------

@@ -17,6 +17,9 @@ arity was reported by name.
 The `TERM_SHA256` values were recorded before composition became one walk
 per stage: both sides of each operad law on seeded operations, with and
 without the uncovered-black rule, and the errors of rejected compositions.
+The complexity value was recorded before complexity was read off one walk
+of the underlying tree: the complexity of every small configuration and of
+seeded draws with up to eight white circles.
 The `RENDER_SHA256` value was recorded before the clearance check stopped
 scanning every pair of curve sides: 300 seeded drawings with 1 to 6 white
 circles, each with its clearance violations and, when clear, its SVG.
@@ -78,6 +81,8 @@ TERM_SHA256 = {
         "c9c3a47ff2b9f816dd9ab2dfb7b4255f12703bdf42c6215ccb3a55febbac0983",
     "terms/rejected":
         "766516dc9249bb441e66f143242b93a852478f7afd51982d470de31f3f92a4f9",
+    "terms/complexity":
+        "aaa62bdd3817bc9aef4d6081966ed6f35d6885a923d3ff8055f912153923a73d",
 }
 
 RENDER_SHA256 = {

@@ -365,6 +365,32 @@ def test_complexity_of_basic_pairs():
     }
     for text, want in cases.items():
         assert complexity(HOperation(parse_config(text))) == want
+    # (pair, label, dominant circle) where a circle nested in one white
+    # circle meets one stacked above it, directly or through a third
+    pairs = {
+        "{w1 {w2 | / |} / {w3 | / |}}": ((2, 3), 1, 2),
+        "{w1 ({w2 | / |} |) / | {w3 | / |}}": ((2, 3), 0, 2),
+        "{w1 (| {w2 | / |}) / {w3 | / |} |}": ((2, 3), 0, 3),
+        "{w1 {w2 | / {w3 | / |}} / {w4 | / |}}": ((3, 4), 1, 3),
+        "{w1 {w2 {w3 | / |} / |} / {w4 | / |}}": ((3, 4), 1, 3),
+        "{w1 {w2 (| |) / {w3 | / |} |} / | {w4 | / |}}": ((3, 4), 0, 3),
+    }
+    for text, ((i, j), label, dominant) in pairs.items():
+        got = complexity(HOperation(parse_config(text)))
+        assert got.mu(i, j) == label
+        assert got.before(i, j) == (dominant == i)
+
+
+def test_complexity_at_the_parsers_nesting_limit():
+    n = 199
+    stacked = nested = "|"
+    for label in range(n, 0, -1):
+        stacked = f"{{w{label} | / {stacked}}}"
+        nested = f"{{w{label} {nested} / |}}"
+    for text, label in ((stacked, 1), (nested, 2)):
+        got = complexity(HOperation(parse_config(text)))
+        assert got == KElt(n, (label,) * (n * (n - 1) // 2),
+                           tuple(range(1, n + 1)))
 
 
 def test_complexity_of_five_circle_demo():

@@ -47,6 +47,7 @@ from circleops.kgraph import k_enumerate, k_iota, k_leq, parse_kelt
 from circleops.operad_h import (
     HOperation,
     associativity_sides,
+    complexity,
     compose,
     equivariance_sides,
     identity_op,
@@ -246,9 +247,28 @@ def rejected_lines():
         yield f"{outer} ; {' ; '.join(inners)} => {outcome(compose, o, args)}"
 
 
+def complexity_lines(configs):
+    """Each configuration and the complexity of its operation, or the error."""
+    for c in configs:
+        yield f"{c} => {outcome(lambda: complexity(HOperation(c)))}"
+
+
+def complexity_configs(seed=20261018, samples=300):
+    """Every configuration on enumerate_trees(2, 2) with k <= 2, then seeded
+    draws on enumerate_trees(3, 3) cycling through 1..8 white circles."""
+    for t in enumerate_trees(2, 2):
+        for k in range(3):
+            yield from enumerate_configs(t, k)
+    rng = random.Random(seed)
+    trees = enumerate_trees(3, 3)
+    for i in range(samples):
+        yield random_config(rng, trees[i % len(trees)], 1 + i % 8)
+
+
 TERM = {
     "terms/laws": law_lines,
     "terms/rejected": rejected_lines,
+    "terms/complexity": lambda: complexity_lines(complexity_configs()),
 }
 
 
@@ -365,6 +385,9 @@ HEAVY = {
     "heavy/fiber_adjoint_report five trees": functors_item(FIVE_TREES, report_lines),
     "heavy/test_02 composites": test_02_lines,
     "heavy/enumerate_configs trees(3, 3) k<=2": enumeration_lines,
+    "heavy/complexity trees(3, 3) k<=3": lambda: complexity_lines(
+        c for t in enumerate_trees(3, 3) for k in (1, 2, 3)
+        for c in enumerate_configs(t, k)),
     "heavy/render every (tree, k<=6) at seeds 1, 2, 3": lambda: drawing_lines(
         c for seed in (1, 2, 3) for c in every_render_config(seed)),
 }
