@@ -243,11 +243,26 @@ def inside_tree(c, addr):
 
 def white_profile(c):
     """((T_1, ..., T_k), T): the inside trees by white label and the output tree."""
-    addrs = white_addresses(c)
-    k = len(addrs)
-    if set(addrs) != set(range(1, k + 1)):
-        raise ValueError(f"white labels {sorted(addrs)} are not 1..{k}")
-    return tuple(inside_tree(c, addrs[j]) for j in range(1, k + 1)), underlying(c)
+    insides = {}
+
+    def walk(term):
+        # underlying(term), recording each white circle's inside tree in
+        # preorder on the way.
+        if isinstance(term, Leaf):
+            return LEAF
+        if isinstance(term, Node):
+            return Node(tuple(walk(x) for x in term.children))
+        if isinstance(term.kind, White):
+            if term.kind.label in insides:
+                raise ValueError(f"duplicate white label {term.kind.label}")
+            insides[term.kind.label] = contracted(term.content)
+        return graft(walk(term.content), [walk(g) for g in term.grafts])
+
+    out = walk(c)
+    k = len(insides)
+    if set(insides) != set(range(1, k + 1)):
+        raise ValueError(f"white labels {sorted(insides)} are not 1..{k}")
+    return tuple(insides[j] for j in range(1, k + 1)), out
 
 
 # --- validity ----------------------------------------------------------------

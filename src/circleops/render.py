@@ -6,7 +6,9 @@ consecutive horizontal slots, and an inner vertex is centred over its
 children.  Each circle is drawn as the convex hull of its region (the
 positions of the vertices it encloses plus the curves of the circles directly
 inside it) offset outwards by a fixed margin, so nested circles are nested
-curves by construction.  White circles are dashed and labelled, black circles
+curves by construction.  The offset hull is computed in three steps: hull the
+region, offset each hull corner by the margin corners in its normal cone, and
+hull those candidates.  White circles are dashed and labelled, black circles
 are solid.
 
 Aesthetics are secondary to determinism: the same term always produces
@@ -36,6 +38,13 @@ _LAYER_HEIGHT = 80.0
 _CROSSING_STRETCH = 0.5
 _MARGIN = 14.0
 _CORNER_SAMPLES = 16
+_STEP = 2 * math.pi / _CORNER_SAMPLES
+# The margin offsets, at half-step angles: they keep hull corners off the
+# vertical edge lines, so curve/edge crossings stay transversal.
+_CORNERS = tuple(
+    (_MARGIN * math.cos((i + 0.5) * _STEP), _MARGIN * math.sin((i + 0.5) * _STEP))
+    for i in range(_CORNER_SAMPLES)
+)
 _PAD = 30.0
 _STROKE_WIDTH = 1.5
 _VERTEX_RADIUS = 3.0
@@ -185,16 +194,7 @@ def layout_config(c) -> Layout:
             pts.extend(curve_points[child])
         if not pts:
             pts = [anchor(cid)]
-        # Half-step offset keeps hull corners off the vertical edge lines,
-        # so curve/edge crossings stay transversal.
-        step = 2 * math.pi / _CORNER_SAMPLES
-        angles = [(i + 0.5) * step for i in range(_CORNER_SAMPLES)]
-        aug = [
-            (x + _MARGIN * math.cos(a), y + _MARGIN * math.sin(a))
-            for x, y in pts
-            for a in angles
-        ]
-        curve_points[cid] = convex_hull(aug)
+        curve_points[cid] = _offset_hull(pts)
 
     for cid, info in enumerate(circles):
         if info["parent"] is None:
@@ -240,6 +240,40 @@ def convex_hull(points) -> tuple:
             upper.pop()
         upper.append(p)
     return tuple(lower[:-1] + upper[:-1])
+
+
+def _offset_hull(pts) -> tuple:
+    """The hull of pts offset by every margin corner, from few candidates.
+
+    That hull is the Minkowski sum of the hull of pts and the corner polygon,
+    and p + s is one of its vertices only where the normal cones of p and s
+    overlap.  So each hull vertex p of pts is offset only by the corners
+    whose angle lies in p's cone, between the outward normals of its two
+    sides, widened by one sample step on each side: with the bare cones,
+    convex_hull drops other near-collinear corners on some drawings.  A hull
+    of one or two points keeps every corner.
+    """
+    hull = convex_hull(pts)
+    n = len(hull)
+    if n <= 2:
+        return convex_hull(
+            [(x + ox, y + oy) for x, y in hull for ox, oy in _CORNERS]
+        )
+    # normals[j] is the angle of the outward normal of the side into hull[j],
+    # in sample steps, so that corner i lies at i.
+    normals = []
+    for j in range(n):
+        (x, y), (wx, wy) = hull[j - 1], hull[j]
+        normals.append(math.atan2(x - wx, wy - y) / _STEP - 0.5)
+    cands = []
+    for j in range(n):
+        lo = normals[j]
+        hi = lo + (normals[(j + 1) % n] - lo) % _CORNER_SAMPLES
+        x, y = hull[j]
+        for i in range(math.ceil(lo) - 1, math.floor(hi) + 2):
+            ox, oy = _CORNERS[i % _CORNER_SAMPLES]
+            cands.append((x + ox, y + oy))
+    return convex_hull(cands)
 
 
 # Shapes whose boxes are more than _BOX_SLACK apart are disjoint, and an edge

@@ -13,8 +13,6 @@ from circleops.circled import (
     Circ,
     White,
     circle_addresses,
-    circle_graft,
-    contracted,
     enumerate_configs,
     inside_tree,
     open_leaves,
@@ -31,7 +29,6 @@ from circleops.circled import (
 )
 from circleops.operad_h import HOperation, complexity
 from circleops.trees import LEAF, Node, ParseError, corolla, node, parse_tree
-from circleops.trees import vertices as tree_vertices
 
 
 def cw(label, content, *grafts):
@@ -239,6 +236,18 @@ def test_five_circle_demo_profile():
         parse_tree("(| (| |))"),
     )
     assert parse_config(str(c)) == c
+
+
+def test_profile_errors_in_preorder():
+    # The first repeated label in preorder is reported, before the labels
+    # are checked against 1..k.
+    for text, message in [
+        ("({w2 {w2 | / |} / |} {w1 {w1 | / |} / |})", "duplicate white label 2"),
+        ("({w3 | / |} {w1 | / {w3 | / |}})", "duplicate white label 3"),
+        ("{w3 {w1 | / |} / |}", r"white labels \[1, 3\] are not 1..2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            white_profile(parse_config(text))
 
 
 def test_inside_tree_requires_circle():

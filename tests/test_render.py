@@ -142,6 +142,79 @@ def test_relation_matches_the_scan_on_the_seeded_drawings():
     assert pairs > 1000
 
 
+# The all-corner construction, kept as the reference the curves must match:
+# every region point (the anchor of an empty region) offset by all 16 corners.
+
+def _all_corner_hull(pts):
+    step = 2 * math.pi / 16
+    angles = [(i + 0.5) * step for i in range(16)]
+    return convex_hull([
+        (x + 14.0 * math.cos(a), y + 14.0 * math.sin(a))
+        for x, y in pts
+        for a in angles
+    ])
+
+
+def _region_points(lay, cid):
+    pts = [(lay.nodes[v].x, lay.nodes[v].y) for v in sorted(lay.regions[cid])]
+    for child in lay.curves:
+        if child.parent == cid:
+            pts.extend(child.points)
+    if pts:
+        return pts
+    e = next(e for e in lay.edges if e.crossings.count(cid) == 2)
+    total = len(e.crossings) + 1
+    lo = (e.crossings.index(cid) + 1) / total
+    hi = (len(e.crossings) - list(reversed(e.crossings)).index(cid)) / total
+    t = (lo + hi) / 2
+    a, b = lay.nodes[e.src], lay.nodes[e.dst]
+    return [(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))]
+
+
+def _assert_curves_match_the_reference(c):
+    lay = layout_config(c)
+    for cid, curve in enumerate(lay.curves):
+        assert curve.points == _all_corner_hull(_region_points(lay, cid)), str(c)
+    return lay
+
+
+def test_curves_match_the_all_corner_hull_on_the_seeded_drawings():
+    curves = 0
+    for c in digests.render_configs():
+        curves += len(_assert_curves_match_the_reference(c).curves)
+    assert curves > 1000
+
+
+def test_one_point_region_keeps_every_corner():
+    lay = _assert_curves_match_the_reference(parse_config("{w1 | / |}"))
+    assert len(lay.curves[0].points) == 16
+
+
+def test_two_point_regions():
+    # A vertical pair, and a diagonal one: (| (|)) centres its root vertex
+    # between a leaf and a vertex.
+    for text in ["{w1 ((|)) / |}", "{w1 (| (|)) / | |}"]:
+        lay = _assert_curves_match_the_reference(parse_config(text))
+        assert len(lay.regions[0]) == 2
+        assert clearance_violations(lay) == ()
+
+
+def test_collinear_chain_drops_its_middle_vertices():
+    lay = _assert_curves_match_the_reference(parse_config("{w1 ((((|)))) / |}"))
+    pts = _region_points(lay, 0)
+    assert len(pts) == 4 and len(convex_hull(pts)) == 2
+    assert clearance_violations(lay) == ()
+
+
+def test_six_whites_stacked_on_one_edge():
+    text = "|"
+    for label in range(6, 0, -1):
+        text = f"{{w{label} | / {text}}}"
+    lay = _assert_curves_match_the_reference(parse_config(text))
+    assert len(lay.curves) == 6 and lay.regions == (frozenset(),) * 6
+    assert clearance_violations(lay) == ()
+
+
 # --- layout ---------------------------------------------------------------------
 
 def test_layout_of_bare_edge():
