@@ -15,6 +15,10 @@ the comma categories z/F and F/z of a functor (comma, with side "under" or
 of that fiber into either comma (fiber_inclusion), and the Grothendieck
 total of a diagram of categories.
 
+Every construction whose arrows are told apart by labels is made by one
+builder, _labelled, which finds each composite and identity by its label;
+subcategories are read off their parent's ids instead (_subcategory).
+
 The bridge to the operad is build_comma: its objects are the k-white
 configurations on a fixed tree and its arrows are k-tuples of unary
 operations composing one object into another; it alone composes, once
@@ -357,15 +361,18 @@ class FinFunctor:
         return self.cod.arrows[self._amap[self.dom._aid[a]]]
 
 
-def _composition(n: int, arrows, src, dst, labels, combine):
-    """Composition rows for arrows numbered over n objects, each composite
-    found by label.
+def _labelled(objects, src, dst, labels, payload, combine, unit):
+    """The category whose arrow a runs between the object ids src[a] and
+    dst[a] and carries payload(labels[a]); labels tell parallel arrows apart.
 
-    labels are hashable keys telling parallel arrows apart and combine(g, f)
-    gives the key of g after f.  Returns the rows and the index
-    (src, dst, label) -> arrow id; raises if two arrows share a key or a
-    composite is missing.  The payload arrows only name a failure.
+    combine(g, f) is the label of g after f and unit(x) that of the identity
+    at x.  Returns the checked category and the index (src, dst, label) ->
+    arrow id; raises if two arrows share a key or a composite is missing.
     """
+    arrows = tuple(
+        Arrow(objects[s], objects[t], payload(label))
+        for s, t, label in zip(src, dst, labels)
+    )
     index = {}
     for a, key in enumerate(zip(src, dst, labels)):
         if index.setdefault(key, a) != a:
@@ -373,7 +380,7 @@ def _composition(n: int, arrows, src, dst, labels, combine):
             raise CategoryError(
                 f"two arrows share source, target and label: {(x.src, x.dst, x.label)}"
             )
-    out = _outgoing(n, src)
+    out = _outgoing(len(objects), src)
     comp = []
     for f, (s, t) in enumerate(zip(src, dst)):
         row = {}
@@ -385,7 +392,8 @@ def _composition(n: int, arrows, src, dst, labels, combine):
                 )
             row[g] = h
         comp.append(row)
-    return comp, index
+    ident = [index.get((x, x, unit(x)), -1) for x in range(len(objects))]
+    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp), index
 
 
 # --- general constructions ----------------------------------------------------
@@ -393,23 +401,22 @@ def _composition(n: int, arrows, src, dst, labels, combine):
 def poset_category(elements, leq) -> FinCategory:
     """The thin category of a preorder; composition exists by transitivity."""
     elements = tuple(elements)
-    src, dst, arrows, ident = [], [], [], [None] * len(elements)
+    src, dst, reflexive = [], [], [False] * len(elements)
     for i, x in enumerate(elements):
         for j, y in enumerate(elements):
             if leq(x, y):
                 if i == j:
-                    ident[i] = len(src)
+                    reflexive[i] = True
                 src.append(i)
                 dst.append(j)
-                arrows.append(Arrow(x, y, None))
-    for x, e in zip(elements, ident):
-        if e is None:
+    for x, r in zip(elements, reflexive):
+        if not r:
             raise CategoryError(f"order is not reflexive at {x}")
     _numbering(elements, "objects")
-    comp, _ = _composition(
-        len(elements), arrows, src, dst, [None] * len(src), lambda g, f: None
-    )
-    return FinCategory._of_ids(elements, arrows, src, dst, ident, comp)
+    return _labelled(
+        elements, src, dst, [None] * len(src),
+        lambda label: None, lambda g, f: None, lambda x: None,
+    )[0]
 
 
 def _subcategory(C: FinCategory, objs, keep_arrow):
@@ -511,19 +518,13 @@ def _comma(F: FinFunctor, z: int, side: str):
                 src.append(pair_id[(s, comp[fm][g])])
                 dst.append(pair_id[(t, g)])
             labels.append(m)
-    objects = tuple((A.objects[w], B.arrows[g]) for w, g in pairs)
-    arrows = tuple(
-        Arrow(objects[s], objects[t], A.arrows[m])
-        for s, t, m in zip(src, dst, labels)
-    )
-    comp_k, index = _composition(
-        len(objects), arrows, src, dst, labels,
+    K, index = _labelled(
+        tuple((A.objects[w], B.arrows[g]) for w, g in pairs),
+        src, dst, labels, A.arrows.__getitem__,
         lambda g, f: A._comp[labels[f]][labels[g]],
+        lambda n: A._ident[pairs[n][0]],
     )
-    ident = [index.get((n, n, A._ident[w]), -1) for n, (w, _) in enumerate(pairs)]
-    return (
-        FinCategory._of_ids(objects, arrows, src, dst, ident, comp_k), pair_id, index
-    )
+    return K, pair_id, index
 
 
 def comma(F: FinFunctor, z, side: str) -> FinCategory:
@@ -621,10 +622,7 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
                 src.append(start[s] + x)
                 dst.append(start[t] + target._dst[u])
                 labels.append((f, u))
-    arrows = tuple(
-        Arrow(objects[s], objects[t], (base.arrows[f], fib[base._dst[f]].arrows[u]))
-        for s, t, (f, u) in zip(src, dst, labels)
-    )
+    units = [(base._ident[b], e) for b, F in enumerate(fib) for e in F._ident]
 
     def combine(big, small):
         f, u = labels[small]
@@ -634,13 +632,11 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
             fib[base._dst[g]]._comp[trans[g]._amap[u]][v],
         )
 
-    comp, index = _composition(len(objects), arrows, src, dst, labels, combine)
-    ident = [
-        index.get((start[b] + x, start[b] + x, (base._ident[b], e)), -1)
-        for b, F in enumerate(fib)
-        for x, e in enumerate(F._ident)
-    ]
-    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp)
+    return _labelled(
+        objects, src, dst, labels,
+        lambda fu: (base.arrows[fu[0]], fib[base._dst[fu[0]]].arrows[fu[1]]),
+        combine, units.__getitem__,
+    )[0]
 
 
 def grothendieck_projection(total: FinCategory, base: FinCategory) -> FinFunctor:
@@ -673,8 +669,9 @@ def _inclusion(dom: FinCategory, cod: FinCategory) -> FinFunctor:
 
 def _point(x) -> FinCategory:
     """The category with the one object x and its identity, labelled ()."""
-    ident = Arrow(x, x, ())
-    return FinCategory((x,), (ident,), {x: ident}, {(ident, ident): ident})
+    return _labelled(
+        (x,), [0], [0], [()], lambda label: label, lambda g, f: (), lambda n: ()
+    )[0]
 
 
 # the objects of build_comma(tree, k), enumerated once for it and the commas
@@ -709,7 +706,7 @@ def build_comma(tree, k: int) -> FinCategory:
             unary_id[unary_terms[n]] = n
         return tuple(range(first, len(unary_terms)))
 
-    src, dst, labels, arrows = [], [], [], []
+    src, dst, labels = [], [], []
     for t, o2 in enumerate(objects):
         op2 = opify(o2)
         for combo in product(*(unaries(s) for s in op2.sources)):
@@ -720,7 +717,6 @@ def build_comma(tree, k: int) -> FinCategory:
             src.append(s)
             dst.append(t)
             labels.append(combo)
-            arrows.append(Arrow(objects[s], o2, tuple(unary_terms[p] for p in combo)))
 
     @lru_cache(maxsize=None)
     def composite(q: int, p: int) -> int:
@@ -730,12 +726,15 @@ def build_comma(tree, k: int) -> FinCategory:
     def combine(g, f):
         return tuple(map(composite, labels[g], labels[f]))
 
-    comp, index = _composition(len(objects), arrows, src, dst, labels, combine)
-    ident = []
-    for n, o in enumerate(objects):
-        ids = tuple(unary_id.get(identity_op(s).term, -1) for s in opify(o).sources)
-        ident.append(index.get((n, n, ids), -1))
-    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp)
+    def unit(n):
+        return tuple(
+            unary_id.get(identity_op(s).term, -1) for s in opify(objects[n]).sources
+        )
+
+    return _labelled(
+        objects, src, dst, labels,
+        lambda combo: tuple(unary_terms[p] for p in combo), combine, unit,
+    )[0]
 
 
 @lru_cache(maxsize=None)
@@ -759,7 +758,7 @@ def comma_below(tree, cell: KElt) -> FinCategory:
         if k_leq(_complexity_of(o), cell)
     ]
     if not ids:
-        return FinCategory._of_ids((), (), [], [], [], [])
+        return _labelled((), [], [], [], None, None, None)[0]
     return _subcategory(build_comma(tree, cell.k), ids, lambda a: True)[0]
 
 
@@ -783,12 +782,11 @@ def build_hat_comma(tree, level: int = 2, k: int = 2) -> FinCategory:
         for n, o in enumerate(configs)
         if k_leq(_complexity_of(o), k_iota(kap))
     ]
-    objects = tuple((configs[n], kap) for n, kap in tagged)
     carrying = [[] for _ in configs]
     for x, (n, _) in enumerate(tagged):
         carrying[n].append(x)
     C = build_comma(tree, k)
-    src, dst, base, arrows = [], [], [], []
+    src, dst, base = [], [], []
     for t, (n2, kap2) in enumerate(tagged):
         for a in C._into[n2]:
             for s in carrying[C._src[a]]:
@@ -796,13 +794,12 @@ def build_hat_comma(tree, level: int = 2, k: int = 2) -> FinCategory:
                     src.append(s)
                     dst.append(t)
                     base.append(a)
-                    arrows.append(Arrow(objects[s], objects[t], C.arrows[a].label))
-    comp, index = _composition(
-        len(objects), arrows, src, dst, base,
+    return _labelled(
+        tuple((configs[n], kap) for n, kap in tagged), src, dst, base,
+        lambda a: C.arrows[a].label,
         lambda g, f: C._comp[base[f]][base[g]],
-    )
-    ident = [index.get((x, x, C._ident[n]), -1) for x, (n, _) in enumerate(tagged)]
-    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp)
+        lambda x: C._ident[tagged[x][0]],
+    )[0]
 
 
 def hat_comma_grothendieck(tree, level: int = 2, k: int = 2) -> FinCategory:

@@ -233,14 +233,6 @@ def _subterms(c, addr, out):
     return out
 
 
-def inside_tree(c, addr):
-    """The planar tree inside the circle at addr, inner circles contracted."""
-    circ = resolve(c, addr)
-    if not isinstance(circ, Circ):
-        raise ValueError(f"no circle at address {addr}")
-    return contracted(circ.content)
-
-
 def white_profile(c):
     """((T_1, ..., T_k), T): the inside trees by white label and the output tree."""
     insides = {}

@@ -126,13 +126,12 @@ def k_compose(outer: KElt, inners) -> KElt:
         (a, p), (b, q) = owner(u), owner(v)
         labels.append(inners[a - 1].mu(p, q) if a == b else outer.mu(a, b))
 
-    perm = [0] * n
-    for a in range(1, outer.k + 1):
-        shift = sum(sizes[c - 1] for c in range(1, outer.k + 1)
-                    if outer.perm[c - 1] < outer.perm[a - 1])
-        for p in range(1, sizes[a - 1] + 1):
-            perm[offsets[a - 1] + p - 1] = shift + inners[a - 1].perm[p - 1]
-    return KElt(n, tuple(labels), tuple(perm))
+    # Block a lands where outer.perm puts it; its inner order picks the slot.
+    block = block_perm(outer.perm, sizes)
+    perm = tuple(
+        block[offsets[a] + q - 1] for a, x in enumerate(inners) for q in x.perm
+    )
+    return KElt(n, tuple(labels), perm)
 
 
 def kelt_relabel(x: KElt, sigma) -> KElt:

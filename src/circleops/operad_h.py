@@ -34,9 +34,7 @@ from .circled import (
     contracted,
     enumerate_configs,
     relabel_whites,
-    underlying,
     validate_config,
-    white_addresses,
     white_profile,
 )
 from .kgraph import KElt, block_perm, k_compose, k_iota, k_leq, vertex_pairs
@@ -179,46 +177,31 @@ def _reduce(c, r3, in_white, black_parent):
     return Circ(BLACK, content, grafts)
 
 
-def substitute_whites(term, arg_terms):
-    """Blacken each white circle of term around the matching argument.
+def substitute_whites(o: HOperation, args):
+    """Blacken each white circle of o around the matching argument operation.
 
-    The j-th argument term, its white labels shifted past those of the
+    The j-th argument's term, its white labels shifted past those of the
     earlier arguments, is superimposed onto the content of white circle j.
-    The result is unreduced.  The term is rebuilt bottom-up, so a white
+    The result is an unreduced term.  It is rebuilt bottom-up, so a white
     circle's content has its own white circles substituted before the
     argument is superimposed onto it; superimpose treats each circle of the
     content as one vertex, and substitution keeps a circle's grafts, so this
     is the same term as substituting the deepest circles first.
     """
-    insides, _ = white_profile(term)
-    arg_terms = tuple(arg_terms)
-    return _substitute(term, _shifted_arguments(
-        insides, len(arg_terms),
-        ((a, underlying(a), len(white_addresses(a))) for a in arg_terms)))
-
-
-def _shifted_arguments(insides, count, args):
-    """Check the arguments against the inside trees and shift their labels.
-
-    args yields (term, tree, whites) for each argument in turn, so a
-    mismatch is reported before any later argument is looked at.
-    """
-    if count != len(insides):
+    args = tuple(args)
+    if len(args) != o.k:
         raise ValueError(
-            f"operation with {len(insides)} white circles composed"
-            f" with {count} arguments"
+            f"operation with {o.k} white circles composed"
+            f" with {len(args)} arguments"
         )
     shifted = []
     offset = 0
-    for j, (term, tree, whites) in enumerate(args, start=1):
-        if tree != insides[j - 1]:
-            raise ValueError(
-                f"argument {j} lives on {tree}, expected {insides[j - 1]}")
-        if not whites:
-            raise ValueError(f"argument {j} has no white circles")
-        shifted.append(_map_whites(term, lambda label: offset + label))
-        offset += whites
-    return shifted
+    for j, (a, inside) in enumerate(zip(args, o.sources), start=1):
+        if a.target != inside:
+            raise ValueError(f"argument {j} lives on {a.target}, expected {inside}")
+        shifted.append(_map_whites(a.term, lambda label: offset + label))
+        offset += a.k
+    return _substitute(o.term, shifted)
 
 
 def _substitute(c, shifted):
@@ -235,16 +218,15 @@ def _substitute(c, shifted):
     return Circ(c.kind, content, grafts)
 
 
-def compose_terms(term, arg_terms, r3: bool = True):
-    return reduce_term(substitute_whites(term, arg_terms), r3=r3)
+def compose_terms(o: HOperation, args, r3: bool = True):
+    """The reduced term of o with the argument operations substituted."""
+    return reduce_term(substitute_whites(o, args), r3=r3)
 
 
 def compose(o: HOperation, args, r3: bool = True) -> HOperation:
     """Operadic composition; sources concatenate and the target is kept."""
     args = tuple(args)
-    shifted = _shifted_arguments(o.sources, len(args),
-                                 ((a.term, a.target, a.k) for a in args))
-    result = HOperation(reduce_term(_substitute(o.term, shifted), r3=r3))
+    result = HOperation(compose_terms(o, args, r3))
     expected = tuple(chain.from_iterable(a.sources for a in args))
     if result.sources != expected or result.target != o.target:
         raise RuntimeError("composition changed the operation profile")
@@ -264,8 +246,8 @@ def unit_sides(o: HOperation, r3: bool = True):
     """o with identities in its white circles, and o in its target's identity,
     as terms: both are o.term exactly when the unit laws hold."""
     return (
-        compose_terms(o.term, tuple(identity_op(s).term for s in o.sources), r3=r3),
-        compose_terms(identity_op(o.target).term, (o.term,), r3=r3),
+        compose_terms(o, tuple(identity_op(s) for s in o.sources), r3=r3),
+        compose_terms(identity_op(o.target), (o,), r3=r3),
     )
 
 

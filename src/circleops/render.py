@@ -167,12 +167,6 @@ def layout_config(c) -> Layout:
         LayoutNode(xs[n], ys[n], kinds[n]) for n in range(len(kinds))
     )
 
-    curve_points: dict[int, tuple] = {}
-    circ_children: dict[int, list[int]] = {cid: [] for cid in range(len(circles))}
-    for cid, info in enumerate(circles):
-        if info["parent"] is not None:
-            circ_children[info["parent"]].append(cid)
-
     def anchor(cid: int):
         # A circle around a bare edge segment: centre it between its two
         # crossing marks on that edge.
@@ -186,19 +180,18 @@ def layout_config(c) -> Layout:
                 return (a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
         raise ValueError(f"circle {cid} has no region to anchor a curve on")
 
-    def build_curve(cid: int):
-        for child in circ_children[cid]:
-            build_curve(child)
-        pts = [(nodes[v].x, nodes[v].y) for v in sorted(circles[cid]["vertices"])]
-        for child in circ_children[cid]:
-            pts.extend(curve_points[child])
-        if not pts:
-            pts = [anchor(cid)]
-        curve_points[cid] = _offset_hull(pts)
-
-    for cid, info in enumerate(circles):
-        if info["parent"] is None:
-            build_curve(cid)
+    # Circles are numbered in preorder, so a circle's children come after it
+    # and their curves are built, from the last circle back, before its own.
+    region_points = [
+        [(nodes[v].x, nodes[v].y) for v in sorted(info["vertices"])]
+        for info in circles
+    ]
+    curve_points = [()] * len(circles)
+    for cid in reversed(range(len(circles))):
+        curve_points[cid] = _offset_hull(region_points[cid] or [anchor(cid)])
+        parent = circles[cid]["parent"]
+        if parent is not None:
+            region_points[parent].extend(curve_points[cid])
 
     curves = tuple(
         CircleCurve(info["kind"], curve_points[cid], info["parent"])

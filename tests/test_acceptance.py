@@ -309,7 +309,7 @@ def test_11_reduction_confluent_across_splice_orders():
         else:
             middle_tuples = (rot.args(o),)
         for ps in middle_tuples:
-            raw = substitute_whites(o.term, tuple(p.term for p in ps))
+            raw = substitute_whites(o, ps)
             forms = normal_forms(raw)
             assert forms == frozenset((reduce_term(raw),)), str(raw)
             checked += 1
@@ -318,9 +318,9 @@ def test_11_reduction_confluent_across_splice_orders():
 
 def test_12_unit_law_fails_without_uncovered_black_rule():
     stacked = parse_config("{w1 | / {w2 | / |}}")
-    ident = identity_op(underlying(stacked)).term
-    assert compose_terms(ident, (stacked,)) == stacked
-    leftover = compose_terms(ident, (stacked,), r3=False)
+    ident = identity_op(underlying(stacked))
+    assert compose_terms(ident, (HOperation(stacked),)) == stacked
+    leftover = compose_terms(ident, (HOperation(stacked),), r3=False)
     assert leftover != stacked
     assert leftover == Circ(BLACK, stacked, (LEAF,) * open_leaves(stacked))
 

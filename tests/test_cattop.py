@@ -59,6 +59,34 @@ def test_poset_category_axioms_and_homs():
     assert C.compose(g, f) == C.hom(0, 2)[0]
 
 
+def test_labelled_rejects_parallel_arrows_with_one_label():
+    with pytest.raises(CategoryError) as err:
+        cattop._labelled(
+            ("x",), [0, 0], [0, 0], ["i", "i"],
+            lambda label: label, lambda g, f: "i", lambda x: "i",
+        )
+    assert str(err.value) == (
+        "two arrows share source, target and label: ('x', 'x', 'i')"
+    )
+
+
+def test_poset_category_needs_transitivity():
+    steps = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}  # no 0 <= 2
+    with pytest.raises(CategoryError) as err:
+        poset_category((0, 1, 2), lambda a, b: (a, b) in steps)
+    assert str(err.value) == (
+        "composite of Arrow(src=0, dst=1, label=None) then"
+        " Arrow(src=1, dst=2, label=None) is not an arrow"
+    )
+
+
+def test_poset_category_checks_reflexivity_before_duplicates():
+    with pytest.raises(CategoryError, match="^order is not reflexive at y$"):
+        poset_category(("x", "x", "y"), lambda a, b: a == b == "x")
+    with pytest.raises(CategoryError, match="^duplicate objects$"):
+        poset_category(("x", "x"), lambda a, b: a == b)
+
+
 def test_category_rejects_missing_identity():
     a = Arrow("x", "x", "id")
     with pytest.raises(CategoryError):

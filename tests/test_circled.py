@@ -14,7 +14,6 @@ from circleops.circled import (
     White,
     circle_addresses,
     enumerate_configs,
-    inside_tree,
     open_leaves,
     parse_config,
     random_config,
@@ -248,11 +247,6 @@ def test_profile_errors_in_preorder():
     ]:
         with pytest.raises(ValueError, match=message):
             white_profile(parse_config(text))
-
-
-def test_inside_tree_requires_circle():
-    with pytest.raises(ValueError):
-        inside_tree(parse_config("(| |)"), ())
 
 
 # --- validity ------------------------------------------------------------------
