@@ -20,6 +20,9 @@ without the uncovered-black rule, and the errors of rejected compositions.
 The complexity value was recorded before complexity was read off one walk
 of the underlying tree: the complexity of every small configuration and of
 seeded draws with up to eight white circles.
+The validity value was recorded before validation and the white profile
+became one walk: the validity report and white profile of seeded
+configurations, each also with one more circle put in unchecked.
 The `RENDER_SHA256` value was recorded before the clearance check stopped
 scanning every pair of curve sides: 300 seeded drawings with 1 to 6 white
 circles, each with its clearance violations and, when clear, its SVG.
@@ -34,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from circleops.cattop import comma_below, nerve, poset_category
-from circleops.circled import enumerate_configs, random_config
+from circleops.circled import enumerate_configs, random_config, validate_config
 from circleops.homology import smith_invariants
 from circleops.kgraph import k_enumerate, k_iota, k_leq, parse_kelt
 from circleops.operad_h import HOperation, compose
@@ -83,6 +86,8 @@ TERM_SHA256 = {
         "766516dc9249bb441e66f143242b93a852478f7afd51982d470de31f3f92a4f9",
     "terms/complexity":
         "aaa62bdd3817bc9aef4d6081966ed6f35d6885a923d3ff8055f912153923a73d",
+    "terms/validity":
+        "d0ed9df7ff3e4fe5949bbf1edace6023ecde7245a69aec8050ff0301775b1e1f",
 }
 
 RENDER_SHA256 = {
@@ -235,6 +240,16 @@ def test_every_light_digest_item_is_pinned():
     assert sorted(digests.TERM) == sorted(TERM_SHA256)
     assert sorted(digests.RENDER) == sorted(RENDER_SHA256)
     assert sorted(digests.CLI) == sorted(CLI_SHA256)
+
+
+def test_validity_corpus_has_every_violation_code():
+    codes = {code for c in digests.validity_configs()
+             for _, code, _ in validate_config(c).violations}
+    assert codes == {
+        "white-label-nonpositive", "duplicate-white-label",
+        "white-labels-not-contiguous", "black-around-small",
+        "black-in-black", "black-outside-white",
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CATTOP_SHA256))

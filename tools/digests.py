@@ -42,7 +42,16 @@ from circleops.cattop import (
     nerve,
     poset_category,
 )
-from circleops.circled import enumerate_configs, parse_config, random_config
+from circleops.circled import (
+    BLACK,
+    White,
+    _random_insert,
+    enumerate_configs,
+    parse_config,
+    random_config,
+    validate_config,
+    white_profile,
+)
 from circleops.kgraph import k_enumerate, k_iota, k_leq, parse_kelt
 from circleops.operad_h import (
     HOperation,
@@ -265,10 +274,37 @@ def complexity_configs(seed=20261018, samples=300):
         yield random_config(rng, trees[i % len(trees)], 1 + i % 8)
 
 
+def validity_configs(seed=20261019, samples=300):
+    """Seeded draws on enumerate_trees(3, 3) cycling through 1..6 white
+    circles, each followed by itself with one more circle put in by
+    _random_insert without the validity filter: a black one, or a white one
+    labelled from -1 to k + 2, so that every violation code can occur."""
+    rng = random.Random(seed)
+    trees = enumerate_trees(3, 3)
+    for i in range(samples):
+        k = 1 + i % 6
+        c = random_config(rng, trees[i % len(trees)], k)
+        yield c
+        kind = BLACK if rng.randrange(2) else White(rng.randrange(-1, k + 3))
+        yield _random_insert(rng, c, kind)
+
+
+def validity_lines(configs):
+    """Each term's validity report, violations in order, and its white
+    profile or the error white_profile raises."""
+    for c in configs:
+        report = validate_config(c)
+        yield f"# {c} ok={report.ok} whites={report.whites}"
+        yield from (f"{text(addr)} {code}: {msg}"
+                    for addr, code, msg in report.violations)
+        yield f"profile {outcome(white_profile, c)}"
+
+
 TERM = {
     "terms/laws": law_lines,
     "terms/rejected": rejected_lines,
     "terms/complexity": lambda: complexity_lines(complexity_configs()),
+    "terms/validity": lambda: validity_lines(validity_configs()),
 }
 
 
