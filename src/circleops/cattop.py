@@ -870,13 +870,13 @@ def deletion_functor(tree, cell: KElt) -> FinFunctor:
     omap = [cod._oid.get(_delete_white(o, lead), -1) for o in dom.objects]
     amap = []
     for a, s, t in zip(dom.arrows, dom._src, dom._dst):
-        label = a.label[: lead - 1] + a.label[lead:]
-        b = next(
-            (b for b in cod._hom.get((omap[s], omap[t]), ())
-             if cod.arrows[b].label == label),
-            None,
-        )
-        if b is None:
+        src, dst = omap[s], omap[t]
+        b = -1
+        if src >= 0 and dst >= 0:
+            label = a.label[: lead - 1] + a.label[lead:]
+            b = _matching_arrow(
+                cod, src, dst, Arrow(cod.objects[src], cod.objects[dst], label))
+        if b < 0:
             raise CategoryError(
                 f"deleted image of {a.src} -> {a.dst} is not a codomain arrow"
             )

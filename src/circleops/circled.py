@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
+from operator import is_
 
 from .trees import (
     LEAF,
@@ -30,10 +31,10 @@ from .trees import (
     ParseError,
     _parse,
     _parse_item,
+    _graft,
     _skip_spaces,
     graft,
 )
-from .trees import vertices as tree_vertices
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,10 @@ def open_leaves(c) -> int:
     """Open leaves of a term; a circle binds its content's leaves to grafts."""
     if isinstance(c, Leaf):
         return 1
-    if isinstance(c, Node):
-        return sum(open_leaves(x) for x in c.children)
-    return sum(open_leaves(g) for g in c.grafts)
+    n = 0
+    for x in c.children if isinstance(c, Node) else c.grafts:
+        n += 1 if isinstance(x, Leaf) else open_leaves(x)
+    return n
 
 
 def underlying(c):
@@ -138,13 +140,14 @@ def _parse_circle(text: str, pos: int, depth: int, noun: str):
             break
         g, pos = _parse_item(text, pos, depth, noun, _parse_circle)
         grafts.append(g)
-    if open_leaves(content) != len(grafts):
+    try:
+        return Circ(kind, content, tuple(grafts)), pos + 1
+    except ValueError:
         raise ParseError(
             start,
             f"circle content has {open_leaves(content)} open leaves"
             f" but {len(grafts)} grafts were given",
-        )
-    return Circ(kind, content, tuple(grafts)), pos + 1
+        ) from None
 
 
 def _parse_kind(text: str, pos: int):
@@ -234,23 +237,17 @@ def _subterms(c, addr, out):
 
 
 def white_profile(c):
-    """((T_1, ..., T_k), T): the inside trees by white label and the output tree."""
-    insides = {}
+    """((T_1, ..., T_k), T): the inside trees by white label and the output tree.
 
-    def walk(term):
-        # underlying(term), recording each white circle's inside tree in
-        # preorder on the way.
-        if isinstance(term, Leaf):
-            return LEAF
-        if isinstance(term, Node):
-            return Node(tuple(walk(x) for x in term.children))
-        if isinstance(term.kind, White):
-            if term.kind.label in insides:
-                raise ValueError(f"duplicate white label {term.kind.label}")
-            insides[term.kind.label] = contracted(term.content)
-        return graft(walk(term.content), [walk(g) for g in term.grafts])
+    Read off the walk behind validate_config.
+    """
+    _, insides, duplicate, out = _survey(c)
+    return _profile(insides, duplicate, out)
 
-    out = walk(c)
+
+def _profile(insides, duplicate, out):
+    if duplicate is not None:
+        raise ValueError(f"duplicate white label {duplicate}")
     k = len(insides)
     if set(insides) != set(range(1, k + 1)):
         raise ValueError(f"white labels {sorted(insides)} are not 1..{k}")
@@ -268,47 +265,118 @@ class ValidityReport:
 
 def validate_config(c) -> ValidityReport:
     """Check the circle constraints; violations carry (address, code, message)."""
-    violations = []
-    labels_seen = {}
-    # (enclosing white exists, nearest enclosing circle is black)
-    def walk(term, addr, in_white, black_parent):
-        if isinstance(term, Leaf):
-            return
-        if isinstance(term, Node):
-            for i, x in enumerate(term.children):
-                walk(x, addr + (("child", i),), in_white, black_parent)
-            return
-        if isinstance(term.kind, White):
-            if term.kind.label < 1:
-                violations.append((addr, "white-label-nonpositive",
-                                   f"white label {term.kind.label} is not positive"))
-            elif term.kind.label in labels_seen:
-                violations.append((addr, "duplicate-white-label",
-                                   f"white label {term.kind.label} appears twice"))
-            else:
-                labels_seen[term.kind.label] = addr
-            walk(term.content, addr + (CONTENT,), True, False)
-        else:
-            inner = contracted(term.content)
-            if tree_vertices(inner) < 2:
-                violations.append((addr, "black-around-small",
-                                   f"black circle encloses {inner}, fewer than two vertices"))
-            if black_parent:
-                violations.append((addr, "black-in-black",
-                                   "black circle directly inside a black circle"))
-            if not in_white:
-                violations.append((addr, "black-outside-white",
-                                   "black circle not inside any white circle"))
-            walk(term.content, addr + (CONTENT,), in_white, True)
-        for i, g in enumerate(term.grafts):
-            walk(g, addr + (("graft", i),), in_white, black_parent)
+    return _survey(c)[0]
 
-    walk(c, (), False, False)
-    k = len(labels_seen)
-    if labels_seen and set(labels_seen) != set(range(1, k + 1)):
-        violations.append(((), "white-labels-not-contiguous",
-                           f"white labels {sorted(labels_seen)} are not 1..{k}"))
-    return ValidityReport(ok=not violations, whites=k, violations=tuple(violations))
+
+def validated_profile(c):
+    """(validate_config(c), white_profile(c)) from one walk.
+
+    The profile is None when the report has a violation.
+    """
+    report, insides, duplicate, out = _survey(c)
+    return report, _profile(insides, duplicate, out) if report.ok else None
+
+
+def _survey(c):
+    """The one walk behind validate_config and white_profile.
+
+    Returns the validity report, the contracted content of the first white
+    circle with each label (nonpositive ones too), the first label met twice
+    in preorder (None if none) and the underlying tree.  Every subterm
+    yields its underlying and its contracted tree bottom-up; a circle-free
+    subterm is both itself.  Addresses are (parent, what, index) chains,
+    spelled out only for a violation.
+    """
+    violations = []
+    positive = set()
+    insides = {}
+    duplicate = None
+
+    def flag(chain, code, message):
+        steps = []
+        while chain is not None:
+            chain, what, idx = chain
+            steps.append((what, idx))
+        violations.append((tuple(reversed(steps)), code, message))
+
+    def walk(term, chain, in_white, black_parent):
+        # (underlying, contracted) of a Node or Circ term.  in_white: some
+        # enclosing circle is white; black_parent: the nearest enclosing
+        # circle is black.  Grafts sit beside their circle, and bare edges
+        # are answered without a call.
+        nonlocal duplicate
+        if isinstance(term, Node):
+            parts, what = term.children, "child"
+        else:
+            parts, what = term.grafts, "graft"
+            content = term.content
+            under = inner = content
+            if isinstance(term.kind, White):
+                label = term.kind.label
+                if label < 1:
+                    flag(chain, "white-label-nonpositive",
+                         f"white label {label} is not positive")
+                elif label in positive:
+                    flag(chain, "duplicate-white-label",
+                         f"white label {label} appears twice")
+                else:
+                    positive.add(label)
+                first = label not in insides
+                if first:
+                    insides[label] = None
+                elif duplicate is None:
+                    duplicate = label
+                if not isinstance(content, Leaf):
+                    under, inner = walk(content, (chain, "content", 0),
+                                        True, False)
+                if first:
+                    insides[label] = inner
+            else:
+                if below_two_vertices(content):
+                    flag(chain, "black-around-small",
+                         f"black circle encloses {contracted(content)},"
+                         " fewer than two vertices")
+                if black_parent:
+                    flag(chain, "black-in-black",
+                         "black circle directly inside a black circle")
+                if not in_white:
+                    flag(chain, "black-outside-white",
+                         "black circle not inside any white circle")
+                if not isinstance(content, Leaf):
+                    under, _ = walk(content, (chain, "content", 0),
+                                    in_white, True)
+        unders, contractions = [], []
+        for i, x in enumerate(parts):
+            if isinstance(x, Leaf):
+                unders.append(x)
+                contractions.append(x)
+            else:
+                u, k = walk(x, (chain, what, i), in_white, black_parent)
+                unders.append(u)
+                contractions.append(k)
+        if what == "graft":
+            return _graft(under, iter(unders)), Node(tuple(contractions))
+        if all(map(is_, unders, parts)):
+            return term, term
+        return Node(tuple(unders)), Node(tuple(contractions))
+
+    out = c if isinstance(c, Leaf) else walk(c, None, False, False)[0]
+    k = len(positive)
+    if positive and positive != set(range(1, k + 1)):
+        flag(None, "white-labels-not-contiguous",
+             f"white labels {sorted(positive)} are not 1..{k}")
+    report = ValidityReport(ok=not violations, whites=k,
+                            violations=tuple(violations))
+    return report, insides, duplicate, out
+
+
+def below_two_vertices(c) -> bool:
+    """Whether contracted(c) has fewer than two vertices: c is a bare edge,
+    or one vertex or circle with only bare edges above it."""
+    if isinstance(c, Leaf):
+        return True
+    return all(isinstance(x, Leaf)
+               for x in (c.children if isinstance(c, Node) else c.grafts))
 
 
 # --- surgery -----------------------------------------------------------------
@@ -328,9 +396,12 @@ def circle_graft(t, replacements):
 def _circle_graft(t, it):
     if isinstance(t, Leaf):
         return next(it)
+    parts = []
+    for x in t.children if isinstance(t, Node) else t.grafts:
+        parts.append(next(it) if isinstance(x, Leaf) else _circle_graft(x, it))
     if isinstance(t, Node):
-        return Node(tuple(_circle_graft(x, it) for x in t.children))
-    return Circ(t.kind, t.content, tuple(_circle_graft(g, it) for g in t.grafts))
+        return Node(tuple(parts))
+    return Circ(t.kind, t.content, tuple(parts))
 
 
 def splice(c, addr):
@@ -426,7 +497,7 @@ def _gen(t, in_white: bool, black_parent: bool, white_cap: int):
             cap_inside = white_cap - 1 if is_white else white_cap
             for cont, w1 in _gen(shape, in_white or is_white, not is_white,
                                  cap_inside):
-                if not is_white and tree_vertices(contracted(cont)) < 2:
+                if not is_white and below_two_vertices(cont):
                     continue
                 whites = w1 + (1 if is_white else 0)
                 for gs, w2 in _gen_forest(tops, in_white, black_parent,

@@ -21,26 +21,24 @@ composite of the complexities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
+from operator import is_
 
 from .circled import (
     BLACK,
     Circ,
     White,
-    _map_whites,
+    below_two_vertices,
     circle_graft,
-    contracted,
     enumerate_configs,
     relabel_whites,
     validate_config,
-    white_profile,
+    validated_profile,
 )
 from .kgraph import KElt, block_perm, k_compose, k_iota, k_leq, vertex_pairs
 from .trees import LEAF, Leaf, Node
 from .trees import leaves as tree_leaves
-from .trees import vertices as tree_vertices
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,11 @@ class HOperation:
     """A valid circled-tree configuration regarded as an operadic operation."""
 
     term: object
+    profile: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        report = validate_config(self.term)
+        # One walk validates the term and reads its profile.
+        report, profile = validated_profile(self.term)
         if not report.ok:
             addr, code, msg = report.violations[0]
             raise ValueError(f"invalid operation term ({code} at {addr}): {msg}")
@@ -59,10 +59,7 @@ class HOperation:
         # white circles may rely on, so profiles could not be preserved.
         if report.whites == 0:
             raise ValueError("an operation needs at least one white circle")
-
-    @cached_property
-    def profile(self):
-        return white_profile(self.term)
+        object.__setattr__(self, "profile", profile)
 
     @property
     def sources(self):
@@ -99,12 +96,14 @@ def superimpose(beta, t):
     of beta's tree names either a vertex or a whole circle of t; the circles
     of beta come out drawn around the matching regions of t.
     """
-    return _superimpose(beta, t, None)
+    return _superimpose(beta, t, None, 0)
 
 
-def _superimpose(beta, t, tops):
+def _superimpose(beta, t, tops, offset):
     # Inside a circle of beta, tops collects the parts of t above the
-    # circle's exit leaves; circles of t are never cut.
+    # circle's exit leaves; circles of t are never cut.  beta's white
+    # circles come out with their labels raised by offset.  A part that
+    # comes out equal to t's is t's own object.
     if isinstance(beta, Leaf):
         if tops is not None:
             tops.append(t)
@@ -113,19 +112,27 @@ def _superimpose(beta, t, tops):
             raise ValueError(f"cannot superimpose a bare edge onto {t}")
         return t
     if isinstance(beta, Node):
-        if isinstance(t, Node) and len(t.children) == len(beta.children):
-            return Node(tuple(_superimpose(b, x, tops)
-                              for b, x in zip(beta.children, t.children)))
-        if isinstance(t, Circ) and len(t.grafts) == len(beta.children):
-            return Circ(t.kind, t.content,
-                        tuple(_superimpose(b, g, tops)
-                              for b, g in zip(beta.children, t.grafts)))
-        raise ValueError(f"cannot superimpose {beta} onto {t}")
+        old = (None if isinstance(t, Leaf)
+               else t.children if isinstance(t, Node) else t.grafts)
+        if old is None or len(old) != len(beta.children):
+            raise ValueError(f"cannot superimpose {beta} onto {t}")
+        parts = []
+        for b, x in zip(beta.children, old):
+            parts.append(_superimpose(b, x, tops, offset))
+        if all(map(is_, parts, old)):
+            return t
+        if isinstance(t, Node):
+            return Node(tuple(parts))
+        return Circ(t.kind, t.content, tuple(parts))
     inner = []
-    content = _superimpose(beta.content, t, inner)
-    return Circ(beta.kind, content,
-                tuple(_superimpose(g, top, tops)
-                      for g, top in zip(beta.grafts, inner)))
+    content = _superimpose(beta.content, t, inner, offset)
+    kind = beta.kind
+    if offset and isinstance(kind, White):
+        kind = White(kind.label + offset)
+    parts = []
+    for g, top in zip(beta.grafts, inner):
+        parts.append(_superimpose(g, top, tops, offset))
+    return Circ(kind, content, tuple(parts))
 
 
 def reduction_violations(term, r3: bool = True):
@@ -155,6 +162,10 @@ def reduce_term(term, r3: bool = True):
     a circle that violates a rule at that moment, and the result violates
     none, so the pass is one splice order of the iterative reduction; that
     reduction is confluent, so the result is its unique normal form.
+
+    This is one walk of the term.  A subterm in which nothing is spliced
+    comes back as the same object, so a term with nothing to splice is
+    returned itself.
     """
     return _reduce(term, r3, False, False)
 
@@ -164,29 +175,41 @@ def _reduce(c, r3, in_white, black_parent):
     # enclosing circle is black.  Grafts sit beside their circle, not in it.
     if isinstance(c, Leaf):
         return c
-    if isinstance(c, Node):
-        return Node(tuple([_reduce(x, r3, in_white, black_parent)
-                           for x in c.children]))
-    grafts = tuple([_reduce(g, r3, in_white, black_parent) for g in c.grafts])
+    node = isinstance(c, Node)
+    old = c.children if node else c.grafts
+    parts = []
+    for x in old:
+        parts.append(x if isinstance(x, Leaf)
+                     else _reduce(x, r3, in_white, black_parent))
+    same = all(map(is_, parts, old))
+    if node:
+        return c if same else Node(tuple(parts))
     if isinstance(c.kind, White):
-        return Circ(c.kind, _reduce(c.content, r3, True, False), grafts)
-    content = _reduce(c.content, r3, in_white, True)
-    if (black_parent or (r3 and not in_white)
-            or tree_vertices(contracted(content)) < 2):
-        return circle_graft(content, grafts)
-    return Circ(BLACK, content, grafts)
+        content = _reduce(c.content, r3, True, False)
+    else:
+        content = _reduce(c.content, r3, in_white, True)
+        if (black_parent or (r3 and not in_white)
+                or below_two_vertices(content)):
+            return circle_graft(content, parts)
+    if same and content is c.content:
+        return c
+    return Circ(c.kind, content, tuple(parts))
 
 
 def substitute_whites(o: HOperation, args):
     """Blacken each white circle of o around the matching argument operation.
 
-    The j-th argument's term, its white labels shifted past those of the
-    earlier arguments, is superimposed onto the content of white circle j.
-    The result is an unreduced term.  It is rebuilt bottom-up, so a white
-    circle's content has its own white circles substituted before the
-    argument is superimposed onto it; superimpose treats each circle of the
-    content as one vertex, and substitution keeps a circle's grafts, so this
-    is the same term as substituting the deepest circles first.
+    The j-th argument's term is superimposed onto the content of white
+    circle j, its white labels shifted past those of the earlier arguments
+    as the circles are drawn.  The result is an unreduced term.  It is
+    rebuilt bottom-up, so a white circle's content has its own white circles
+    substituted before the argument is superimposed onto it; superimpose
+    treats each circle of the content as one vertex, and substitution keeps
+    a circle's grafts, so this is the same term as substituting the deepest
+    circles first.
+
+    This is one walk of o's term, plus one of each argument's term inside
+    superimpose; a subterm of o without white circles is kept as it is.
     """
     args = tuple(args)
     if len(args) != o.k:
@@ -194,28 +217,38 @@ def substitute_whites(o: HOperation, args):
             f"operation with {o.k} white circles composed"
             f" with {len(args)} arguments"
         )
-    shifted = []
+    offsets = []
     offset = 0
     for j, (a, inside) in enumerate(zip(args, o.sources), start=1):
         if a.target != inside:
             raise ValueError(f"argument {j} lives on {a.target}, expected {inside}")
-        shifted.append(_map_whites(a.term, lambda label: offset + label))
+        offsets.append(offset)
         offset += a.k
-    return _substitute(o.term, shifted)
+    return _substitute(o.term, args, offsets)
 
 
-def _substitute(c, shifted):
-    # White circle l becomes a black circle around shifted[l - 1]
-    # superimposed onto its (already substituted) content.
+def _substitute(c, args, offsets):
+    # White circle l becomes a black circle around args[l - 1], its labels
+    # raised by offsets[l - 1], superimposed onto its (already substituted)
+    # content.
     if isinstance(c, Leaf):
         return c
-    if isinstance(c, Node):
-        return Node(tuple([_substitute(x, shifted) for x in c.children]))
-    content = _substitute(c.content, shifted)
-    grafts = tuple([_substitute(g, shifted) for g in c.grafts])
+    node = isinstance(c, Node)
+    old = c.children if node else c.grafts
+    parts = []
+    for x in old:
+        parts.append(x if isinstance(x, Leaf) else _substitute(x, args, offsets))
+    same = all(map(is_, parts, old))
+    if node:
+        return c if same else Node(tuple(parts))
+    content = _substitute(c.content, args, offsets)
     if isinstance(c.kind, White):
-        return Circ(BLACK, superimpose(shifted[c.kind.label - 1], content), grafts)
-    return Circ(c.kind, content, grafts)
+        j = c.kind.label - 1
+        return Circ(BLACK, _superimpose(args[j].term, content, None, offsets[j]),
+                    tuple(parts))
+    if same and content is c.content:
+        return c
+    return Circ(c.kind, content, tuple(parts))
 
 
 def compose_terms(o: HOperation, args, r3: bool = True):
@@ -224,7 +257,13 @@ def compose_terms(o: HOperation, args, r3: bool = True):
 
 
 def compose(o: HOperation, args, r3: bool = True) -> HOperation:
-    """Operadic composition; sources concatenate and the target is kept."""
+    """Operadic composition; sources concatenate and the target is kept.
+
+    Three walks build and check the composite: substitution (superimposing
+    each argument as it goes), reduction, and the one walk in which the new
+    HOperation validates its term and reads its profile.  The profile is
+    then compared with the sources and target the composite must have.
+    """
     args = tuple(args)
     result = HOperation(compose_terms(o, args, r3))
     expected = tuple(chain.from_iterable(a.sources for a in args))
@@ -234,8 +273,10 @@ def compose(o: HOperation, args, r3: bool = True) -> HOperation:
 
 
 def sigma_act(sigma, o: HOperation) -> HOperation:
-    """Rename white circle i to sigma(i)."""
+    """Rename white circle i to sigma(i); sigma is a permutation of 1..k."""
     sigma = tuple(sigma)
+    if sorted(sigma) != list(range(1, o.k + 1)):
+        raise ValueError(f"{sigma} is not a permutation of 1..{o.k}")
     return HOperation(relabel_whites(
         o.term, {i: sigma[i - 1] for i in range(1, o.k + 1)}))
 

@@ -1,6 +1,8 @@
 """Tests for the circled-tree operad: composition, reduction, complexity."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,9 @@ from circleops.circled import (
     resolve,
     splice,
     underlying,
+    validate_config,
     white_addresses,
+    white_profile,
 )
 from circleops.kgraph import (
     KElt,
@@ -48,6 +52,9 @@ from circleops.operad_h import (
     unit_sides,
 )
 from circleops.trees import LEAF, Node, corolla, node, parse_tree
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import digests  # noqa: E402
 
 TREES = [
     LEAF,
@@ -87,6 +94,22 @@ def test_operation_profile():
         HOperation(parse_config("{w2 | / |}"))
     with pytest.raises(ValueError):
         HOperation(LEAF)  # no nullary operations
+
+
+def test_operation_profile_and_reduction_on_the_complexity_corpus():
+    # The profile comes from the walk that validates the operation, and a
+    # valid term has nothing to splice, so reduction hands back its object.
+    checked = 0
+    for c in digests.complexity_configs():
+        if validate_config(c).whites == 0:
+            with pytest.raises(ValueError):
+                HOperation(c)
+            continue
+        assert HOperation(c).profile == white_profile(c)
+        assert reduce_term(c) is c
+        assert reduce_term(c, r3=False) is c
+        checked += 1
+    assert checked > 300
 
 
 def test_identity_op():
@@ -305,6 +328,15 @@ def test_sigma_act_is_an_action():
         rng.shuffle(tau)
         combined = tuple(tau[sigma[i0] - 1] for i0 in range(o.k))
         assert sigma_act(tau, sigma_act(sigma, o)) == sigma_act(combined, o)
+
+
+def test_sigma_act_needs_a_permutation_of_the_whites():
+    o = HOperation(parse_config("({w1 | / |} {w2 | / |} {w3 | / |})"))
+    for sigma in ((1, 2), (3, 1, 2, 4), (1, 1, 2), (0, 1, 2), (1, 2, 4)):
+        with pytest.raises(ValueError) as err:
+            sigma_act(sigma, o)
+        assert str(err.value) == f"{sigma} is not a permutation of 1..3"
+    assert str(sigma_act((3, 1, 2), o)) == "({w3 | / |} {w1 | / |} {w2 | / |})"
 
 
 # --- reduction --------------------------------------------------------------------
