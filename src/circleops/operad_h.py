@@ -49,7 +49,6 @@ class HOperation:
     profile: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # One walk validates the term and reads its profile.
         report, profile = validated_profile(self.term)
         if not report.ok:
             addr, code, msg = report.violations[0]
