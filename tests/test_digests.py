@@ -3,8 +3,11 @@
 The first two sha256 values were recorded before the term layer was
 refactored; any change in the order `enumerate_configs` returns
 configurations in, or in how `random_config` consumes its random stream,
-changes them.  The third was recorded before the Smith normal form gained
-its unit-pivot phase; invariant factors are unique, so it must never move.
+changes them.  The third covers the invariant factors of every nerve
+boundary of `digests.homology_categories()`; it was first recorded before
+the Smith normal form gained its unit-pivot phase, and recorded again, with
+the stage-3 poset at k=3 added, before homology gained clearing.  Invariant
+factors are unique, so it must never move.
 The `CATTOP_SHA256` values were recorded before `FinCategory` was given its
 integer core: the objects, arrows, identities and composition tables of the
 categories, every entry of their nerve boundaries, and the deletion functors
@@ -36,10 +39,9 @@ from pathlib import Path
 
 import pytest
 
-from circleops.cattop import comma_below, nerve, poset_category
+from circleops.cattop import nerve
 from circleops.circled import enumerate_configs, random_config, validate_config
 from circleops.homology import smith_invariants
-from circleops.kgraph import k_enumerate, k_iota, k_leq, parse_kelt
 from circleops.operad_h import HOperation, compose
 from circleops.trees import enumerate_trees, parse_tree
 
@@ -53,7 +55,7 @@ COMPOSITION_SHA256 = (
     "64e1fa130a3c7097647c8e949096c36c7372422e8f95eac45fae2b90a2e9317f"
 )
 HOMOLOGY_SHA256 = (
-    "9d01221328e1dacbad0f40bf1c3dcef845849f1844892967852ce5e2d19c4e10"
+    "cd18a8de858aa1d637cb73b625c43ff437c9d1c5f573e3baf3479a138657a9e8"
 )
 
 CATTOP_SHA256 = {
@@ -205,20 +207,8 @@ def composition_lines(samples=150, seed=20250101):
                           str(compose(o, args))])
 
 
-def homology_categories():
-    """(name, category, nerve max_dim): the stage posets and small commas."""
-    for m, k in ((2, 3), (3, 2)):
-        yield f"k_enumerate({m}, {k})", poset_category(k_enumerate(m, k), k_leq), 3
-    top = parse_kelt("3; mu(1,2)=2 mu(1,3)=2 mu(2,3)=2; perm=[1 2 3]")
-    below = [e for e in k_enumerate(3, 3) if k_leq(e, top)]
-    yield "down-set", poset_category(below, k_leq), 2
-    for t in ("|", "(|)", "(| |)"):
-        for cell in (k_iota(c) for c in k_enumerate(2, 2)):
-            yield f"{t} {cell}", comma_below(parse_tree(t), cell), 4
-
-
 def homology_lines():
-    for name, C, max_dim in homology_categories():
+    for name, C, max_dim in digests.homology_categories():
         for n, b in enumerate(nerve(C, max_dim).boundaries):
             yield f"{name} d{n + 1} {b.nrows}x{b.ncols} {smith_invariants(b)}"
 

@@ -186,6 +186,21 @@ def functors_item(trees, render):
     return lines
 
 
+def homology_categories():
+    """(name, category, nerve max_dim): the stage posets, the down-set below
+    DOWN_SET_TOP and the positive k=2 commas below three trees.  Stage 3 at
+    k=3 goes only to degree 1, as in the benchmark's homology workload."""
+    for m, k in ((2, 3), (3, 2)):
+        yield f"k_enumerate({m}, {k})", poset_category(k_enumerate(m, k), k_leq), 3
+    yield "k_enumerate(3, 3)", poset_category(k_enumerate(3, 3), k_leq), 1
+    top = parse_kelt(DOWN_SET_TOP)
+    below = [e for e in k_enumerate(3, 3) if k_leq(e, top)]
+    yield "down-set", poset_category(below, k_leq), 2
+    for t in ("|", "(|)", "(| |)"):
+        for cell in positive_cells():
+            yield f"{t} {cell}", comma_below(parse_tree(t), cell), 4
+
+
 def poset_nerve_lines():
     for name, C in posets():
         yield from nerve_lines(name, C, 2 if name.endswith("down-set") else 3)
@@ -407,6 +422,17 @@ def enumeration_lines():
             yield from (str(c) for c in enumerate_configs(t, k))
 
 
+def cli_item(argv):
+    def lines():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.run(list(argv))
+        yield f"exit {code}"
+        yield json.dumps(out.getvalue())
+        yield json.dumps(err.getvalue())
+    return lines
+
+
 HEAVY = {
     "heavy/build_comma k=3": categories_item(
         lambda: commas((("(|)", 3), ("((|) |)", 3)))),
@@ -426,18 +452,10 @@ HEAVY = {
         for c in enumerate_configs(t, k)),
     "heavy/render every (tree, k<=6) at seeds 1, 2, 3": lambda: drawing_lines(
         c for seed in (1, 2, 3) for c in every_render_config(seed)),
+    # the boundaries with the most fill in Smith normal form
+    "heavy/cli/--max-dim 5 homology kposet --m 3 --k 3": cli_item(
+        ("--max-dim", "5", "homology", "kposet", "--m", "3", "--k", "3")),
 }
-
-
-def cli_item(argv):
-    def lines():
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = cli.run(list(argv))
-        yield f"exit {code}"
-        yield json.dumps(out.getvalue())
-        yield json.dumps(err.getvalue())
-    return lines
 
 
 # The README's CLI quick start; render writes its SVG to stdout, not a file.
