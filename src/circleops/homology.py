@@ -7,7 +7,9 @@ so every reported group is exact.  Floating point is never used.
 Degree conventions: a complex stores ``dims[n]``, the rank of the free group
 of n-chains, and ``boundaries[n]``, the matrix of the boundary map from
 (n+1)-chains to n-chains.  Composites of consecutive boundaries are checked
-to vanish at construction time.
+to vanish at construction time, one column at a time.  ``homology`` reduces
+the boundaries from the top degree down and skips the columns that the unit
+pivots one degree up have cleared.
 """
 
 from __future__ import annotations
@@ -68,6 +70,30 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return matrix_from_dict(a.nrows, b.ncols, out)
 
 
+def _composite_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether a times b is zero, summed one column of b at a time.
+
+    A column's sums go into one list indexed by row; when the column
+    vanishes every slot it touched is back at zero, so the list is reused.
+    """
+    cols_of_a = [[] for _ in range(a.ncols)]
+    for (i, j), v in a.entries:
+        cols_of_a[j].append((i, v))
+    cols_of_b = [[] for _ in range(b.ncols)]
+    for (j, l), w in b.entries:
+        cols_of_b[l].append((j, w))
+    total = [0] * a.nrows
+    for col in cols_of_b:
+        for j, w in col:
+            for i, v in cols_of_a[j]:
+                total[i] += v * w
+        for j, _ in col:
+            for i, _ in cols_of_a[j]:
+                if total[i]:
+                    return False
+    return True
+
+
 def smith_invariants(m: IntMatrix) -> tuple:
     """The invariant factors d_1 | d_2 | ... | d_r of m, all positive.
 
@@ -82,13 +108,69 @@ def smith_invariants(m: IntMatrix) -> tuple:
     left.  The remainder, typically small for the near-unimodular matrices
     produced by nerves, goes through a Euclidean loop that pivots on a
     smallest entry with low fill, and gcd/lcm swaps on the resulting
-    diagonal restore divisibility.
+    diagonal restore divisibility.  ``homology`` runs the same reduction
+    with clearing.
     """
+    return _smith_reduce(m, ())[0]
+
+
+def _smith_reduce(m: IntMatrix, cleared) -> tuple:
+    """Invariant factors of m without the columns in cleared, and the rows
+    of the unit-phase pivots in pivot order.
+
+    Only unit-phase pivots are reported: those are the ones ``homology``
+    may clear with.  The unit phase updates the row dicts and column sets
+    inline, as it makes most of the entry updates.
+    """
+    cleared = set(cleared)
     rows: dict = {}
     cols: dict = {}
     for (i, j), v in m.entries:
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
+        if j not in cleared:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, set()).add(i)
+
+    pivot_rows = []
+    heap = [(len(col), j) for j, col in cols.items()]
+    heapify(heap)
+    while heap:
+        count, pj = heappop(heap)
+        col = cols.get(pj)
+        if col is None or len(col) != count:
+            continue
+        pi = best = None
+        for i in col:
+            row = rows[i]
+            if row[pj] in (1, -1) and (best is None or (len(row), i) < best):
+                pi, best = i, (len(row), i)
+        if pi is None:
+            continue
+        prow = rows.pop(pi)
+        p = prow[pj]
+        col.discard(pi)
+        for i in list(col):
+            # row_i -= (row_i[pj] / p) * row_pi, and 1 / p == p
+            row = rows[i]
+            f = -row[pj] * p
+            for j, v in prow.items():
+                w = row.get(j, 0) + f * v
+                if w:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = w
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        for j in prow:
+            c = cols[j]
+            c.discard(pi)
+            if c:
+                heappush(heap, (len(c), j))
+            else:
+                del cols[j]
+        pivot_rows.append(pi)
 
     def put(i, j, v):
         row = rows.setdefault(i, {})
@@ -112,31 +194,6 @@ def smith_invariants(m: IntMatrix) -> tuple:
         # col_dst += factor * col_src
         for i in list(cols[src]):
             put(i, dst, rows[i].get(dst, 0) + factor * rows[i][src])
-
-    units = 0
-    heap = [(len(col), j) for j, col in cols.items()]
-    heapify(heap)
-    while heap:
-        count, pj = heappop(heap)
-        col = cols.get(pj)
-        if col is None or len(col) != count:
-            continue
-        unit_rows = [i for i in col if rows[i][pj] in (1, -1)]
-        if not unit_rows:
-            continue
-        pi = min(unit_rows, key=lambda i: (len(rows[i]), i))
-        prow = rows[pi]
-        p = prow[pj]
-        for i in [i for i in col if i != pi]:
-            add_row(i, pi, -rows[i][pj] * p)
-        del rows[pi]
-        for j in prow:
-            cols[j].discard(pi)
-            if cols[j]:
-                heappush(heap, (len(cols[j]), j))
-            else:
-                del cols[j]
-        units += 1
 
     diagonal = []
     while rows:
@@ -172,7 +229,7 @@ def smith_invariants(m: IntMatrix) -> tuple:
 
     # A diagonal matrix is equivalent to the chain of its invariant factors;
     # gcd/lcm swaps repair any divisibility failures left by local pivoting.
-    ones = units + diagonal.count(1)
+    ones = len(pivot_rows) + diagonal.count(1)
     rest = [d for d in diagonal if d != 1]
     changed = True
     while changed:
@@ -183,7 +240,7 @@ def smith_invariants(m: IntMatrix) -> tuple:
                     g = gcd(rest[a], rest[b])
                     rest[a], rest[b] = g, rest[a] * rest[b] // g
                     changed = True
-    return (1,) * ones + tuple(sorted(rest))
+    return (1,) * ones + tuple(sorted(rest)), tuple(pivot_rows)
 
 
 def matrix_rank(m: IntMatrix) -> int:
@@ -212,7 +269,7 @@ class ChainComplex:
                     f"expected {self.dims[n]}x{self.dims[n + 1]}"
                 )
         for n in range(len(self.boundaries) - 1):
-            if not matmul(self.boundaries[n], self.boundaries[n + 1]).is_zero:
+            if not _composite_vanishes(self.boundaries[n], self.boundaries[n + 1]):
                 raise HomologyError(
                     f"boundary composite from degree {n + 2} is nonzero"
                 )
@@ -251,11 +308,29 @@ class HomologyResult:
 def homology(cx: ChainComplex) -> HomologyResult:
     """Exact homology of the complex in every stored degree.
 
+    The boundaries are reduced from the top degree down, with clearing over
+    the integers (after Chen and Kerber's twist): the unit-phase pivots of
+    d_(n+1) name n-chains, and d_n is reduced without those columns.  This
+    leaves its invariant factors unchanged.  Take the rows R and columns C
+    of those pivots in pivot order.  The unit phase only adds pivot rows to
+    rows not yet pivoted, so after its row operations the block on R x C is
+    triangular with +-1 on the diagonal, and on the rows R those operations
+    are unitriangular; so the block of d_(n+1) itself is unimodular.  Hence
+    the boundaries of the chains C, together with the basis n-chains
+    outside R, form a basis of C_n, and d_n kills the first group because
+    d_n d_(n+1) = 0.  In that basis d_n is its columns outside R beside
+    zero columns, a change of basis that keeps invariant factors.  The
+    Euclidean phase also adds columns to columns, so none of its pivots,
+    not even a +-1, clears a column.
+
     The Euler characteristic computed from chain ranks must agree with the
     one computed from Betti numbers; a mismatch means the rank computations
     are inconsistent and is reported as an error rather than a result.
     """
-    factors = [smith_invariants(b) for b in cx.boundaries]
+    factors = [()] * len(cx.boundaries)
+    cleared = ()
+    for n in reversed(range(len(cx.boundaries))):
+        factors[n], cleared = _smith_reduce(cx.boundaries[n], cleared)
     ranks = [len(f) for f in factors]
     betti = []
     torsion = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from math import comb
 
@@ -47,6 +48,13 @@ class KElt:
             raise ValueError("edge labels must be nonnegative integers")
         if sorted(self.perm) != list(range(1, self.k + 1)):
             raise ValueError(f"perm {self.perm} is not a permutation of 1..{self.k}")
+
+    @cached_property
+    def orientations(self) -> tuple:
+        """before(i, j) for each vertex pair i < j, in label order; computed
+        on first use and kept outside ==, hash and repr."""
+        p = self.perm
+        return tuple(p[i - 1] < p[j - 1] for i, j in vertex_pairs(self.k))
 
     def mu(self, i: int, j: int) -> int:
         """Label of the edge between distinct vertices i and j."""
@@ -85,11 +93,8 @@ def k_leq(x: KElt, y: KElt) -> bool:
     """Edgewise order: each edge grows strictly or keeps label and orientation."""
     if x.k != y.k:
         raise ValueError(f"cannot compare arity {x.k} with arity {y.k}")
-    xp, yp = x.perm, y.perm
-    for (i, j), a, b in zip(vertex_pairs(x.k), x.labels, y.labels):
-        if a > b:
-            return False
-        if a == b and (xp[i - 1] < xp[j - 1]) != (yp[i - 1] < yp[j - 1]):
+    for a, b, s, t in zip(x.labels, y.labels, x.orientations, y.orientations):
+        if a > b or (a == b and s != t):
             return False
     return True
 

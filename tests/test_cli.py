@@ -322,9 +322,10 @@ def test_enumeration_duplicate_check_failure_exits_1(capsys, monkeypatch):
 
 def test_homology_check_failure_exits_1(capsys, monkeypatch):
     homology = importlib.import_module("circleops.homology")
-    # too many pivots make a Betti number negative
-    monkeypatch.setattr(homology, "smith_invariants",
-                        lambda m: (1,) * (m.nrows + 1))
+    # too many pivots make a Betti number negative; homology() reaches
+    # every boundary through _smith_reduce
+    monkeypatch.setattr(homology, "_smith_reduce",
+                        lambda m, cleared: ((1,) * (m.nrows + 1), ()))
     assert_internal_failure(
         capsys, ["homology", "kposet", "--m", "2", "--k", "2"],
         "negative Betti number")

@@ -7,18 +7,23 @@ scrambled by unimodular operations on larger ones.  Known complexes with
 torsion pin the homology conventions.
 """
 
+import importlib
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circleops.cattop import nerve, poset_category
 from circleops.homology import (
     ChainComplex,
     HomologyError,
+    HomologyResult,
     IntMatrix,
     homology,
     matmul,
@@ -26,6 +31,13 @@ from circleops.homology import (
     matrix_rank,
     smith_invariants,
 )
+from circleops.kgraph import k_enumerate, k_leq
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import digests  # noqa: E402
+
+# The package exports the function homology under the module's own name.
+homology_module = importlib.import_module("circleops.homology")
 
 
 def dense(m):
@@ -213,6 +225,25 @@ def simplicial_complex(vertices, simplices):
     return ChainComplex(tuple(len(l) for l in levels), tuple(mats))
 
 
+def test_boundary_composites_that_cancel_pass():
+    # each entry of d1 d2 is 1 - 1
+    d1 = matrix_from_dict(1, 2, {(0, 0): 1, (0, 1): 1})
+    d2 = matrix_from_dict(2, 1, {(0, 0): 1, (1, 0): -1})
+    assert homology(ChainComplex((1, 2, 1), (d1, d2))).betti == (0, 0, 0)
+
+
+def test_nonzero_composite_in_the_last_column_is_caught():
+    d1 = matrix_from_dict(1, 2, {(0, 0): 1, (0, 1): 1})
+    d2 = matrix_from_dict(2, 2, {(0, 0): 1, (1, 0): -1, (0, 1): 1, (1, 1): -1})
+    d3 = matrix_from_dict(
+        2, 3, {(0, 0): 1, (1, 0): -1, (0, 1): 2, (1, 1): -2, (0, 2): 1})
+    assert matmul(d1, d2).is_zero
+    assert dense(matmul(d2, d3)) == [[0, 0, 1], [0, 0, -1]]
+    with pytest.raises(HomologyError,
+                       match="boundary composite from degree 3 is nonzero"):
+        ChainComplex((1, 2, 2, 3), (d1, d2, d3))
+
+
 def test_boundary_squared_is_checked():
     d1 = matrix_from_dict(1, 1, {(0, 0): 1})
     d2 = matrix_from_dict(1, 1, {(0, 0): 1})
@@ -247,25 +278,31 @@ def test_solid_tetrahedron_is_acyclic():
     assert h.betti == (1, 0, 0, 0)
 
 
+# One cell in each degree; the 2-cell wraps twice around the 1-cell.
+PROJECTIVE_PLANE = ChainComplex(
+    (1, 1, 1),
+    (matrix_from_dict(1, 1, {}), matrix_from_dict(1, 1, {(0, 0): 2})),
+)
+# Cells: one vertex, loops a and b, one 2-cell glued along a b a b^-1.
+KLEIN_BOTTLE = ChainComplex(
+    (1, 2, 1),
+    (matrix_from_dict(1, 2, {}), matrix_from_dict(2, 1, {(0, 0): 2})),
+)
+MOORE_SPACE_12 = ChainComplex(
+    (1, 1, 1),
+    (matrix_from_dict(1, 1, {}), matrix_from_dict(1, 1, {(0, 0): 12})),
+)
+
+
 def test_projective_plane_torsion():
-    # One cell in each degree; the 2-cell wraps twice around the 1-cell.
-    cx = ChainComplex(
-        (1, 1, 1),
-        (matrix_from_dict(1, 1, {}), matrix_from_dict(1, 1, {(0, 0): 2})),
-    )
-    h = homology(cx)
+    h = homology(PROJECTIVE_PLANE)
     assert h.betti == (1, 0, 0)
     assert h.torsion == ((), (2,), ())
     assert h.group(1) == "Z/2"
 
 
 def test_klein_bottle_homology():
-    # Cells: one vertex, loops a and b, one 2-cell glued along a b a b^-1.
-    cx = ChainComplex(
-        (1, 2, 1),
-        (matrix_from_dict(1, 2, {}), matrix_from_dict(2, 1, {(0, 0): 2})),
-    )
-    h = homology(cx)
+    h = homology(KLEIN_BOTTLE)
     assert h.betti == (1, 1, 0)
     assert h.torsion == ((), (2,), ())
     assert h.group(1) == "Z + Z/2"
@@ -283,11 +320,7 @@ def test_torus_homology():
 
 
 def test_moore_space_torsion():
-    cx = ChainComplex(
-        (1, 1, 1),
-        (matrix_from_dict(1, 1, {}), matrix_from_dict(1, 1, {(0, 0): 12})),
-    )
-    assert homology(cx).torsion[1] == (12,)
+    assert homology(MOORE_SPACE_12).torsion[1] == (12,)
 
 
 def test_empty_complex():
@@ -303,3 +336,128 @@ def test_euler_characteristic_agrees(m):
     h = homology(cx)
     chi = m.nrows - m.ncols
     assert h.betti[0] - h.betti[1] == chi
+
+
+# --- clearing -------------------------------------------------------------------
+
+
+def uncleared_homology(cx):
+    """Homology read off each boundary's own Smith normal form."""
+    factors = [smith_invariants(b) for b in cx.boundaries]
+    top = cx.top_degree
+    betti, torsion = [], []
+    for n in range(top + 1):
+        rank_in = len(factors[n - 1]) if n else 0
+        rank_out = len(factors[n]) if n < top else 0
+        betti.append(cx.dims[n] - rank_in - rank_out)
+        torsion.append(tuple(d for d in factors[n] if d > 1) if n < top else ())
+    return HomologyResult(tuple(betti), tuple(torsion))
+
+
+def random_unimodular(rng, size, steps):
+    """A random unimodular matrix and its inverse, as lists of rows."""
+    p = [[int(i == j) for j in range(size)] for i in range(size)]
+    q = [row[:] for row in p]
+    for _ in range(steps if size > 1 else 0):
+        s, t = rng.sample(range(size), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # p <- (1 + c e_st) p and q <- q (1 - c e_st)
+        p[s] = [a + c * b for a, b in zip(p[s], p[t])]
+        for row in q:
+            row[t] -= c * row[s]
+    return p, q
+
+
+def dense_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def random_torsion_complex(rng):
+    """A complex with known homology in random bases.
+
+    It is a sum of free cells and pieces Z -> Z, each piece multiplying by
+    its coefficient; the first piece's coefficient is 2, 3 or 4.  Each chain
+    group then gets a random unimodular change of basis.  Returns the
+    complex, the free cell count of each degree, and the order of each
+    degree's torsion.
+    """
+    top = rng.randint(1, 4)
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    dims = free[:]
+    normal = [{} for _ in range(top)]
+    for piece in range(rng.randint(1, 6)):
+        n = rng.randint(1, top)
+        d = rng.choice((2, 3, 4)) if piece == 0 else rng.choice((1, 1, -1, 2, 3, 6))
+        normal[n - 1][(dims[n - 1], dims[n])] = d
+        dims[n - 1] += 1
+        dims[n] += 1
+    bases = [random_unimodular(rng, d, rng.randint(0, 3 * d)) for d in dims]
+    boundaries = []
+    for n in range(1, top + 1):
+        d = [[normal[n - 1].get((i, j), 0) for j in range(dims[n])]
+             for i in range(dims[n - 1])]
+        m = dense_product(dense_product(bases[n - 1][0], d), bases[n][1])
+        boundaries.append(matrix_from_dict(dims[n - 1], dims[n], {
+            (i, j): v for i, row in enumerate(m) for j, v in enumerate(row)}))
+    torsion_order = [
+        prod(abs(d) for (i, j), d in normal[n].items()) if n < top else 1
+        for n in range(top + 1)
+    ]
+    return ChainComplex(tuple(dims), tuple(boundaries)), free, torsion_order
+
+
+def torsion_complexes():
+    yield "projective plane", PROJECTIVE_PLANE
+    yield "Klein bottle", KLEIN_BOTTLE
+    yield "Moore space", MOORE_SPACE_12
+    for name, C, max_dim in digests.homology_categories():
+        yield name, nerve(C, max_dim)
+
+
+def test_clearing_matches_uncleared_reduction():
+    for name, cx in torsion_complexes():
+        assert homology(cx) == uncleared_homology(cx), name
+
+
+def test_clearing_on_random_complexes_with_torsion():
+    rng = random.Random(20261019)
+    for _ in range(50):
+        cx, free, torsion_order = random_torsion_complex(rng)
+        h = homology(cx)
+        assert h == uncleared_homology(cx)
+        assert list(h.betti) == free
+        assert [prod(t) for t in h.torsion] == torsion_order
+        assert any(h.torsion)
+
+
+def test_clearing_drops_one_column_per_unit_pivot_above(monkeypatch):
+    cx = nerve(poset_category(k_enumerate(2, 3), k_leq), 3)
+    expected = uncleared_homology(cx)
+    reduce = homology_module._smith_reduce
+    calls = []
+
+    def recording(m, cleared):
+        out = reduce(m, cleared)
+        calls.append((m, tuple(cleared), out))
+        return out
+
+    monkeypatch.setattr(homology_module, "_smith_reduce", recording)
+    assert homology(cx) == expected
+    assert [m for m, _, _ in calls] == list(reversed(cx.boundaries))
+    assert calls[0][1] == ()
+    for (_, _, (factors, pivots)), (below, cleared, _) in zip(calls, calls[1:]):
+        # d_n drops one column for each unit pivot of d_(n+1), and no other
+        assert cleared == pivots
+        assert 0 < len(set(cleared)) == len(pivots) <= factors.count(1)
+        assert all(0 <= c < below.ncols for c in cleared)
+
+
+def test_only_unit_phase_pivots_clear():
+    reduce = homology_module._smith_reduce
+    # gcd(2, 3) = 1 is found by the Euclidean phase, after a column operation
+    assert reduce(matrix_from_dict(1, 2, {(0, 0): 2, (0, 1): 3}), ()) == ((1,), ())
+    assert reduce(PROJECTIVE_PLANE.boundaries[1], ()) == ((2,), ())
+    m = matrix_from_dict(1, 2, {(0, 0): 2, (0, 1): 1})
+    assert reduce(m, ()) == ((1,), (0,))
+    # a cleared column is not read
+    assert reduce(m, (1,)) == ((2,), ())

@@ -1,6 +1,7 @@
 """Tests for the labelled-complete-graph operad."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -134,6 +135,36 @@ def test_order_is_a_partial_order():
         for c in range(len(elts)):
             if (b, c) in rel:
                 assert (a, c) in rel
+
+
+def test_leq_matches_the_edgewise_definition():
+    # every ordered pair of two stage posets, then seeded elements whose
+    # labels reach 9, above every stage the tests and the CLI build
+    for m, k in ((2, 3), (3, 2)):
+        elts = k_enumerate(m, k)
+        for x in elts:
+            for y in elts:
+                assert k_leq(x, y) == edgewise_leq(x, y)
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        k = rng.randint(0, 5)
+        x, y = (
+            KElt(k, tuple(rng.randint(0, 9) for _ in range(comb(k, 2))),
+                 tuple(rng.sample(range(1, k + 1), k)))
+            for _ in range(2)
+        )
+        assert k_leq(x, y) == edgewise_leq(x, y)
+        assert k_leq(x, x) and x.orientations == tuple(
+            x.before(i, j) for i, j in vertex_pairs(k))
+    with pytest.raises(ValueError, match="cannot compare arity 2 with arity 3"):
+        k_leq(KElt(2, (0,), (1, 2)), KElt(3, (0, 0, 0), (1, 2, 3)))
+
+
+def test_cached_orientations_leave_equality_and_hash_alone():
+    x = KElt(3, (0, 1, 1), (2, 3, 1))
+    y = KElt(3, (0, 1, 1), (2, 3, 1))
+    assert x.orientations == (True, False, False)
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
 
 
 def test_iota_embeds_stages():
