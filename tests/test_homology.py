@@ -4,7 +4,9 @@ Smith normal form is checked against three independent oracles: ranks against
 Gaussian elimination over exact rationals, invariant factors against the
 gcd-of-minors characterization on small matrices, and known diagonals
 scrambled by unimodular operations on larger ones.  Known complexes with
-torsion pin the homology conventions.
+torsion pin the homology conventions.  Homology with clearing is checked
+against the same groups read off each boundary's own Smith normal form, and
+against seeded complexes whose homology is known by construction.
 """
 
 import importlib
