@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 
 from .circled import enumerate_configs, relabel_whites, splice, white_addresses
-from .homology import ChainComplex, HomologyResult, homology, matrix_from_dict
+from .homology import ChainComplex, HomologyResult, IntMatrix, homology
 from .kgraph import (
     KElt,
     k_enumerate,
@@ -951,6 +951,9 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
     nonidentity arrows, held as tuples of arrow ids.  Degree 0 is the
     objects in order and each higher degree lists its strings in the order
     of their first arrow, then of each next arrow out of the last target.
+    Each boundary is written in row order: the faces of a column are summed
+    first and its nonzero sums appended to per-row lists, so the entries
+    come out in IntMatrix's order with no sort.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -969,14 +972,16 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
         )
     matrices = []
     for n in range(1, len(levels)):
-        entries = {}
+        rows = [[] for _ in levels[n - 1]]
         if n == 1:
+            # Loop-free: the two ends of an arrow are distinct rows.
             for col, (f,) in enumerate(levels[1]):
-                entries[(dst[f], col)] = entries.get((dst[f], col), 0) + 1
-                entries[(src[f], col)] = entries.get((src[f], col), 0) - 1
+                rows[dst[f]].append(((dst[f], col), 1))
+                rows[src[f]].append(((src[f], col), -1))
         else:
             below = {s: row for row, s in enumerate(levels[n - 1])}
             for col, chain in enumerate(levels[n]):
+                faces = {}
                 for i in range(n + 1):
                     if i == 0:
                         face = chain[1:]
@@ -989,11 +994,13 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
                             + chain[i + 1 :]
                         )
                     row = below[face]
-                    sign = -1 if i % 2 else 1
-                    entries[(row, col)] = entries.get((row, col), 0) + sign
-        matrices.append(
-            matrix_from_dict(len(levels[n - 1]), len(levels[n]), entries)
-        )
+                    faces[row] = faces.get(row, 0) + (-1 if i % 2 else 1)
+                for row, v in faces.items():
+                    if v:
+                        rows[row].append(((row, col), v))
+        matrices.append(IntMatrix(
+            len(levels[n - 1]), len(levels[n]), tuple(e for row in rows for e in row)
+        ))
     return ChainComplex(tuple(len(l) for l in levels), tuple(matrices))
 
 

@@ -25,7 +25,11 @@ class HomologyError(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """A sparse integer matrix stored as sorted ((row, col), value) pairs."""
+    """A sparse integer matrix stored as ((row, col), value) pairs.
+
+    The positions must be strictly increasing in row-major order, which also
+    rules out duplicates; every value is nonzero and inside the shape.
+    """
 
     nrows: int
     ncols: int
@@ -34,17 +38,20 @@ class IntMatrix:
     def __post_init__(self):
         if self.nrows < 0 or self.ncols < 0:
             raise HomologyError("matrix dimensions must be nonnegative")
-        seen = set()
-        for (i, j), v in self.entries:
+        last = (-1, -1)
+        for pos, v in self.entries:
+            i, j = pos
             if not (0 <= i < self.nrows and 0 <= j < self.ncols):
                 raise HomologyError(
                     f"entry ({i},{j}) outside a {self.nrows}x{self.ncols} matrix"
                 )
             if v == 0:
                 raise HomologyError(f"explicit zero stored at ({i},{j})")
-            if (i, j) in seen:
-                raise HomologyError(f"duplicate entry at ({i},{j})")
-            seen.add((i, j))
+            if pos <= last:
+                if pos == last:
+                    raise HomologyError(f"duplicate entry at ({i},{j})")
+                raise HomologyError(f"entry ({i},{j}) out of row-major order")
+            last = pos
 
     @property
     def is_zero(self) -> bool:
@@ -55,19 +62,6 @@ def matrix_from_dict(nrows: int, ncols: int, entries) -> IntMatrix:
     """Build an IntMatrix from any {(row, col): value} mapping, dropping zeros."""
     cleaned = tuple(sorted((pos, v) for pos, v in entries.items() if v != 0))
     return IntMatrix(nrows, ncols, cleaned)
-
-
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.ncols != b.nrows:
-        raise HomologyError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    cols_of_a = {}
-    for (i, j), v in a.entries:
-        cols_of_a.setdefault(j, []).append((i, v))
-    out = {}
-    for (j, l), w in b.entries:
-        for i, v in cols_of_a.get(j, ()):
-            out[(i, l)] = out.get((i, l), 0) + v * w
-    return matrix_from_dict(a.nrows, b.ncols, out)
 
 
 def _composite_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
@@ -241,10 +235,6 @@ def _smith_reduce(m: IntMatrix, cleared) -> tuple:
                     rest[a], rest[b] = g, rest[a] * rest[b] // g
                     changed = True
     return (1,) * ones + tuple(sorted(rest)), tuple(pivot_rows)
-
-
-def matrix_rank(m: IntMatrix) -> int:
-    return len(smith_invariants(m))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import permutations, product
+from functools import cached_property, lru_cache
+from itertools import chain, permutations, product, repeat
 from math import comb
+from operator import lt
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,11 @@ class KElt:
     labels runs over the vertex pairs (1,2), (1,3), ..., (k-1,k) in
     lexicographic order.  perm[i-1] is the position of vertex i in the
     vertex order, so i comes before j exactly when perm[i-1] < perm[j-1].
+
+    The order is inclusion of down-sets.  On one edge, (a, s) sits below
+    (b, t) when a < b or (a, s) == (b, t), which is exactly when the set of
+    the pairs (m, o) with m < a, plus (a, s), lies inside that of (b, t);
+    down caches those sets over all edges, so x <= y is x.down <= y.down.
     """
 
     k: int
@@ -53,8 +59,22 @@ class KElt:
     def orientations(self) -> tuple:
         """before(i, j) for each vertex pair i < j, in label order; computed
         on first use and kept outside ==, hash and repr."""
-        p = self.perm
-        return tuple(p[i - 1] < p[j - 1] for i, j in vertex_pairs(self.k))
+        return tuple(_orientations(self.perm))
+
+    @cached_property
+    def down(self) -> frozenset | None:
+        """The down-set code, or None when a label reaches DOWN_LABELS.
+
+        The pair (m, o) of edge e is the integer e + n * (2m + o), n the
+        number of edges.  The set grows with the labels, hence the bound.
+        Computed on first use and kept outside ==, hash and repr.
+        """
+        if self.labels and max(self.labels) >= DOWN_LABELS:
+            return None
+        n = len(self.labels)
+        edges = map(_edge_codes, repeat(n), range(n), self.labels,
+                    _orientations(self.perm))
+        return frozenset(chain.from_iterable(edges))
 
     def mu(self, i: int, j: int) -> int:
         """Label of the edge between distinct vertices i and j."""
@@ -84,15 +104,48 @@ def vertex_pairs(k: int):
             yield i, j
 
 
+@lru_cache(maxsize=64)
+def _pair_slots(k: int) -> tuple:
+    """The 0-based first and second vertices of the pairs, in label order."""
+    pairs = tuple(vertex_pairs(k))
+    return tuple(i - 1 for i, _ in pairs), tuple(j - 1 for _, j in pairs)
+
+
+def _orientations(perm):
+    """An iterator of before(i, j) over the vertex pairs, in label order."""
+    first, second = _pair_slots(len(perm))
+    return map(lt, map(perm.__getitem__, first), map(perm.__getitem__, second))
+
+
+# Labels below this get a down-set code, whose size grows with the labels;
+# the stage posets and complexity bounds stay far below it.
+DOWN_LABELS = 16
+
+
+@lru_cache(maxsize=4096)
+def _edge_codes(n: int, e: int, label: int, orientation: bool) -> tuple:
+    """Codes of edge e of n with the given label and orientation: every
+    lower label with both orientations, then the edge's own pair."""
+    return (*range(e, e + 2 * label * n, n), e + (2 * label + orientation) * n)
+
+
 K_UNIT = KElt(1, (), (1,))
 
 
 # --- partial order ------------------------------------------------------------
 
 def k_leq(x: KElt, y: KElt) -> bool:
-    """Edgewise order: each edge grows strictly or keeps label and orientation."""
+    """Edgewise order: each edge grows strictly or keeps label and orientation.
+
+    Per edge that is inclusion of down-sets (see KElt), so the order is one
+    subset test of the cached codes; an element with a label at DOWN_LABELS
+    or above has none and is compared edge by edge.
+    """
     if x.k != y.k:
         raise ValueError(f"cannot compare arity {x.k} with arity {y.k}")
+    dx, dy = x.down, y.down
+    if dx is not None and dy is not None:
+        return dx <= dy
     for a, b, s, t in zip(x.labels, y.labels, x.orientations, y.orientations):
         if a > b or (a == b and s != t):
             return False

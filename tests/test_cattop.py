@@ -8,6 +8,7 @@ from circleops.trees import LEAF, parse_tree
 from circleops.kgraph import KElt, k_enumerate, k_iota, k_leq, parse_kelt
 from circleops import cattop
 from circleops.circled import parse_config
+from circleops.homology import matrix_from_dict
 from circleops.operad_h import identity_op
 from circleops.cattop import (
     Arrow,
@@ -521,6 +522,75 @@ def test_nerve_of_terminal_and_chain():
     assert nerve(pt, 2).dims == (1, 0, 0)
     two = chain(2)
     assert nerve(two, 2).dims == (2, 1, 0)
+
+
+def parallel_arrows_category():
+    """A loop-free category on 0 < 1 < 2 < 3 that is not thin: two arrows
+    0 -> 1, two 2 -> 3, and one 1 -> 2 that merges the first pair.
+
+    An arrow i -> j carries a choice 1 or 2 when it ends in 3 or is 0 -> 1,
+    and 0 otherwise; a composite keeps its last arrow's choice when it ends
+    in 3.  The arrows are listed backwards, so no boundary is in row order
+    by accident.
+    """
+    two = {(0, 1), (0, 3), (1, 3), (2, 3)}
+    arrows = [Arrow(x, x, 0) for x in range(4)] + [
+        Arrow(i, j, c)
+        for i in range(4) for j in range(i + 1, 4)
+        for c in ((1, 2) if (i, j) in two else (0,))
+    ]
+    arrows.reverse()
+
+    def compose(g, f):
+        if f.src == f.dst:
+            return g
+        if g.src == g.dst:
+            return f
+        return Arrow(f.src, g.dst, g.label if g.dst == 3 else 0)
+
+    table = {(g, f): compose(g, f) for f in arrows for g in arrows if f.dst == g.src}
+    return FinCategory(range(4), arrows, {x: Arrow(x, x, 0) for x in range(4)}, table)
+
+
+def reference_nerve(C, max_dim):
+    """Chain ranks and boundaries built the way nerve once built them: one
+    {(row, col): value} dict of face sums per boundary, then matrix_from_dict,
+    with chains held as tuples of arrow payloads."""
+    nonid = [a for a in C.arrows if not C.is_identity(a)]
+    levels = [list(C.objects), [(a,) for a in nonid]][: max_dim + 1]
+    while len(levels) <= max_dim:
+        levels.append(
+            [c + (g,) for c in levels[-1] for g in nonid if g.src == c[-1].dst]
+        )
+    boundaries = []
+    for n in range(1, max_dim + 1):
+        below = {s: row for row, s in enumerate(levels[n - 1])}
+        entries = {}
+        for col, c in enumerate(levels[n]):
+            for i in range(n + 1):
+                if n == 1:
+                    face = c[0].dst if i == 0 else c[0].src
+                elif i == 0:
+                    face = c[1:]
+                elif i == n:
+                    face = c[:-1]
+                else:
+                    face = c[: i - 1] + (C.compose(c[i], c[i - 1]),) + c[i + 1 :]
+                key = (below[face], col)
+                entries[key] = entries.get(key, 0) + (-1) ** i
+        boundaries.append(
+            matrix_from_dict(len(levels[n - 1]), len(levels[n]), entries)
+        )
+    return tuple(len(l) for l in levels), tuple(boundaries)
+
+
+def test_nerve_of_a_category_with_parallel_arrows_matches_the_reference():
+    C = parallel_arrows_category()
+    assert len(C.hom(0, 1)) == 2 and len(C.hom(0, 3)) == 2
+    for max_dim in range(5):
+        cx = nerve(C, max_dim)
+        assert (cx.dims, cx.boundaries) == reference_nerve(C, max_dim)
+    assert nerve(C, 4).dims == (4, 10, 10, 4, 0)
 
 
 def test_acyclicity_report_fields():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circleops.kgraph import (
+    DOWN_LABELS,
     K_UNIT,
     KElt,
     block_perm,
@@ -163,8 +164,41 @@ def test_leq_matches_the_edgewise_definition():
 def test_cached_orientations_leave_equality_and_hash_alone():
     x = KElt(3, (0, 1, 1), (2, 3, 1))
     y = KElt(3, (0, 1, 1), (2, 3, 1))
+    fresh = (hash(y), repr(y))
     assert x.orientations == (True, False, False)
-    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    # edge e's pair (m, o) is e + 3 * (2m + o): edge 0 keeps (0, True),
+    # edges 1 and 2 hold both orientations of label 0 and then (1, False)
+    assert x.down == frozenset({3, 1, 4, 7, 2, 5, 8})
+    # only x has filled its caches
+    assert "orientations" in vars(x) and "down" in vars(x)
+    assert not {"orientations", "down"} & set(vars(y))
+    assert x == y and y == x and len({x, y}) == 1
+    assert (hash(x), repr(x)) == (hash(y), repr(y)) == fresh
+    assert "down" not in repr(x) and "orientations" not in repr(x)
+    assert y.down == x.down and x == y and (hash(y), repr(y)) == fresh
+    z = KElt(3, (0, 1, 1), (2, 1, 3))
+    assert z.down != x.down and z != x
+
+
+def test_leq_past_the_down_set_labels_is_edgewise():
+    # an element with a label at DOWN_LABELS or above has no down-set code
+    # and is compared edge by edge, also against one that has a code
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(2000):
+        k = rng.randint(2, 3)
+        x, y = (
+            KElt(k, tuple(rng.randint(DOWN_LABELS - 2, DOWN_LABELS + 1)
+                          for _ in range(comb(k, 2))),
+                 tuple(rng.sample(range(1, k + 1), k)))
+            for _ in range(2)
+        )
+        for a in (x, y):
+            assert (a.down is None) == (max(a.labels) >= DOWN_LABELS)
+        assert k_leq(x, y) == edgewise_leq(x, y)
+        seen.add((x.down is None, y.down is None, k_leq(x, y)))
+    # every case but one: a label past the bound is above all of y's labels
+    assert len(seen) == 7 and (True, False, True) not in seen
 
 
 def test_iota_embeds_stages():
