@@ -205,7 +205,8 @@ class FinCategory:
 
     def _verify(self, entries=None):
         """The axioms on ids; entries are (g, f, g after f) triples, by
-        default read from _comp.  Payloads are read only to name a failure."""
+        default read row by row from _comp without forming them.  Payloads
+        are read only to name a failure."""
         objects, arrows = self.objects, self.arrows
         src, dst, ident, comp, out = (
             self._src, self._dst, self._ident, self._comp, self._out
@@ -222,27 +223,27 @@ class FinCategory:
                 raise CategoryError(f"bad identity arrow at {objects[x]}")
         if entries is None:
             size = sum(map(len, comp))
-            entries = (
-                (g, f, h) for f, row in enumerate(comp) for g, h in row.items()
-            )
+            rows = ((f, row.items()) for f, row in enumerate(comp))
         else:
             size = len(entries)
+            rows = ((f, ((g, h),)) for g, f, h in entries)
         composable = sum(len(out[x]) for x in dst)
         if size != composable:
             raise CategoryError(
                 f"composition table has {size} entries, expected {composable}"
             )
-        for g, f, h in entries:
-            if g < 0 or f < 0 or h < 0:
-                raise CategoryError("composition table mentions unknown arrows")
-            if dst[f] != src[g]:
-                raise CategoryError(
-                    f"table entry for non-composable pair ({arrows[f]}, {arrows[g]})"
-                )
-            if src[h] != src[f] or dst[h] != dst[g]:
-                raise CategoryError(
-                    f"composite of ({arrows[f]}, {arrows[g]}) has wrong endpoints"
-                )
+        for f, pairs in rows:
+            for g, h in pairs:
+                if g < 0 or f < 0 or h < 0:
+                    raise CategoryError("composition table mentions unknown arrows")
+                if dst[f] != src[g]:
+                    raise CategoryError(
+                        f"table entry for non-composable pair ({arrows[f]}, {arrows[g]})"
+                    )
+                if src[h] != src[f] or dst[h] != dst[g]:
+                    raise CategoryError(
+                        f"composite of ({arrows[f]}, {arrows[g]}) has wrong endpoints"
+                    )
         for f, row in enumerate(comp):
             if comp[ident[src[f]]][f] != f or row[ident[dst[f]]] != f:
                 raise CategoryError(f"unit law fails at {arrows[f]}")
@@ -423,6 +424,9 @@ def _subcategory(C: FinCategory, objs, keep_arrow):
     """The subcategory on the object ids objs and the arrows between them
     whose id passes keep_arrow; returns it with its arrows' ids in C.
 
+    The arrows are read off the out-arrows of the kept objects and keep
+    their order in C.
+
     Identities and composites are inherited from C, so keep_arrow must pass
     identities and be closed under composition.
     """
@@ -430,10 +434,10 @@ def _subcategory(C: FinCategory, objs, keep_arrow):
     for n, x in enumerate(objs):
         new_obj[x] = n
     src, dst = C._src, C._dst
-    kept = [
-        a for a in range(len(C.arrows))
-        if new_obj[src[a]] >= 0 and new_obj[dst[a]] >= 0 and keep_arrow(a)
-    ]
+    kept = sorted(
+        a for x in objs for a in C._out[x]
+        if new_obj[dst[a]] >= 0 and keep_arrow(a)
+    )
     new_arr = [-1] * len(C.arrows)
     for n, a in enumerate(kept):
         new_arr[a] = n
@@ -680,6 +684,30 @@ _configs = lru_cache(maxsize=None)(enumerate_configs)
 
 
 @lru_cache(maxsize=None)
+def _operations(tree, k: int) -> tuple:
+    """The operations of _configs(tree, k), in the same order."""
+    return tuple(map(HOperation, _configs(tree, k)))
+
+
+@lru_cache(maxsize=None)
+def _complexity_classes(tree, k: int):
+    """(values, cls): the distinct complexities of _configs(tree, k) in order
+    of first appearance, and for each configuration the index of its own."""
+    index, cls = {}, []
+    for x in map(complexity, _operations(tree, k)):
+        cls.append(index.setdefault(x, len(index)))
+    return tuple(index), tuple(cls)
+
+
+def _ids_below(tree, k: int, cell: KElt) -> list:
+    """The ids of the configurations whose complexity is at most cell, in
+    order; k_leq runs once per distinct complexity."""
+    values, cls = _complexity_classes(tree, k)
+    below = [k_leq(x, cell) for x in values]
+    return [n for n, c in enumerate(cls) if below[c]]
+
+
+@lru_cache(maxsize=None)
 def build_comma(tree, k: int) -> FinCategory:
     """The category of k-white configurations on tree.
 
@@ -694,52 +722,50 @@ def build_comma(tree, k: int) -> FinCategory:
     if k == 0:
         return _point(tree)
     objects = _configs(tree, k)
+    ops = _operations(tree, k)
     oid = {o: n for n, o in enumerate(objects)}
-    opify = lru_cache(maxsize=None)(HOperation)
-    unary_terms, unary_id = [], {}
+    unary_terms, unary_ops, unary_id = [], [], {}
 
     @lru_cache(maxsize=None)
     def unaries(source) -> tuple:
         first = len(unary_terms)
         unary_terms.extend(enumerate_configs(source, 1))
+        unary_ops.extend(map(HOperation, unary_terms[first:]))
         for n in range(first, len(unary_terms)):
             unary_id[unary_terms[n]] = n
         return tuple(range(first, len(unary_terms)))
 
     src, dst, labels = [], [], []
-    for t, o2 in enumerate(objects):
-        op2 = opify(o2)
+    for t, op2 in enumerate(ops):
         for combo in product(*(unaries(s) for s in op2.sources)):
-            term = compose(op2, tuple(opify(unary_terms[p]) for p in combo)).term
+            term = compose(op2, tuple(unary_ops[p] for p in combo)).term
             s = oid.get(term)
             if s is None:
-                raise CategoryError(f"composite {term} into {o2} is not an object")
+                raise CategoryError(
+                    f"composite {term} into {objects[t]} is not an object")
             src.append(s)
             dst.append(t)
             labels.append(combo)
 
     @lru_cache(maxsize=None)
     def composite(q: int, p: int) -> int:
-        term = compose(opify(unary_terms[q]), (opify(unary_terms[p]),)).term
+        term = compose(unary_ops[q], (unary_ops[p],)).term
         return unary_id.get(term, -1)
 
     def combine(g, f):
         return tuple(map(composite, labels[g], labels[f]))
 
+    @lru_cache(maxsize=None)
+    def identity_id(source) -> int:
+        return unary_id.get(identity_op(source).term, -1)
+
     def unit(n):
-        return tuple(
-            unary_id.get(identity_op(s).term, -1) for s in opify(objects[n]).sources
-        )
+        return tuple(map(identity_id, ops[n].sources))
 
     return _labelled(
         objects, src, dst, labels,
         lambda combo: tuple(unary_terms[p] for p in combo), combine, unit,
     )[0]
-
-
-@lru_cache(maxsize=None)
-def _complexity_of(term) -> KElt:
-    return complexity(HOperation(term))
 
 
 @lru_cache(maxsize=None)
@@ -753,10 +779,7 @@ def comma_below(tree, cell: KElt) -> FinCategory:
     """
     if cell.k == 0:
         return build_comma(tree, 0)
-    ids = [
-        n for n, o in enumerate(_configs(tree, cell.k))
-        if k_leq(_complexity_of(o), cell)
-    ]
+    ids = _ids_below(tree, cell.k, cell)
     if not ids:
         return _labelled((), [], [], [], None, None, None)[0]
     return _subcategory(build_comma(tree, cell.k), ids, lambda a: True)[0]
@@ -776,12 +799,7 @@ def build_hat_comma(tree, level: int = 2, k: int = 2) -> FinCategory:
     if k == 0:
         return _point((tree, kappas[0]))
     configs = _configs(tree, k)
-    tagged = [
-        (n, kap)
-        for kap in kappas
-        for n, o in enumerate(configs)
-        if k_leq(_complexity_of(o), k_iota(kap))
-    ]
+    tagged = [(n, kap) for kap in kappas for n in _ids_below(tree, k, k_iota(kap))]
     carrying = [[] for _ in configs]
     for x, (n, _) in enumerate(tagged):
         carrying[n].append(x)
@@ -951,9 +969,10 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
     nonidentity arrows, held as tuples of arrow ids.  Degree 0 is the
     objects in order and each higher degree lists its strings in the order
     of their first arrow, then of each next arrow out of the last target.
-    Each boundary is written in row order: the faces of a column are summed
-    first and its nonzero sums appended to per-row lists, so the entries
-    come out in IntMatrix's order with no sort.
+    Each boundary is written in row order: the faces of a chain are distinct
+    rows, so each face's sign is appended to its row's list as the columns
+    are met, and the entries come out in IntMatrix's order with no sort;
+    IntMatrix still rejects a repeated position.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -979,9 +998,10 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
                 rows[dst[f]].append(((dst[f], col), 1))
                 rows[src[f]].append(((src[f], col), -1))
         else:
+            # Loop-free: the objects of a chain are distinct, so its faces
+            # are distinct rows.
             below = {s: row for row, s in enumerate(levels[n - 1])}
             for col, chain in enumerate(levels[n]):
-                faces = {}
                 for i in range(n + 1):
                     if i == 0:
                         face = chain[1:]
@@ -994,10 +1014,7 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
                             + chain[i + 1 :]
                         )
                     row = below[face]
-                    faces[row] = faces.get(row, 0) + (-1 if i % 2 else 1)
-                for row, v in faces.items():
-                    if v:
-                        rows[row].append(((row, col), v))
+                    rows[row].append(((row, col), -1 if i % 2 else 1))
         matrices.append(IntMatrix(
             len(levels[n - 1]), len(levels[n]), tuple(e for row in rows for e in row)
         ))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, permutations, product
-from operator import is_
+from operator import is_, itemgetter
 
 from .trees import (
     LEAF,
@@ -441,27 +441,80 @@ def _map_whites(c, f):
 # --- enumeration ---------------------------------------------------------------
 
 def enumerate_configs(t, k: int):
-    """All valid configurations on t with white labels 1..k, sorted by text."""
+    """All valid configurations on t with white labels 1..k, sorted by text.
+
+    The work is done once per unlabelled shape from _gen: its first
+    labelling is built and validated (validity does not depend on which
+    labelling, as every one uses 1..k once), and the shape's text, with its
+    white placeholders made slots, gives each labelling its sort key by
+    string formatting.  Each labelled term rebuilds only the subterms that
+    hold a white circle.  Duplicates are caught on adjacent sort keys:
+    equal terms print equal text, so every duplicate an equality test would
+    find is found.
+    """
     if k < 0:
         raise ValueError("white circle count must be nonnegative")
-    out = []
-    for term, whites in _gen(t, False, False, k):
+    keyed = []
+    for shape, whites in _gen(t, False, False, k):
         if whites != k:
             continue
-        valid = None
-        for labelled in _all_labellings(term, k):
-            # Every labelling uses 1..k once, so validity does not depend on
-            # which one: check the first and skip them all if it fails.
-            if valid is None:
-                valid = validate_config(labelled).ok
-            if not valid:
-                break
-            out.append(labelled)
-    out.sort(key=str)
-    for x, y in zip(out, out[1:]):
-        if x == y:
+        label = _labeller(shape)
+        labellings = iter(_all_labellings(shape, k))
+        first = next(labellings)
+        term = label(iter(first))
+        if not validate_config(term).ok:
+            continue
+        # The placeholder label prints as w0, and no other text does.
+        template = str(shape).replace("w0", "w%d")
+        keyed.append((template % first, term))
+        keyed.extend((template % labels, label(iter(labels)))
+                     for labels in labellings)
+    keyed.sort(key=itemgetter(0))
+    for x, y in zip(keyed, keyed[1:]):
+        if x[0] == y[0]:
             raise RuntimeError("enumeration produced a duplicate configuration")
-    return tuple(out)
+    return tuple(term for _, term in keyed)
+
+
+def _labeller(c):
+    """A function taking an iterator of labels to c with its white circles
+    labelled from it in term preorder, as _map_whites visits them.
+
+    Subterms that hold no white circle are shared with c, not rebuilt.
+    """
+    fill = _fill(c)
+    return (lambda it: c) if fill is None else fill
+
+
+def _fill(c):
+    """_labeller's function for c, or None when c holds no white circle."""
+    if isinstance(c, Leaf):
+        return None
+    if isinstance(c, Node):
+        f_kids = _fill_parts(c.children)
+        return None if f_kids is None else lambda it: Node(f_kids(it))
+    kind, content, grafts = c.kind, c.content, c.grafts
+    white = isinstance(kind, White)
+    f_content, f_grafts = _fill(content), _fill_parts(grafts)
+    if not white and f_content is None and f_grafts is None:
+        return None
+
+    def fill(it):
+        return Circ(
+            White(next(it)) if white else kind,
+            content if f_content is None else f_content(it),
+            grafts if f_grafts is None else f_grafts(it),
+        )
+    return fill
+
+
+def _fill_parts(parts):
+    """_fill for a tuple of subterms, filled left to right."""
+    fills = [_fill(x) for x in parts]
+    if not any(fills):
+        return None
+    pairs = tuple(zip(parts, fills))
+    return lambda it: tuple([x if f is None else f(it) for x, f in pairs])
 
 
 @lru_cache(maxsize=None)
@@ -519,9 +572,9 @@ def _gen_forest(ts, in_white: bool, black_parent: bool, white_cap: int):
 
 
 def _all_labellings(term, k: int):
-    for perm in permutations(range(1, k + 1)):
-        it = iter(perm)
-        yield _map_whites(term, lambda _: next(it))
+    """Every labelling of term's k white circles, each as the tuple of its
+    labels in term preorder; enumerate_configs reads its labellings here."""
+    return permutations(range(1, k + 1))
 
 
 # --- random sampling -----------------------------------------------------------

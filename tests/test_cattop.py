@@ -9,7 +9,7 @@ from circleops.kgraph import KElt, k_enumerate, k_iota, k_leq, parse_kelt
 from circleops import cattop
 from circleops.circled import parse_config
 from circleops.homology import matrix_from_dict
-from circleops.operad_h import identity_op
+from circleops.operad_h import HOperation, complexity, identity_op
 from circleops.cattop import (
     Arrow,
     CategoryError,
@@ -463,6 +463,26 @@ def test_commas_are_read_off_build_comma(monkeypatch):
         assert comma_below(chain3, KElt(2, (0,), perm)).objects == ()
     assert build_comma.cache_info() == before
     assert calls == []
+
+
+def test_comma_below_is_the_full_subcategory_below_each_cell():
+    # the restriction by complexity classes, against the plain predicate on
+    # every object of build_comma and the arrows between the kept ones
+    t = parse_tree("(|)")
+    C = build_comma(t, 3)
+    cells = [k_iota(c) for c in k_enumerate(2, 3)]
+    assert len(cells) == 48
+    cx = {o: complexity(HOperation(o)) for o in C.objects}
+    for cell in cells:
+        below = {o: k_leq(x, cell) for o, x in cx.items()}
+        got = comma_below(t, cell)
+        want = full_subcategory(C, below.__getitem__)
+        assert got.objects == want.objects
+        assert got.arrows == want.arrows == tuple(
+            a for a in C.arrows if below[a.src] and below[a.dst])
+        assert (got._src, got._dst) == (want._src, want._dst)
+        assert got.identities == want.identities
+        assert list(got.table.items()) == list(want.table.items())
 
 
 def test_composite_off_the_objects_is_a_category_error(monkeypatch):

@@ -12,6 +12,8 @@ from circleops.circled import (
     CONTENT,
     Circ,
     White,
+    _gen,
+    _map_whites,
     circle_addresses,
     enumerate_configs,
     open_leaves,
@@ -27,7 +29,15 @@ from circleops.circled import (
     white_profile,
 )
 from circleops.operad_h import HOperation, complexity
-from circleops.trees import LEAF, Node, ParseError, corolla, node, parse_tree
+from circleops.trees import (
+    LEAF,
+    Node,
+    ParseError,
+    corolla,
+    enumerate_trees,
+    node,
+    parse_tree,
+)
 
 
 def cw(label, content, *grafts):
@@ -423,6 +433,31 @@ def test_enumerate_is_sorted_valid_and_deterministic():
             report = validate_config(c)
             assert report.ok and report.whites == k
             assert underlying(c) == t
+
+
+def relabelled_enumeration(t, k):
+    """enumerate_configs built term by term: each shape of _gen with k whites,
+    labelled 1..k in preorder, kept when valid, relabelled through
+    relabel_whites by every permutation, then all sorted by text."""
+    out = []
+    for shape, whites in _gen(t, False, False, k):
+        if whites != k:
+            continue
+        first = _map_whites(shape, lambda _, n=itertools.count(1): next(n))
+        if not validate_config(first).ok:
+            continue
+        for perm in itertools.permutations(range(1, k + 1)):
+            out.append(relabel_whites(first, dict(zip(range(1, k + 1), perm))))
+    out.sort(key=str)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("t, k", [
+    *((t, k) for t in enumerate_trees(2, 2) for k in range(4)),
+    *((parse_tree(t), 3) for t in ("|", "(|)", "(| |)", "((|))", "((|) |)")),
+])
+def test_enumerate_matches_relabelled_shapes(t, k):
+    assert enumerate_configs(t, k) == relabelled_enumeration(t, k)
 
 
 def test_enumerate_rejects_negative_k():

@@ -26,6 +26,9 @@ seeded draws with up to eight white circles.
 The validity value was recorded before validation and the white profile
 became one walk: the validity report and white profile of seeded
 configurations, each also with one more circle put in unchecked.
+The k=3 enumeration value was recorded before `enumerate_configs` built its
+labellings from one text template per shape: every configuration with three
+white circles on each of the five acceptance trees, 5,820 lines.
 The `RENDER_SHA256` value was recorded before the clearance check stopped
 scanning every pair of curve sides: 300 seeded drawings with 1 to 6 white
 circles, each with its clearance violations and, when clear, its SVG.
@@ -82,6 +85,8 @@ CATTOP_SHA256 = {
 }
 
 TERM_SHA256 = {
+    "terms/enumerate_configs k=3":
+        "e72b5c288dc25b2782bf191b9dd754a86cf501cfa8a5f475810ce3cf6a134ae9",
     "terms/laws":
         "c9c3a47ff2b9f816dd9ab2dfb7b4255f12703bdf42c6215ccb3a55febbac0983",
     "terms/rejected":

@@ -315,7 +315,14 @@ def validity_lines(configs):
         yield f"profile {outcome(white_profile, c)}"
 
 
+def k3_enumeration_lines():
+    """Every configuration with three white circles on each of FIVE_TREES."""
+    for t in FIVE_TREES:
+        yield from (str(c) for c in enumerate_configs(parse_tree(t), 3))
+
+
 TERM = {
+    "terms/enumerate_configs k=3": k3_enumeration_lines,
     "terms/laws": law_lines,
     "terms/rejected": rejected_lines,
     "terms/complexity": lambda: complexity_lines(complexity_configs()),
