@@ -6,10 +6,11 @@ of the type is itself a certificate.  Its core is integer: objects and
 arrows are numbered in the order given, composition is one int dict per
 arrow, and the axioms and the functor laws are checked on those ids.  The
 payloads (configurations, graph elements, Arrow values) live in side
-tables, read to answer payload queries and to name a failure; the
-constructions below build ids directly and hash no payload for their
-tables or checks.  On top of that sit the standard
-constructions used by the verification suites: full subcategories, posets,
+tables, read to answer payload queries and to name a failure.  Categories
+and functors are built only by the constructions below, through
+FinCategory._of_ids and FinFunctor._of_ids, which take ids and hash no
+payload for their tables or checks.  The constructions used by the
+verification suites are: full subcategories, posets,
 the comma categories z/F and F/z of a functor (comma, with side "under" or
 "over"), its strict fiber over z (fiber) and the inclusion x -> (x, id_z)
 of that fiber into either comma (fiber_inclusion), and the Grothendieck
@@ -67,30 +68,6 @@ class Arrow:
     label: object
 
 
-def _numbering(payloads, what: str) -> dict:
-    """Each payload's position; two equal payloads are a CategoryError."""
-    index = {x: n for n, x in enumerate(payloads)}
-    if len(index) != len(payloads):
-        raise CategoryError(f"duplicate {what}")
-    return index
-
-
-def _translate(mapping, keys: dict, values: dict, n: int) -> list:
-    """A payload map as a list over the key ids.
-
-    A value outside values becomes -1 and a key given no value stays None;
-    a key outside keys appends a None, so the list no longer has n entries.
-    """
-    out = [None] * n
-    for k, v in mapping.items():
-        i = keys.get(k)
-        if i is None:
-            out.append(None)
-        else:
-            out[i] = values.get(v, -1)
-    return out
-
-
 def _outgoing(n: int, ends) -> list:
     """For each of n objects, the ids of the arrows whose end (one of src or
     dst, as given) it is; a negative end belongs to no object."""
@@ -107,55 +84,27 @@ class FinCategory:
     The core is integer.  Objects and arrows are numbered 0..n-1 in the
     order given, and their payloads, the tuples objects and arrows, are
     side tables: they answer the payload queries below and render a
-    failure, and no construction or check hashes them.  The core holds the
-    src and dst id of every arrow, the identity arrow id of every object
-    (_ident) and, for every arrow f, one dict _comp[f] sending each g that
-    composes after f to the id of g after f.  Every categorical axiom is
-    checked on these ids at construction time.
+    failure, and no construction or check hashes them.  Every categorical
+    axiom is checked on the ids at construction time.
 
-    The payload constructor takes identities mapping each object to its
-    identity arrow and table mapping every composable pair (g, f) with
-    f.dst == g.src to the composite g after f; it only numbers them.
-    identities and table read the same maps back from the core, table in
-    the order of f, then of g among the arrows out of f.dst.
+    _of_ids(objects, arrows, src, dst, ident, comp) is the one constructor:
+    src and dst give the id of each arrow's source and target object, ident
+    the identity arrow id of each object, and comp[f], one dict per arrow f,
+    sends each g that composes after f to the id of g after f.  An id that
+    was not found is -1.  They are kept as _src, _dst, _ident and _comp;
+    identities and table read the payload maps back from them, table in the
+    order of f, then of g in comp[f].
     """
-
-    def __init__(self, objects, arrows, identities, table):
-        objects, arrows = tuple(objects), tuple(arrows)
-        oid = _numbering(objects, "objects")
-        aid = _numbering(arrows, "arrows")
-        entries = [
-            (aid.get(g, -1), aid.get(f, -1), aid.get(h, -1))
-            for (g, f), h in table.items()
-        ]
-        comp = [{} for _ in arrows]
-        for g, f, h in entries:
-            if g >= 0 and f >= 0:
-                comp[f][g] = h
-        self._setup(
-            objects,
-            arrows,
-            [oid.get(a.src, -1) for a in arrows],
-            [oid.get(a.dst, -1) for a in arrows],
-            _translate(identities, oid, aid, len(objects)),
-            comp,
-            entries,
-        )
-        self.__dict__.update(_oid=oid, _aid=aid)
 
     @classmethod
     def _of_ids(cls, objects, arrows, src, dst, ident, comp) -> "FinCategory":
-        """The category on numbered payloads, checked like any other."""
+        """The category on numbered payloads, checked by _verify."""
         C = cls.__new__(cls)
-        C._setup(objects, arrows, src, dst, ident, comp, None)
+        C.objects, C.arrows = tuple(objects), tuple(arrows)
+        C._src, C._dst, C._ident, C._comp = src, dst, ident, comp
+        C._out = _outgoing(len(C.objects), src)
+        C._verify()
         return C
-
-    def _setup(self, objects, arrows, src, dst, ident, comp, entries):
-        self.objects = tuple(objects)
-        self.arrows = tuple(arrows)
-        self._src, self._dst, self._ident, self._comp = src, dst, ident, comp
-        self._out = _outgoing(len(self.objects), src)
-        self._verify(entries)
 
     @cached_property
     def _oid(self) -> dict:
@@ -203,10 +152,8 @@ class FinCategory:
         i, j = self._oid.get(x), self._oid.get(y)
         return tuple(self.arrows[a] for a in self._hom.get((i, j), ()))
 
-    def _verify(self, entries=None):
-        """The axioms on ids; entries are (g, f, g after f) triples, by
-        default read row by row from _comp without forming them.  Payloads
-        are read only to name a failure."""
+    def _verify(self):
+        """The axioms on ids; payloads are read only to name a failure."""
         objects, arrows = self.objects, self.arrows
         src, dst, ident, comp, out = (
             self._src, self._dst, self._ident, self._comp, self._out
@@ -216,25 +163,20 @@ class FinCategory:
                 raise CategoryError(
                     f"arrow endpoints outside the category: {arrows[a]}"
                 )
-        if len(ident) != len(objects) or None in ident:
+        if len(ident) != len(objects):
             raise CategoryError("identities must cover exactly the objects")
         for x, e in enumerate(ident):
             if e < 0 or src[e] != x or dst[e] != x:
                 raise CategoryError(f"bad identity arrow at {objects[x]}")
-        if entries is None:
-            size = sum(map(len, comp))
-            rows = ((f, row.items()) for f, row in enumerate(comp))
-        else:
-            size = len(entries)
-            rows = ((f, ((g, h),)) for g, f, h in entries)
+        size = sum(map(len, comp))
         composable = sum(len(out[x]) for x in dst)
         if size != composable:
             raise CategoryError(
                 f"composition table has {size} entries, expected {composable}"
             )
-        for f, pairs in rows:
-            for g, h in pairs:
-                if g < 0 or f < 0 or h < 0:
+        for f, row in enumerate(comp):
+            for g, h in row.items():
+                if g < 0 or h < 0:
                     raise CategoryError("composition table mentions unknown arrows")
                 if dst[f] != src[g]:
                     raise CategoryError(
@@ -296,34 +238,25 @@ class _TableItems(ItemsView):
 class FinFunctor:
     """A functor between FinCategories, verified at construction time.
 
-    The core is two id lists, _omap over the domain's objects and _amap
-    over its arrows; the payload maps object_map and arrow_map are read
-    back from them.  The payload constructor only numbers its maps.
+    _of_ids(dom, cod, omap, amap) is the one constructor: omap lists the
+    codomain object id of each domain object and amap the codomain arrow id
+    of each domain arrow, -1 for an image that was not found.  The payload
+    maps object_map and arrow_map are read back from them.
     """
-
-    def __init__(self, dom: FinCategory, cod: FinCategory, object_map, arrow_map):
-        self._setup(
-            dom,
-            cod,
-            _translate(object_map, dom._oid, cod._oid, len(dom.objects)),
-            _translate(arrow_map, dom._aid, cod._aid, len(dom.arrows)),
-        )
 
     @classmethod
     def _of_ids(cls, dom, cod, omap, amap) -> "FinFunctor":
+        """The functor on id lists, checked by _verify."""
         F = cls.__new__(cls)
-        F._setup(dom, cod, omap, amap)
+        F.dom, F.cod, F._omap, F._amap = dom, cod, omap, amap
+        F._verify()
         return F
-
-    def _setup(self, dom, cod, omap, amap):
-        self.dom, self.cod, self._omap, self._amap = dom, cod, omap, amap
-        self._verify()
 
     def _verify(self):
         dom, cod, omap, amap = self.dom, self.cod, self._omap, self._amap
-        if len(omap) != len(dom.objects) or None in omap:
+        if len(omap) != len(dom.objects):
             raise CategoryError("object map must cover exactly the domain objects")
-        if len(amap) != len(dom.arrows) or None in amap:
+        if len(amap) != len(dom.arrows):
             raise CategoryError("arrow map must cover exactly the domain arrows")
         for x, y in enumerate(omap):
             if y < 0:
@@ -413,7 +346,8 @@ def poset_category(elements, leq) -> FinCategory:
     for x, r in zip(elements, reflexive):
         if not r:
             raise CategoryError(f"order is not reflexive at {x}")
-    _numbering(elements, "objects")
+    if len(set(elements)) != len(elements):
+        raise CategoryError("duplicate objects")
     return _labelled(
         elements, src, dst, [None] * len(src),
         lambda label: None, lambda g, f: None, lambda x: None,
@@ -461,29 +395,14 @@ def full_subcategory(C: FinCategory, predicate) -> FinCategory:
     return _subcategory(C, objs, lambda a: True)[0]
 
 
-def identity_functor(C: FinCategory) -> FinFunctor:
-    return FinFunctor._of_ids(
-        C, C, list(range(len(C.objects))), list(range(len(C.arrows)))
-    )
-
-
-def _universal(C: FinCategory, lists, far_end):
-    """The first object with exactly one arrow to or from every object."""
+def find_terminal(C: FinCategory):
+    """The terminal object if one exists, else None: the first object with
+    exactly one arrow from every object."""
     n = len(C.objects)
-    for x, arrows in enumerate(lists):
-        if len(arrows) == n and len({far_end[a] for a in arrows}) == n:
+    for x, arrows in enumerate(C._into):
+        if len(arrows) == n and len({C._src[a] for a in arrows}) == n:
             return C.objects[x]
     return None
-
-
-def find_terminal(C: FinCategory):
-    """The terminal object if one exists, else None."""
-    return _universal(C, C._into, C._src)
-
-
-def find_initial(C: FinCategory):
-    """The initial object if one exists, else None."""
-    return _universal(C, C._out, C._dst)
 
 
 def _object_id(F: FinFunctor, z) -> int:
@@ -641,17 +560,6 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
         lambda fu: (base.arrows[fu[0]], fib[base._dst[fu[0]]].arrows[fu[1]]),
         combine, units.__getitem__,
     )[0]
-
-
-def grothendieck_projection(total: FinCategory, base: FinCategory) -> FinFunctor:
-    """The projection of a Grothendieck total onto its base."""
-    oid, aid = base._oid, base._aid
-    return FinFunctor._of_ids(
-        total,
-        base,
-        [oid.get(pair[0], -1) for pair in total.objects],
-        [aid.get(a.label[0], -1) for a in total.arrows],
-    )
 
 
 def _matching_arrow(C: FinCategory, s: int, t: int, a: Arrow) -> int:

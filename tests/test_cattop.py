@@ -24,14 +24,11 @@ from circleops.cattop import (
     fiber,
     fiber_adjoint_report,
     fiber_inclusion,
-    find_initial,
     find_terminal,
     full_subcategory,
     grothendieck,
-    grothendieck_projection,
     hat_comma_grothendieck,
     hat_comma_isomorphism,
-    identity_functor,
     nerve,
     nerve_homology,
     poset_category,
@@ -40,6 +37,12 @@ from circleops.cattop import (
 
 def chain(n):
     return poset_category(tuple(range(n)), lambda a, b: a <= b)
+
+
+def identity_functor(C):
+    return FinFunctor._of_ids(
+        C, C, list(range(len(C.objects))), list(range(len(C.arrows)))
+    )
 
 
 def cells22():
@@ -88,139 +91,112 @@ def test_poset_category_checks_reflexivity_before_duplicates():
         poset_category(("x", "x"), lambda a, b: a == b)
 
 
-def test_category_rejects_missing_identity():
-    a = Arrow("x", "x", "id")
-    with pytest.raises(CategoryError):
-        FinCategory(("x", "y"), (a,), {"x": a}, {})
+def walking_arrow(**change):
+    """The _of_ids arguments of the walking arrow f: x -> y, whose arrows
+    ix, iy, f have the ids 0, 1, 2; keyword arguments replace some of them."""
+    ix, iy, f = Arrow("x", "x", "ix"), Arrow("y", "y", "iy"), Arrow("x", "y", "f")
+    args = dict(
+        objects=("x", "y"), arrows=(ix, iy, f), src=[0, 1, 0], dst=[0, 1, 1],
+        ident=[0, 1], comp=[{0: 0, 2: 2}, {1: 1}, {1: 2}],
+    )
+    return {**args, **change}
 
 
-def test_category_rejects_bad_composite_endpoints():
-    ix = Arrow("x", "x", "ix")
-    iy = Arrow("y", "y", "iy")
-    f = Arrow("x", "y", "f")
-    # table claims f o f composes, but endpoints do not match
-    with pytest.raises(CategoryError):
-        FinCategory(
-            ("x", "y"),
-            (ix, iy, f),
-            {"x": ix, "y": iy},
-            {(f, f): f, (f, ix): f, (iy, f): f},
-        )
+def one_object(*labels, after):
+    """The _of_ids arguments of one object x whose arrows, with ids in order,
+    are Arrow("x", "x", label); identity id 0, after(g, f) the id of g.f."""
+    n = len(labels)
+    return dict(
+        objects=("x",), arrows=tuple(Arrow("x", "x", label) for label in labels),
+        src=[0] * n, dst=[0] * n, ident=[0],
+        comp=[{g: after(g, f) for g in range(n)} for f in range(n)],
+    )
 
 
-def test_category_rejects_nonassociative_table():
-    # three endomorphisms with a deliberately twisted table
-    i = Arrow("x", "x", "i")
-    a = Arrow("x", "x", "a")
-    b = Arrow("x", "x", "b")
-    table = {}
-    for g in (i, a, b):
-        for f in (i, a, b):
-            if g == i:
-                table[(g, f)] = f
-            elif f == i:
-                table[(g, f)] = g
-            else:
-                table[(g, f)] = a if (g, f) == (a, a) else i
-    with pytest.raises(CategoryError):
-        FinCategory(("x",), (i, a, b), {"x": i}, table)
-
-
-def walking_arrow_table(ix, iy, f):
-    return {(ix, ix): ix, (f, ix): f, (iy, f): f, (iy, iy): iy}
-
-
-def idempotent(a_after_a="a"):
-    """One object x, its identity i and an endomorphism a; a.a is a_after_a."""
-    i, a = Arrow("x", "x", "i"), Arrow("x", "x", "a")
-    by_name = {"i": i, "a": a}
-    table = {(i, i): i, (a, i): a, (i, a): a, (a, a): by_name[a_after_a]}
-    return i, a, table
+def idempotent(a_after_a=1):
+    """One object x, its identity i (id 0) and an endomorphism a (id 1); a.a
+    is the arrow with id a_after_a."""
+    return FinCategory._of_ids(**one_object(
+        "i", "a", after=lambda g, f: f if g == 0 else g if f == 0 else a_after_a))
 
 
 def test_every_category_check_names_its_failure():
-    ix, iy = Arrow("x", "x", "ix"), Arrow("y", "y", "iy")
-    f, g = Arrow("x", "y", "f"), Arrow("y", "x", "g")
-    stray = Arrow("x", "x", "stray")
-    ok = walking_arrow_table(ix, iy, f)
+    ix, iy, f = walking_arrow()["arrows"]
+    i, a, b = (Arrow("x", "x", label) for label in "iab")
+    assert FinCategory._of_ids(**walking_arrow()).identities == {"x": ix, "y": iy}
     cases = [
-        ((("x", "x"), (), {}, {}), "duplicate objects"),
-        ((("x",), (ix, ix), {"x": ix}, {}), "duplicate arrows"),
-        ((("x",), (ix, g), {"x": ix}, {}),
-         f"arrow endpoints outside the category: {g}"),
-        ((("x", "y"), (ix, iy, f), {"x": ix}, ok),
+        (walking_arrow(src=[0, 1, -1]), f"arrow endpoints outside the category: {f}"),
+        (walking_arrow(dst=[0, 1, -1]), f"arrow endpoints outside the category: {f}"),
+        (walking_arrow(ident=[0]), "identities must cover exactly the objects"),
+        (walking_arrow(ident=[0, 1, 1]), "identities must cover exactly the objects"),
+        # an identity for x but not for y
+        (walking_arrow(arrows=(ix,), src=[0], dst=[0], ident=[0], comp=[{0: 0}]),
          "identities must cover exactly the objects"),
-        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy, "z": iy}, ok),
-         "identities must cover exactly the objects"),
-        ((("x", "y"), (ix, iy, f), {"x": f, "y": iy}, ok), "bad identity arrow at x"),
-        ((("x", "y"), (ix, iy, f), {"x": stray, "y": iy}, ok),
-         "bad identity arrow at x"),
-        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy}, {(ix, ix): ix}),
+        (walking_arrow(ident=[2, 1]), "bad identity arrow at x"),
+        (walking_arrow(ident=[-1, 1]), "bad identity arrow at x"),
+        (walking_arrow(comp=[{0: 0}, {}, {}]),
          "composition table has 1 entries, expected 4"),
-        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy}, {**ok, (iy, f): stray}),
+        # f.f in the table, ix.ix and iy.iy missing
+        (walking_arrow(comp=[{2: 2}, {}, {1: 2, 2: 2}]),
+         "composition table has 3 entries, expected 4"),
+        (walking_arrow(comp=[{0: 0, 2: 2}, {1: 1}, {1: -1}]),
          "composition table mentions unknown arrows"),
-        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy},
-          {(ix, ix): ix, (f, ix): f, (iy, f): f, (f, f): f}),
+        (walking_arrow(comp=[{0: 0, -1: 2}, {1: 1}, {1: 2}]),
+         "composition table mentions unknown arrows"),
+        (walking_arrow(comp=[{0: 0, 2: 2}, {1: 1}, {2: 2}]),
          f"table entry for non-composable pair ({f}, {f})"),
-        ((("x", "y"), (ix, iy, f), {"x": ix, "y": iy}, {**ok, (f, ix): ix}),
+        (walking_arrow(comp=[{0: 0, 2: 0}, {1: 1}, {1: 2}]),
          f"composite of ({ix}, {f}) has wrong endpoints"),
+        # a.i is i
+        (one_object("i", "a", after=lambda g, f: f if g == 0 else 0),
+         f"unit law fails at {a}"),
+        # a.a is a and every other product of a and b is i
+        (one_object("i", "a", "b", after=lambda g, f: (
+            f if g == 0 else g if f == 0 else 1 if (g, f) == (1, 1) else 0)),
+         f"associativity fails on {a} then {a} then {b}"),
     ]
-    i, a, table = idempotent()
-    cases.append(((("x",), (i, a), {"x": i}, {**table, (a, i): i}),
-                  f"unit law fails at {a}"))
-    b = Arrow("x", "x", "b")
-    twisted = {}
-    for h in (i, a, b):
-        for k in (i, a, b):
-            twisted[(h, k)] = k if h == i else h if k == i else (
-                a if (h, k) == (a, a) else i)
-    cases.append(((("x",), (i, a, b), {"x": i}, twisted),
-                  f"associativity fails on {a} then {a} then {b}"))
     for args, message in cases:
         with pytest.raises(CategoryError, match=f"^{re.escape(message)}$"):
-            FinCategory(*args)
+            FinCategory._of_ids(**args)
 
 
 def test_every_functor_check_names_its_failure():
     C, D = chain(3), chain(2)
-    omap = {0: 0, 1: 1, 2: 1}
-    amap = {a: D.hom(omap[a.src], omap[a.dst])[0] for a in C.arrows}
-    f02 = C.hom(0, 2)[0]
-    i, a, table = idempotent()
-    E = FinCategory(("x",), (i, a), {"x": i}, table)
+    omap = [0, 1, 1]
+    amap = [D._hom[omap[s], omap[t]][0] for s, t in zip(C._src, C._dst)]
+    f02 = C._hom[0, 2][0]
+
+    def image(b):
+        return amap[:f02] + [b] + amap[f02 + 1:]
+
+    E = idempotent()
     cases = [
-        ((C, D, {0: 0, 1: 1}, amap), "object map must cover exactly the domain objects"),
-        ((C, D, {**omap, 3: 1}, amap), "object map must cover exactly the domain objects"),
-        ((C, D, omap, {f02: amap[f02]}), "arrow map must cover exactly the domain arrows"),
-        ((C, D, {**omap, 2: 5}, amap), "image of 2 is not a codomain object"),
-        ((C, D, omap, {**amap, f02: Arrow(0, 1, "f")}),
-         f"image of {f02} is not a codomain arrow"),
-        ((C, D, omap, {**amap, f02: D.identity(1)}), f"functor breaks endpoints on {f02}"),
-        ((E, E, {"x": "x"}, {i: a, a: a}), "functor breaks the identity at x"),
+        ((C, D, [0, 1], amap), "object map must cover exactly the domain objects"),
+        ((C, D, [0, 1, 1, 1], amap), "object map must cover exactly the domain objects"),
+        ((C, D, omap, amap[:-1]), "arrow map must cover exactly the domain arrows"),
+        ((C, D, omap, amap + [0]), "arrow map must cover exactly the domain arrows"),
+        ((C, D, [0, 1, -1], amap), "image of 2 is not a codomain object"),
+        ((C, D, omap, image(-1)), f"image of {C.arrows[f02]} is not a codomain arrow"),
+        ((C, D, omap, image(D._ident[1])), f"functor breaks endpoints on {C.arrows[f02]}"),
+        ((C, D, omap, image(D._ident[0])), f"functor breaks endpoints on {C.arrows[f02]}"),
+        ((E, E, [0], [1, 1]), "functor breaks the identity at x"),
+        # right on identities and endpoints but not on a.a
+        ((idempotent(0), E, [0], [0, 1]),
+         f"functor breaks composition on ({E.arrows[1]}, {E.arrows[1]})"),
     ]
-    # a functor that is right on identities and endpoints but not on a.a
-    E2 = FinCategory(("x",), (i, a), {"x": i}, idempotent("i")[2])
-    cases.append(((E2, E, {"x": "x"}, {i: i, a: a}),
-                  f"functor breaks composition on ({a}, {a})"))
     for args, message in cases:
         with pytest.raises(CategoryError, match=f"^{re.escape(message)}$"):
-            FinFunctor(*args)
+            FinFunctor._of_ids(*args)
 
 
 def test_functor_must_preserve_composition():
     C = chain(3)
     D = chain(2)
-    omap = {0: 0, 1: 1, 2: 1}
-    amap = {}
-    for a in C.arrows:
-        amap[a] = D.hom(omap[a.src], omap[a.dst])[0]
-    F = FinFunctor(C, D, omap, amap)
+    omap = [0, 1, 1]
+    amap = [D._hom[omap[s], omap[t]][0] for s, t in zip(C._src, C._dst)]
+    F = FinFunctor._of_ids(C, D, omap, amap)
     assert F.obj(2) == 1
-    # now break one arrow image
-    bad = dict(amap)
-    bad[C.hom(0, 2)[0]] = D.identity(0)
-    with pytest.raises(CategoryError):
-        FinFunctor(C, D, omap, bad)
+    assert F.object_map == {0: 0, 1: 1, 2: 1}
 
 
 def test_full_subcategory_of_chain():
@@ -231,12 +207,11 @@ def test_full_subcategory_of_chain():
 
 
 def test_find_terminal_and_initial_on_chain():
-    C = chain(4)
-    assert find_terminal(C) == 3
-    assert find_initial(C) == 0
+    assert find_terminal(chain(4)) == 3
+    # the initial object of the chain is the terminal one of its opposite
+    assert find_terminal(poset_category(range(4), lambda a, b: a >= b)) == 0
     disc = poset_category((0, 1), lambda a, b: a == b)
     assert find_terminal(disc) is None
-    assert find_initial(disc) is None
 
 
 def test_down_set_below_a_maximal_stage_3_element_is_contractible():
@@ -278,7 +253,9 @@ def test_comma_both_sides_for_identity():
     over = comma(identity_functor(C), 1, "over")
     assert len(under.objects) == 2  # (1,id), (2, 1<=2)
     assert len(over.objects) == 2  # (0, 0<=1), (1,id)
-    assert find_initial(under) == (1, C.identity(1))
+    # (1, id) is initial under: one arrow to every object
+    assert [len(under.hom(under.objects[0], y)) for y in under.objects] == [1, 1]
+    assert under.objects[0] == (1, C.identity(1))
     assert find_terminal(over) == (1, C.identity(1))
 
 
@@ -330,14 +307,14 @@ def test_grothendieck_chain_of_terminal_fibers_is_chain():
         if a.src == a.dst:
             transitions[a] = identity_functor(fibers[a.src])
         else:
-            transitions[a] = FinFunctor(
-                pt0, pt1, {"p": "q"}, {pt0.identity("p"): pt1.identity("q")}
-            )
+            transitions[a] = FinFunctor._of_ids(pt0, pt1, [0], [0])
     G = grothendieck(base, fibers, transitions)
-    assert len(G.objects) == 2
+    assert G.objects == ((0, "p"), (1, "q"))
     assert len(G.arrows) == 3
-    P = grothendieck_projection(G, base)
-    assert P.obj((0, "p")) == 0
+    # the projection onto the base is a functor
+    P = FinFunctor._of_ids(
+        G, base, [0, 1], [base._aid[a.label[0]] for a in G.arrows]
+    )
     assert all(P.arr(a) == a.label[0] for a in G.arrows)
 
 
@@ -512,29 +489,34 @@ def test_k3_poset_nerve_is_a_two_sphere():
     assert hom.betti == (1, 0, 1, 0) and not any(hom.torsion)
 
 
+def walking_isomorphism():
+    """Arrows f: x -> y and g: y -> x inverse to each other."""
+    labels = ["ix", "iy", "f", "g"]
+
+    def combine(g, f):
+        if labels[g] in ("ix", "iy"):
+            return labels[f]
+        if labels[f] in ("ix", "iy"):
+            return labels[g]
+        return "ix" if labels[f] == "f" else "iy"
+
+    return cattop._labelled(
+        ("x", "y"), [0, 1, 0, 1], [0, 1, 1, 0], labels,
+        lambda label: label, combine, ["ix", "iy"].__getitem__,
+    )[0]
+
+
 def test_nerve_requires_loop_free():
-    ix = Arrow("x", "x", "ix")
-    iy = Arrow("y", "y", "iy")
-    f = Arrow("x", "y", "f")
-    g = Arrow("y", "x", "g")
-    # walking isomorphism: composable loops both ways
-    C = FinCategory(
-        ("x", "y"),
-        (ix, iy, f, g),
-        {"x": ix, "y": iy},
-        {
-            (g, f): ix,
-            (f, g): iy,
-            (f, ix): f,
-            (iy, f): f,
-            (g, iy): g,
-            (ix, g): g,
-            (ix, ix): ix,
-            (iy, iy): iy,
-        },
-    )
-    with pytest.raises(CategoryError):
-        nerve(C, 2)
+    iso = walking_isomorphism()
+    assert iso.compose(iso.arrows[3], iso.arrows[2]) == iso.identity("x")
+    with pytest.raises(
+        CategoryError, match="^not loop-free: arrows both ways between x and y$"
+    ):
+        nerve(iso, 2)
+    with pytest.raises(
+        CategoryError, match="^not loop-free: nonidentity endomorphism at x$"
+    ):
+        nerve(idempotent(), 2)
 
 
 def test_nerve_of_terminal_and_chain():
@@ -554,22 +536,24 @@ def parallel_arrows_category():
     by accident.
     """
     two = {(0, 1), (0, 3), (1, 3), (2, 3)}
-    arrows = [Arrow(x, x, 0) for x in range(4)] + [
-        Arrow(i, j, c)
+    ends = [(x, x, 0) for x in range(4)] + [
+        (i, j, c)
         for i in range(4) for j in range(i + 1, 4)
         for c in ((1, 2) if (i, j) in two else (0,))
     ]
-    arrows.reverse()
+    ends.reverse()
+    src, dst, labels = map(list, zip(*ends))
 
-    def compose(g, f):
-        if f.src == f.dst:
-            return g
-        if g.src == g.dst:
-            return f
-        return Arrow(f.src, g.dst, g.label if g.dst == 3 else 0)
+    def combine(g, f):
+        if src[f] == dst[f]:
+            return labels[g]
+        if src[g] == dst[g]:
+            return labels[f]
+        return labels[g] if dst[g] == 3 else 0
 
-    table = {(g, f): compose(g, f) for f in arrows for g in arrows if f.dst == g.src}
-    return FinCategory(range(4), arrows, {x: Arrow(x, x, 0) for x in range(4)}, table)
+    return cattop._labelled(
+        tuple(range(4)), src, dst, labels, lambda c: c, combine, lambda x: 0
+    )[0]
 
 
 def reference_nerve(C, max_dim):
@@ -706,8 +690,6 @@ def test_slice_side_reflection_can_fail():
     F = deletion_functor(t, k_iota(KElt(2, (1,), (1, 2))))
     target = parse_config("{w1 (|) / |}")
     inc = fiber_inclusion(F, target, "over")
-    missing = [
-        z for z in inc.cod.objects if find_initial(comma(inc, z, "under")) is None
-    ]
+    missing = [z for z in inc.cod.objects if not comma(inc, z, "under").objects]
     assert missing, "expected at least one slice object without a reflection"
     assert fiber_adjoint_report(F, target).ok
