@@ -23,9 +23,11 @@ subcategories are read off their parent's ids instead (_subcategory).
 The bridge to the operad is build_comma: its objects are the k-white
 configurations on a fixed tree and its arrows are k-tuples of unary
 operations composing one object into another; it alone composes, once
-per (tree, k), and the commas below are read off its ids.  Bounding the
-complexity of the objects by a labelled graph gives its full subcategories
-comma_below, which the acyclicity suites run on; build_hat_comma has its
+per (tree, k), and the commas below are read off its ids.  It certifies
+each composite by identity with one of its validated objects, not by a
+second validation.  Bounding the complexity of the objects by a labelled
+graph gives its full subcategories comma_below, which the acyclicity
+suites run on; build_hat_comma has its
 arrows between (configuration, tag) pairs whose tags are ordered; and
 forgetting a distinguished white circle gives the deletion functor whose
 fibers certify the contraction argument.
@@ -52,7 +54,7 @@ from .kgraph import (
     kelt_delete_vertex,
     vertex_pairs,
 )
-from .operad_h import HOperation, complexity, compose, identity_op, reduce_term
+from .operad_h import HOperation, complexity, compose_terms, identity_op, reduce_term
 
 
 class CategoryError(ValueError):
@@ -70,12 +72,19 @@ class Arrow:
 
 def _outgoing(n: int, ends) -> list:
     """For each of n objects, the ids of the arrows whose end (one of src or
-    dst, as given) it is; a negative end belongs to no object."""
+    dst, as given) it is."""
     out = [[] for _ in range(n)]
     for a, x in enumerate(ends):
-        if x >= 0:
-            out[x].append(a)
+        out[x].append(a)
     return out
+
+
+def _first_outside(ids, n: int):
+    """The position of the first id in ids outside 0..n-1, or None.  min and
+    max scan the list in C; only a list holding such an id is walked here."""
+    if not ids or (min(ids) >= 0 and max(ids) < n):
+        return None
+    return next(i for i, x in enumerate(ids) if not 0 <= x < n)
 
 
 class FinCategory:
@@ -96,15 +105,21 @@ class FinCategory:
     order of f, then of g in comp[f].
     """
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a FinCategory is built by FinCategory._of_ids")
+
     @classmethod
     def _of_ids(cls, objects, arrows, src, dst, ident, comp) -> "FinCategory":
         """The category on numbered payloads, checked by _verify."""
         C = cls.__new__(cls)
         C.objects, C.arrows = tuple(objects), tuple(arrows)
         C._src, C._dst, C._ident, C._comp = src, dst, ident, comp
-        C._out = _outgoing(len(C.objects), src)
         C._verify()
         return C
+
+    @cached_property
+    def _out(self) -> list:
+        return _outgoing(len(self.objects), self._src)
 
     @cached_property
     def _oid(self) -> dict:
@@ -153,20 +168,30 @@ class FinCategory:
         return tuple(self.arrows[a] for a in self._hom.get((i, j), ()))
 
     def _verify(self):
-        """The axioms on ids; payloads are read only to name a failure."""
+        """The axioms on ids; payloads are read only to name a failure.
+
+        An id out of range is rejected before it indexes a list: the endpoint
+        lists by min and max in C, the identities as they are read, and the
+        composition table by the walk that checks its entries, which indexes
+        src by every arrow id in it."""
         objects, arrows = self.objects, self.arrows
-        src, dst, ident, comp, out = (
-            self._src, self._dst, self._ident, self._comp, self._out
-        )
-        for a in range(len(arrows)):
-            if src[a] < 0 or dst[a] < 0:
-                raise CategoryError(
-                    f"arrow endpoints outside the category: {arrows[a]}"
-                )
-        if len(ident) != len(objects):
+        src, dst, ident, comp = self._src, self._dst, self._ident, self._comp
+        n, m = len(objects), len(arrows)
+        if not len(src) == len(dst) == len(comp) == m:
+            raise CategoryError(
+                "endpoints and composition rows must cover exactly the arrows"
+            )
+        bad = [a for a in (_first_outside(src, n), _first_outside(dst, n))
+               if a is not None]
+        if bad:
+            raise CategoryError(
+                f"arrow endpoints outside the category: {arrows[min(bad)]}"
+            )
+        out = self._out
+        if len(ident) != n:
             raise CategoryError("identities must cover exactly the objects")
         for x, e in enumerate(ident):
-            if e < 0 or src[e] != x or dst[e] != x:
+            if not 0 <= e < m or src[e] != x or dst[e] != x:
                 raise CategoryError(f"bad identity arrow at {objects[x]}")
         size = sum(map(len, comp))
         composable = sum(len(out[x]) for x in dst)
@@ -174,18 +199,25 @@ class FinCategory:
             raise CategoryError(
                 f"composition table has {size} entries, expected {composable}"
             )
-        for f, row in enumerate(comp):
-            for g, h in row.items():
-                if g < 0 or h < 0:
-                    raise CategoryError("composition table mentions unknown arrows")
-                if dst[f] != src[g]:
-                    raise CategoryError(
-                        f"table entry for non-composable pair ({arrows[f]}, {arrows[g]})"
-                    )
-                if src[h] != src[f] or dst[h] != dst[g]:
-                    raise CategoryError(
-                        f"composite of ({arrows[f]}, {arrows[g]}) has wrong endpoints"
-                    )
+        # An arrow id past the end fails src[g] or src[h]; a negative one
+        # would index from the end, so it is tested.
+        try:
+            for f, row in enumerate(comp):
+                for g, h in row.items():
+                    if g < 0 or h < 0:
+                        raise IndexError
+                    if dst[f] != src[g]:
+                        raise CategoryError(
+                            f"table entry for non-composable pair"
+                            f" ({arrows[f]}, {arrows[g]})"
+                        )
+                    if src[h] != src[f] or dst[h] != dst[g]:
+                        raise CategoryError(
+                            f"composite of ({arrows[f]}, {arrows[g]})"
+                            f" has wrong endpoints"
+                        )
+        except IndexError:
+            raise CategoryError("composition table mentions unknown arrows") from None
         for f, row in enumerate(comp):
             if comp[ident[src[f]]][f] != f or row[ident[dst[f]]] != f:
                 raise CategoryError(f"unit law fails at {arrows[f]}")
@@ -244,6 +276,9 @@ class FinFunctor:
     maps object_map and arrow_map are read back from them.
     """
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a FinFunctor is built by FinFunctor._of_ids")
+
     @classmethod
     def _of_ids(cls, dom, cod, omap, amap) -> "FinFunctor":
         """The functor on id lists, checked by _verify."""
@@ -258,12 +293,13 @@ class FinFunctor:
             raise CategoryError("object map must cover exactly the domain objects")
         if len(amap) != len(dom.arrows):
             raise CategoryError("arrow map must cover exactly the domain arrows")
-        for x, y in enumerate(omap):
-            if y < 0:
-                raise CategoryError(f"image of {dom.objects[x]} is not a codomain object")
+        x = _first_outside(omap, len(cod.objects))
+        if x is not None:
+            raise CategoryError(f"image of {dom.objects[x]} is not a codomain object")
+        a = _first_outside(amap, len(cod.arrows))
+        if a is not None:
+            raise CategoryError(f"image of {dom.arrows[a]} is not a codomain arrow")
         for a, b in enumerate(amap):
-            if b < 0:
-                raise CategoryError(f"image of {dom.arrows[a]} is not a codomain arrow")
             if cod._src[b] != omap[dom._src[a]] or cod._dst[b] != omap[dom._dst[a]]:
                 raise CategoryError(f"functor breaks endpoints on {dom.arrows[a]}")
         for x, e in enumerate(dom._ident):
@@ -586,6 +622,15 @@ def _point(x) -> FinCategory:
     )[0]
 
 
+def _require_profile(found: HOperation, outer: HOperation, args):
+    """Raise as compose does unless found, the validated operation equal to
+    the composite of outer with args, has the profile that composite needs:
+    the sources of args in order and the target of outer."""
+    expected = tuple(s for a in args for s in a.sources)
+    if found.sources != expected or found.target != outer.target:
+        raise RuntimeError("composition changed the operation profile")
+
+
 # the objects of build_comma(tree, k), enumerated once for it and the commas
 # read off it
 _configs = lru_cache(maxsize=None)(enumerate_configs)
@@ -624,6 +669,12 @@ def build_comma(tree, k: int) -> FinCategory:
     terminal: the bare tree and its identity.  The only compose sweep of the
     commas: unary operations are numbered as they are met, arrows are told
     apart by id tuples, and each pair of unary ids is composed once.
+
+    Each composite is made by compose_terms and certified by identity: its
+    term must be one of the validated objects (or, for two unaries, one of
+    the validated unary operations), and that operation's profile must be
+    the one compose would require.  A validated operation equal to the term
+    is what compose would build, so its term is not validated again.
     """
     if k < 0:
         raise ValueError("white count must be nonnegative")
@@ -646,19 +697,24 @@ def build_comma(tree, k: int) -> FinCategory:
     src, dst, labels = [], [], []
     for t, op2 in enumerate(ops):
         for combo in product(*(unaries(s) for s in op2.sources)):
-            term = compose(op2, tuple(unary_ops[p] for p in combo)).term
+            args = tuple(unary_ops[p] for p in combo)
+            term = compose_terms(op2, args)
             s = oid.get(term)
             if s is None:
                 raise CategoryError(
                     f"composite {term} into {objects[t]} is not an object")
+            _require_profile(ops[s], op2, args)
             src.append(s)
             dst.append(t)
             labels.append(combo)
 
     @lru_cache(maxsize=None)
     def composite(q: int, p: int) -> int:
-        term = compose(unary_ops[q], (unary_ops[p],)).term
-        return unary_id.get(term, -1)
+        args = (unary_ops[p],)
+        n = unary_id.get(compose_terms(unary_ops[q], args), -1)
+        if n >= 0:
+            _require_profile(unary_ops[n], unary_ops[q], args)
+        return n
 
     def combine(g, f):
         return tuple(map(composite, labels[g], labels[f]))

@@ -11,6 +11,7 @@ import time
 
 from circleops.cattop import (
     acyclicity_report,
+    build_comma,
     build_hat_comma,
     comma_below,
     deletion_functor,
@@ -387,3 +388,12 @@ def test_15_comma_below_positive_cells_is_acyclic_at_k3():
         assert report.component_count == 1, kelt_text(cell)
         assert report.acyclic, (kelt_text(cell), report)
     assert time.perf_counter() - start < 15.0
+
+
+def test_16_build_comma_at_k3_on_the_frontier_tree():
+    # the whole comma at three white circles on the largest corpus tree:
+    # every arrow composed, identified among the objects and checked
+    start = time.perf_counter()
+    C = build_comma(parse_tree("((|) |)"), 3)
+    assert (len(C.objects), len(C.arrows)) == (2904, 48702)
+    assert time.perf_counter() - start < 25.0

@@ -6,10 +6,10 @@ import pytest
 
 from circleops.trees import LEAF, parse_tree
 from circleops.kgraph import KElt, k_enumerate, k_iota, k_leq, parse_kelt
-from circleops import cattop
-from circleops.circled import parse_config
+from circleops import cattop, operad_h
+from circleops.circled import enumerate_configs, parse_config
 from circleops.homology import matrix_from_dict
-from circleops.operad_h import HOperation, complexity, identity_op
+from circleops.operad_h import HOperation, complexity, compose, identity_op
 from circleops.cattop import (
     Arrow,
     CategoryError,
@@ -127,6 +127,15 @@ def test_every_category_check_names_its_failure():
     cases = [
         (walking_arrow(src=[0, 1, -1]), f"arrow endpoints outside the category: {f}"),
         (walking_arrow(dst=[0, 1, -1]), f"arrow endpoints outside the category: {f}"),
+        (walking_arrow(src=[0, 1]),
+         "endpoints and composition rows must cover exactly the arrows"),
+        (walking_arrow(comp=[{0: 0, 2: 2}, {1: 1}, {1: 2}, {}]),
+         "endpoints and composition rows must cover exactly the arrows"),
+        # ids past the end are rejected before they index a list
+        (dict(objects=("x",), arrows=(a,), src=[1], dst=[0], ident=[0], comp=[{}]),
+         f"arrow endpoints outside the category: {a}"),
+        (walking_arrow(dst=[0, 1, 2]), f"arrow endpoints outside the category: {f}"),
+        (walking_arrow(ident=[0, 3]), "bad identity arrow at y"),
         (walking_arrow(ident=[0]), "identities must cover exactly the objects"),
         (walking_arrow(ident=[0, 1, 1]), "identities must cover exactly the objects"),
         # an identity for x but not for y
@@ -142,6 +151,10 @@ def test_every_category_check_names_its_failure():
         (walking_arrow(comp=[{0: 0, 2: 2}, {1: 1}, {1: -1}]),
          "composition table mentions unknown arrows"),
         (walking_arrow(comp=[{0: 0, -1: 2}, {1: 1}, {1: 2}]),
+         "composition table mentions unknown arrows"),
+        (walking_arrow(comp=[{0: 0, 2: 2}, {1: 1}, {3: 2}]),
+         "composition table mentions unknown arrows"),
+        (walking_arrow(comp=[{0: 0, 2: 2}, {1: 1}, {1: 3}]),
          "composition table mentions unknown arrows"),
         (walking_arrow(comp=[{0: 0, 2: 2}, {1: 1}, {2: 2}]),
          f"table entry for non-composable pair ({f}, {f})"),
@@ -176,7 +189,10 @@ def test_every_functor_check_names_its_failure():
         ((C, D, omap, amap[:-1]), "arrow map must cover exactly the domain arrows"),
         ((C, D, omap, amap + [0]), "arrow map must cover exactly the domain arrows"),
         ((C, D, [0, 1, -1], amap), "image of 2 is not a codomain object"),
+        ((C, D, [0, 1, 2], amap), "image of 2 is not a codomain object"),
         ((C, D, omap, image(-1)), f"image of {C.arrows[f02]} is not a codomain arrow"),
+        ((C, D, omap, image(len(D.arrows))),
+         f"image of {C.arrows[f02]} is not a codomain arrow"),
         ((C, D, omap, image(D._ident[1])), f"functor breaks endpoints on {C.arrows[f02]}"),
         ((C, D, omap, image(D._ident[0])), f"functor breaks endpoints on {C.arrows[f02]}"),
         ((E, E, [0], [1, 1]), "functor breaks the identity at x"),
@@ -187,6 +203,15 @@ def test_every_functor_check_names_its_failure():
     for args, message in cases:
         with pytest.raises(CategoryError, match=f"^{re.escape(message)}$"):
             FinFunctor._of_ids(*args)
+
+
+def test_categories_and_functors_are_built_only_by_of_ids():
+    with pytest.raises(TypeError, match=r"FinCategory\._of_ids"):
+        FinCategory()
+    with pytest.raises(TypeError, match=r"FinFunctor\._of_ids"):
+        FinFunctor()
+    C = chain(2)
+    assert type(C) is FinCategory and type(identity_functor(C)) is FinFunctor
 
 
 def test_functor_must_preserve_composition():
@@ -423,13 +448,17 @@ def test_commas_are_read_off_build_comma(monkeypatch):
     comma_below.cache_clear()
     build_hat_comma.cache_clear()
     calls = []
-    real = cattop.compose
 
-    def counting(outer, inner):
-        calls.append((outer, inner))
-        return real(outer, inner)
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(cattop, "compose", counting)
+    for module in (cattop, operad_h):
+        for name in ("compose", "compose_terms"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
     for cell in cells22():
         assert comma_below(t, cell).objects
     assert build_hat_comma(t).objects
@@ -440,6 +469,9 @@ def test_commas_are_read_off_build_comma(monkeypatch):
         assert comma_below(chain3, KElt(2, (0,), perm)).objects == ()
     assert build_comma.cache_info() == before
     assert calls == []
+    # the counters do see the compositions of a build
+    build_comma.__wrapped__(parse_tree("(|)"), 1)
+    assert calls
 
 
 def test_comma_below_is_the_full_subcategory_below_each_cell():
@@ -465,9 +497,68 @@ def test_comma_below_is_the_full_subcategory_below_each_cell():
 def test_composite_off_the_objects_is_a_category_error(monkeypatch):
     # a composite that is no configuration on the tree names the failure
     stray = identity_op(parse_tree("((|) |)"))
-    monkeypatch.setattr(cattop, "compose", lambda outer, inner: stray)
+    monkeypatch.setattr(cattop, "compose_terms", lambda outer, inner: stray.term)
     with pytest.raises(CategoryError, match="is not an object"):
         build_comma.__wrapped__(parse_tree("(|)"), 1)
+
+
+def test_composite_equal_to_an_object_of_another_profile_is_rejected(monkeypatch):
+    # a composite is certified by the validated operation it equals; that
+    # operation's profile must still be the one compose would require, both
+    # in the arrow sweep (two arguments) and in the unary table (one)
+    t = parse_tree("(|)")
+    ops = cattop._operations(t, 2)
+    unaries = [
+        HOperation(c)
+        for s in dict.fromkeys(s for o in ops for s in o.sources)
+        for c in enumerate_configs(s, 1)
+    ]
+    real = cattop.compose_terms
+
+    def stray(arity, pool):
+        # with arity arguments, the first operation of pool whose profile
+        # is not the one the composite needs
+        def compose_terms(outer, args):
+            if len(args) != arity:
+                return real(outer, args)
+            want = (tuple(a.sources[0] for a in args), outer.target)
+            return next(o.term for o in pool if o.profile != want)
+        return compose_terms
+
+    for arity, pool in ((2, ops), (1, unaries)):
+        monkeypatch.setattr(cattop, "compose_terms", stray(arity, pool))
+        with pytest.raises(
+            RuntimeError, match="^composition changed the operation profile$"
+        ):
+            build_comma.__wrapped__(t, 2)
+
+
+@pytest.mark.parametrize("txt, k", [
+    *((txt, 2) for txt in ("|", "(|)", "(| |)", "((|))", "((|) |)")),
+    ("(|)", 3),
+])
+def test_build_comma_agrees_with_validating_compose(txt, k):
+    # differential check against the path that validates every composite:
+    # each arrow's source is the object compose builds from its target and
+    # label, and each composite arrow's label is compose of the labels
+    C = build_comma(parse_tree(txt), k)
+    op = {}
+
+    def as_op(term):
+        if term not in op:
+            op[term] = HOperation(term)
+        return op[term]
+
+    for a, t in zip(C.arrows, C._dst):
+        args = tuple(map(as_op, a.label))
+        assert a.src == compose(as_op(C.objects[t]), args).term
+    unary = {}
+    for f, row in enumerate(C._comp):
+        for g, h in row.items():
+            for q, p, r in zip(C.arrows[g].label, C.arrows[f].label, C.arrows[h].label):
+                if (q, p) not in unary:
+                    unary[q, p] = compose(as_op(q), (as_op(p),)).term
+                assert unary[q, p] == r
 
 
 # --- nerve and homology of the complete-graph posets -------------------------------
