@@ -6,15 +6,13 @@ of the type is itself a certificate.  Its core is integer: objects and
 arrows are numbered in the order given, composition is one int dict per
 arrow, and the axioms and the functor laws are checked on those ids.  The
 payloads (configurations, graph elements, Arrow values) live in side
-tables, read to answer payload queries and to name a failure.  Categories
+tables, read back as payload views and to name a failure.  Categories
 and functors are built only by the constructions below, through
 FinCategory._of_ids and FinFunctor._of_ids, which take ids and hash no
 payload for their tables or checks.  The constructions used by the
-verification suites are: full subcategories, posets,
-the comma categories z/F and F/z of a functor (comma, with side "under" or
-"over"), its strict fiber over z (fiber) and the inclusion x -> (x, id_z)
-of that fiber into either comma (fiber_inclusion), and the Grothendieck
-total of a diagram of categories.
+verification suites are: posets, the inclusion of a functor's strict fiber
+over z into its comma category under or over z (fiber_inclusion), and the
+Grothendieck total of a diagram of categories.
 
 Every construction whose arrows are told apart by labels is made by one
 builder, _labelled, which finds each composite and identity by its label;
@@ -92,8 +90,8 @@ class FinCategory:
 
     The core is integer.  Objects and arrows are numbered 0..n-1 in the
     order given, and their payloads, the tuples objects and arrows, are
-    side tables: they answer the payload queries below and render a
-    failure, and no construction or check hashes them.  Every categorical
+    side tables: the payload views identities and table read them, a
+    failure renders them, and no check hashes them.  Every categorical
     axiom is checked on the ids at construction time.
 
     _of_ids(objects, arrows, src, dst, ident, comp) is the one constructor:
@@ -148,24 +146,6 @@ class FinCategory:
     @property
     def table(self) -> "_Table":
         return _Table(self)
-
-    def identity(self, x) -> Arrow:
-        return self.arrows[self._ident[self._oid[x]]]
-
-    def is_identity(self, a: Arrow) -> bool:
-        x = self._oid.get(a.src)
-        return x is not None and self.arrows[self._ident[x]] == a
-
-    def compose(self, g: Arrow, f: Arrow) -> Arrow:
-        """The composite g after f."""
-        try:
-            return self.arrows[self._comp[self._aid[f]][self._aid[g]]]
-        except KeyError:
-            raise CategoryError(f"arrows do not compose: {f} then {g}") from None
-
-    def hom(self, x, y) -> tuple:
-        i, j = self._oid.get(x), self._oid.get(y)
-        return tuple(self.arrows[a] for a in self._hom.get((i, j), ()))
 
     def _verify(self):
         """The axioms on ids; payloads are read only to name a failure.
@@ -324,12 +304,6 @@ class FinFunctor:
         cod = self.cod.arrows
         return {a: cod[b] for a, b in zip(self.dom.arrows, self._amap)}
 
-    def obj(self, x):
-        return self.cod.objects[self._omap[self.dom._oid[x]]]
-
-    def arr(self, a: Arrow) -> Arrow:
-        return self.cod.arrows[self._amap[self.dom._aid[a]]]
-
 
 def _labelled(objects, src, dst, labels, payload, combine, unit):
     """The category whose arrow a runs between the object ids src[a] and
@@ -425,12 +399,6 @@ def _subcategory(C: FinCategory, objs, keep_arrow):
     return S, kept
 
 
-def full_subcategory(C: FinCategory, predicate) -> FinCategory:
-    """The full subcategory on the objects satisfying the predicate."""
-    objs = [x for x, o in enumerate(C.objects) if predicate(o)]
-    return _subcategory(C, objs, lambda a: True)[0]
-
-
 def find_terminal(C: FinCategory):
     """The terminal object if one exists, else None: the first object with
     exactly one arrow from every object."""
@@ -441,22 +409,10 @@ def find_terminal(C: FinCategory):
     return None
 
 
-def _object_id(F: FinFunctor, z) -> int:
-    """The id of z in F's codomain; raises CategoryError if z is not an object there."""
-    try:
-        return F.cod._oid[z]
-    except KeyError:
-        raise CategoryError(f"{z} is not an object of the codomain") from None
-
-
-def _require_side(side: str):
-    if side not in ("under", "over"):
-        raise ValueError(f"side must be 'under' or 'over', not {side!r}")
-
-
 def _comma(F: FinFunctor, z: int, side: str):
-    """comma at the codomain object id z: returns the category, its object
-    ids by (w, g) pair and its arrow ids by (src, dst, domain arrow id)."""
+    """The comma category under or over the codomain object id z, as
+    fiber_inclusion describes it: returns the category, its object ids by
+    (w, g) pair and its arrow ids by (src, dst, domain arrow id)."""
     A, B = F.dom, F.cod
     omap, amap, hom, comp = F._omap, F._amap, B._hom, B._comp
     under = side == "under"
@@ -486,46 +442,32 @@ def _comma(F: FinFunctor, z: int, side: str):
     return K, pair_id, index
 
 
-def comma(F: FinFunctor, z, side: str) -> FinCategory:
-    """The comma category z/F (side "under") or F/z (side "over").
+def fiber_inclusion(F: FinFunctor, z, side: str) -> FinFunctor:
+    """The inclusion x -> (x, id_z) of the strict fiber of F over z into the
+    comma category z/F (side "under") or F/z (side "over").
 
-    Objects are pairs (w, g) with g an arrow z -> F(w) under, F(w) -> z over.
-    An arrow (w, g) -> (w2, g2) is a domain arrow m: w -> w2 whose image
-    makes the triangle with g and g2 commute; it is labelled by m.
+    The strict fiber, the domain of the result, holds the x with F(x) == z
+    and the arrows sent to id_z.  The comma is its codomain: objects are
+    pairs (w, g) with g an arrow z -> F(w) under, F(w) -> z over, and an
+    arrow (w, g) -> (w2, g2) is a domain arrow m: w -> w2 whose image makes
+    the triangle with g and g2 commute; it is labelled by m.
     """
-    _require_side(side)
-    return _comma(F, _object_id(F, z), side)[0]
-
-
-def _fiber(F: FinFunctor, z: int):
-    """fiber on ids: returns it with its objects' and arrows' ids in F.dom."""
+    try:
+        z = F.cod._oid[z]
+    except KeyError:
+        raise CategoryError(f"{z} is not an object of the codomain") from None
+    if side not in ("under", "over"):
+        raise ValueError(f"side must be 'under' or 'over', not {side!r}")
     id_z = F.cod._ident[z]
     objs = [x for x, y in enumerate(F._omap) if y == z]
-    S, kept = _subcategory(F.dom, objs, lambda u: F._amap[u] == id_z)
-    return S, objs, kept
-
-
-def fiber(F: FinFunctor, z) -> FinCategory:
-    """The strict fiber over z: the x with F(x) == z and the arrows onto id_z."""
-    return _fiber(F, _object_id(F, z))[0]
-
-
-def _fiber_inclusion(F: FinFunctor, z: int, side: str) -> FinFunctor:
-    fib, objs, kept = _fiber(F, z)
-    _require_side(side)
+    fib, kept = _subcategory(F.dom, objs, lambda u: F._amap[u] == id_z)
     K, pair_id, index = _comma(F, z, side)
-    id_z = F.cod._ident[z]
     omap = [pair_id.get((x, id_z), -1) for x in objs]
     amap = [
         index.get((omap[s], omap[t], u), -1)
         for s, t, u in zip(fib._src, fib._dst, kept)
     ]
     return FinFunctor._of_ids(fib, K, omap, amap)
-
-
-def fiber_inclusion(F: FinFunctor, z, side: str) -> FinFunctor:
-    """The inclusion x -> (x, id_z) of fiber(F, z) into comma(F, z, side)."""
-    return _fiber_inclusion(F, _object_id(F, z), side)
 
 
 def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
@@ -896,7 +838,7 @@ def fiber_adjoint_report(F: FinFunctor, target) -> FiberAdjointReport:
     left adjoint to the inclusion into the slice need not exist, so the
     coslice is the side that carries the adjunction.
     """
-    inclusion = _fiber_inclusion(F, _object_id(F, target), "under")
+    inclusion = fiber_inclusion(F, target, "under")
     terminal = find_terminal(inclusion.dom)
     approximations = tuple(
         (z, find_terminal(_comma(inclusion, n, "over")[0]))

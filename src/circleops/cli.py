@@ -267,16 +267,12 @@ def _suite_remark_linear(args, records):
 def _suite_grothendieck(args, records):
     tree = _parse_tree_arg(args.tree)
     iso = hat_comma_isomorphism(tree)
-    objects_ok = len(set(iso.object_map.values())) == len(iso.object_map) and (
-        len(iso.object_map) == len(iso.cod.objects)
-    )
-    arrows_ok = len(set(iso.arrow_map.values())) == len(iso.arrow_map) and (
-        len(iso.arrow_map) == len(iso.cod.arrows)
-    )
+    omap, amap = iso._omap, iso._amap
+    objects_ok = len(set(omap)) == len(omap) == len(iso.cod.objects)
+    arrows_ok = len(set(amap)) == len(amap) == len(iso.cod.arrows)
     _check(
         records, objects_ok and arrows_ok, "grothendieck",
-        f"tree={args.tree} objects={len(iso.object_map)}"
-        f" arrows={len(iso.arrow_map)}",
+        f"tree={args.tree} objects={len(omap)} arrows={len(amap)}",
     )
 
 

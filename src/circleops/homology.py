@@ -53,10 +53,6 @@ class IntMatrix:
                 raise HomologyError(f"entry ({i},{j}) out of row-major order")
             last = pos
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
 
 def matrix_from_dict(nrows: int, ncols: int, entries) -> IntMatrix:
     """Build an IntMatrix from any {(row, col): value} mapping, dropping zeros."""

@@ -243,15 +243,6 @@ def kelt_delete_vertex(x: KElt, i: int) -> KElt:
 
 # --- permutations ----------------------------------------------------------------
 
-def perm_id(k: int) -> tuple:
-    return tuple(range(1, k + 1))
-
-
-def perm_compose(a, b) -> tuple:
-    """(a after b): send i to a(b(i))."""
-    return tuple(a[b[i - 1] - 1] for i in range(1, len(a) + 1))
-
-
 def perm_inverse(a) -> tuple:
     out = [0] * len(a)
     for i, v in enumerate(a, start=1):

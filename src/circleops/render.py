@@ -317,6 +317,7 @@ def _apart(box, other) -> bool:
 
 
 def _inside(p, shape: _Shape) -> bool:
+    """Strict interior test for a counterclockwise convex polygon."""
     # A shape of fewer than three points contains nothing.
     if len(shape.points) < 3:
         return False
@@ -325,11 +326,6 @@ def _inside(p, shape: _Shape) -> bool:
         if dx * (py - y) - dy * (px - x) <= tol:
             return False
     return True
-
-
-def point_in_convex(p, poly) -> bool:
-    """Strict interior test for a counterclockwise convex polygon."""
-    return _inside(p, _Shape(poly))
 
 
 def _segments_cross(p, q, r, s) -> bool:
@@ -346,17 +342,13 @@ def _segments_cross(p, q, r, s) -> bool:
     )
 
 
-def segment_polygon_crossings(a, b, poly) -> int:
+def _segment_crossings(a, b, shape: _Shape) -> int:
     """Transversal crossings of segment ab with a convex polygon boundary.
 
     Clips the segment against the polygon's half-planes; the crossing count
     is how many ends of the clipped parameter interval are interior to the
     segment.  Vertex grazings do not count as crossings.
     """
-    return _segment_crossings(a, b, _Shape(poly))
-
-
-def _segment_crossings(a, b, shape: _Shape) -> int:
     t0, t1 = 0.0, 1.0
     for x, y, dx, dy, _ in shape.sides:
         f0 = dx * (a[1] - y) - dy * (a[0] - x)
@@ -372,12 +364,8 @@ def _segment_crossings(a, b, shape: _Shape) -> int:
     return (t0 > 1e-9) + (t1 < 1 - 1e-9)
 
 
-def polygon_relation(p, q) -> str:
-    """'crossing', 'nested_pq' (p inside q), 'nested_qp', or 'disjoint'."""
-    return _relation(_Shape(p), _Shape(q))
-
-
 def _relation(p: _Shape, q: _Shape) -> str:
+    """'crossing', 'nested_pq' (p inside q), 'nested_qp', or 'disjoint'."""
     # Containment first.  When every vertex of p is strictly inside q, each
     # clears every side of q by more than _EPS, in the very _cross values
     # _segments_cross compares with _EPS, so no pair of sides counts as a

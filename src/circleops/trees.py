@@ -146,61 +146,6 @@ def _graft(t, it):
     return Node(tuple(_graft(c, it) for c in t.children))
 
 
-def subtree_at_vertex(t, v: int):
-    """The subtree rooted at the vertex with preorder index v."""
-    found = _find_vertex(t, v)
-    if found is None:
-        raise ValueError(f"vertex index {v} out of range")
-    return found
-
-
-def _find_vertex(t, v: int):
-    if isinstance(t, Leaf):
-        return None
-    if v == 0:
-        return t
-    v -= 1
-    for c in t.children:
-        found = _find_vertex(c, v)
-        if found is not None:
-            return found
-        v -= vertices(c)
-        if v < 0:
-            return None
-    return None
-
-
-def insert_at_vertex(s, v: int, t):
-    """Insert t inside the vertex v of s.
-
-    The vertex is replaced by the whole of t and the former child subtrees of
-    v are grafted onto the leaves of t in planar order, so t must have exactly
-    as many leaves as v has child edges.
-    """
-    old = subtree_at_vertex(s, v)
-    if leaves(t) != len(old.children):
-        raise ValueError(
-            f"insertion arity mismatch: vertex {v} has {len(old.children)} child edges,"
-            f" tree has {leaves(t)} leaves"
-        )
-    replaced, _ = _replace_vertex(s, v, graft(t, old.children))
-    return replaced
-
-
-def _replace_vertex(t, v: int, new):
-    if isinstance(t, Leaf):
-        return t, v
-    if v == 0:
-        return new, -1
-    v -= 1
-    out = []
-    for c in t.children:
-        if v >= 0:
-            c, v = _replace_vertex(c, v, new)
-        out.append(c)
-    return Node(tuple(out)), v
-
-
 def tree_sort_key(t):
     """Total order used by the enumerators: size first, then text."""
     return (vertices(t), leaves(t), str(t))

@@ -18,14 +18,11 @@ from circleops.cattop import (
     acyclicity_report,
     build_comma,
     build_hat_comma,
-    comma,
     comma_below,
     deletion_functor,
-    fiber,
     fiber_adjoint_report,
     fiber_inclusion,
     find_terminal,
-    full_subcategory,
     grothendieck,
     hat_comma_grothendieck,
     hat_comma_isomorphism,
@@ -56,11 +53,11 @@ def test_poset_category_axioms_and_homs():
     C = chain(3)
     assert len(C.objects) == 3
     assert len(C.arrows) == 6
-    assert len(C.hom(0, 2)) == 1
-    assert C.hom(2, 0) == ()
-    f = C.hom(0, 1)[0]
-    g = C.hom(1, 2)[0]
-    assert C.compose(g, f) == C.hom(0, 2)[0]
+    # the objects 0, 1, 2 have the ids 0, 1, 2
+    assert len(C._hom[0, 2]) == 1
+    assert (2, 0) not in C._hom
+    f, g, h = (C.arrows[C._hom[pair][0]] for pair in ((0, 1), (1, 2), (0, 2)))
+    assert C.table[g, f] == h
 
 
 def test_labelled_rejects_parallel_arrows_with_one_label():
@@ -220,15 +217,7 @@ def test_functor_must_preserve_composition():
     omap = [0, 1, 1]
     amap = [D._hom[omap[s], omap[t]][0] for s, t in zip(C._src, C._dst)]
     F = FinFunctor._of_ids(C, D, omap, amap)
-    assert F.obj(2) == 1
     assert F.object_map == {0: 0, 1: 1, 2: 1}
-
-
-def test_full_subcategory_of_chain():
-    C = chain(4)
-    S = full_subcategory(C, lambda x: x != 1)
-    assert S.objects == (0, 2, 3)
-    assert len(S.hom(0, 3)) == 1
 
 
 def test_find_terminal_and_initial_on_chain():
@@ -260,7 +249,7 @@ def test_identity_functor_slice_is_over_category():
     sl, fib = inc.cod, inc.dom
     assert sorted(x for x, _ in sl.objects) == [0, 1]
     assert [x for x in fib.objects] == [1]
-    assert inc.obj(1) == (1, C.identity(1))
+    assert inc.object_map[1] == (1, C.identities[1])
 
 
 def test_identity_functor_coslice_is_under_category():
@@ -269,28 +258,29 @@ def test_identity_functor_coslice_is_under_category():
     cos, fib = inc.cod, inc.dom
     assert sorted(x for x, _ in cos.objects) == [1, 2]
     assert [x for x in fib.objects] == [1]
-    assert inc.obj(1) == (1, C.identity(1))
+    assert inc.object_map[1] == (1, C.identities[1])
 
 
 def test_comma_both_sides_for_identity():
     C = chain(3)
-    under = comma(identity_functor(C), 1, "under")
-    over = comma(identity_functor(C), 1, "over")
+    under = fiber_inclusion(identity_functor(C), 1, "under").cod
+    over = fiber_inclusion(identity_functor(C), 1, "over").cod
     assert len(under.objects) == 2  # (1,id), (2, 1<=2)
     assert len(over.objects) == 2  # (0, 0<=1), (1,id)
     # (1, id) is initial under: one arrow to every object
-    assert [len(under.hom(under.objects[0], y)) for y in under.objects] == [1, 1]
-    assert under.objects[0] == (1, C.identity(1))
-    assert find_terminal(over) == (1, C.identity(1))
+    assert [len(under._hom[0, y]) for y in range(len(under.objects))] == [1, 1]
+    assert under.objects[0] == (1, C.identities[1])
+    assert find_terminal(over) == (1, C.identities[1])
 
 
 def test_comma_rejects_bad_side_and_foreign_object():
     F = identity_functor(chain(3))
-    with pytest.raises(ValueError, match="side"):
-        comma(F, 1, "sideways")
-    for build in (lambda: comma(F, 7, "under"), lambda: fiber(F, 7)):
-        with pytest.raises(CategoryError, match="not an object"):
-            build()
+    with pytest.raises(ValueError, match="^side must be 'under' or 'over', not 'sideways'$"):
+        fiber_inclusion(F, 1, "sideways")
+    # the object is resolved before the side is checked
+    for side in ("under", "sideways"):
+        with pytest.raises(CategoryError, match="^7 is not an object of the codomain$"):
+            fiber_inclusion(F, 7, side)
 
 
 @pytest.mark.parametrize("side", ["under", "over"])
@@ -298,25 +288,24 @@ def test_comma_laws_on_deletion_functor(side):
     # unlike the identity on a chain, this functor sends 17 objects onto 3
     F = deletion_functor(parse_tree("(|)"), k_iota(KElt(2, (1,), (1, 2))))
     A, B = F.dom, F.cod
+    fobj, farr = F.object_map, F.arrow_map
     for z in B.objects:
-        K = comma(F, z, side)
+        inc = fiber_inclusion(F, z, side)
+        K, fib, id_z = inc.cod, inc.dom, B.identities[z]
         assert K.objects
         for w, g in K.objects:
-            legs = B.hom(z, F.obj(w)) if side == "under" else B.hom(F.obj(w), z)
-            assert g in legs
+            legs = (z, fobj[w]) if side == "under" else (fobj[w], z)
+            assert g in B.arrows and (g.src, g.dst) == legs
         for a in K.arrows:
             (w, g), (w2, g2), m = a.src, a.dst, a.label
             assert (m.src, m.dst) == (w, w2)
             if side == "under":
-                assert B.compose(F.arr(m), g) == g2
+                assert B.table[farr[m], g] == g2
             else:
-                assert B.compose(g2, F.arr(m)) == g
-        fib = fiber(F, z)
-        assert set(fib.objects) == {x for x in A.objects if F.obj(x) == z}
-        assert all(F.arr(u) == B.identity(z) for u in fib.arrows)
-        inc = fiber_inclusion(F, z, side)
-        assert inc.cod.objects == K.objects and inc.dom.objects == fib.objects
-        assert all(inc.obj(x) == (x, B.identity(z)) for x in fib.objects)
+                assert B.table[g2, farr[m]] == g
+        assert set(fib.objects) == {x for x in A.objects if fobj[x] == z}
+        assert set(fib.arrows) == {u for u in A.arrows if farr[u] == id_z}
+        assert all(inc.object_map[x] == (x, id_z) for x in fib.objects)
 
 
 # --- Grothendieck construction -----------------------------------------------------
@@ -340,7 +329,7 @@ def test_grothendieck_chain_of_terminal_fibers_is_chain():
     P = FinFunctor._of_ids(
         G, base, [0, 1], [base._aid[a.label[0]] for a in G.arrows]
     )
-    assert all(P.arr(a) == a.label[0] for a in G.arrows)
+    assert all(P.arrow_map[a] == a.label[0] for a in G.arrows)
 
 
 def test_grothendieck_rejects_wrong_fiber_coverage():
@@ -369,7 +358,8 @@ def test_comma_on_edge_is_a_four_cycle():
     conc_1out = parse_config("{w1 {w2 | / |} / |}")
     conc_2out = parse_config("{w2 {w1 | / |} / |}")
     assert set(C.objects) == {stacked_12, stacked_21, conc_1out, conc_2out}
-    nonid = [(a.src, a.dst) for a in C.arrows if not C.is_identity(a)]
+    ident = set(C.identities.values())
+    nonid = [(a.src, a.dst) for a in C.arrows if a not in ident]
     assert sorted(map(str, nonid)) == sorted(
         map(
             str,
@@ -476,22 +466,30 @@ def test_commas_are_read_off_build_comma(monkeypatch):
 
 def test_comma_below_is_the_full_subcategory_below_each_cell():
     # the restriction by complexity classes, against the plain predicate on
-    # every object of build_comma and the arrows between the kept ones
+    # every object of build_comma and the arrows between the kept ones, in
+    # build_comma's order, with its identities and composites
     t = parse_tree("(|)")
     C = build_comma(t, 3)
     cells = [k_iota(c) for c in k_enumerate(2, 3)]
     assert len(cells) == 48
-    cx = {o: complexity(HOperation(o)) for o in C.objects}
+    cx = [complexity(HOperation(o)) for o in C.objects]
+    src, dst = C._src, C._dst
+    table = [(f, g, h) for f, row in enumerate(C._comp) for g, h in row.items()]
     for cell in cells:
-        below = {o: k_leq(x, cell) for o, x in cx.items()}
+        below = [k_leq(x, cell) for x in cx]
+        objs = [x for x, b in enumerate(below) if b]
+        arrows = [a for a in range(len(C.arrows)) if below[src[a]] and below[dst[a]]]
         got = comma_below(t, cell)
-        want = full_subcategory(C, below.__getitem__)
-        assert got.objects == want.objects
-        assert got.arrows == want.arrows == tuple(
-            a for a in C.arrows if below[a.src] and below[a.dst])
-        assert (got._src, got._dst) == (want._src, want._dst)
-        assert got.identities == want.identities
-        assert list(got.table.items()) == list(want.table.items())
+        assert got.objects == tuple(C.objects[x] for x in objs)
+        assert got.arrows == tuple(C.arrows[a] for a in arrows)
+        assert [got.objects[x] for x in got._src] == [C.objects[src[a]] for a in arrows]
+        assert [got.objects[x] for x in got._dst] == [C.objects[dst[a]] for a in arrows]
+        assert [got.arrows[e] for e in got._ident] == [
+            C.arrows[C._ident[x]] for x in objs]
+        assert list(got.table.items()) == [
+            ((C.arrows[g], C.arrows[f]), C.arrows[h]) for f, g, h in table
+            if below[src[f]] and below[dst[f]] and below[dst[g]]
+        ]
 
 
 def test_composite_off_the_objects_is_a_category_error(monkeypatch):
@@ -599,7 +597,7 @@ def walking_isomorphism():
 
 def test_nerve_requires_loop_free():
     iso = walking_isomorphism()
-    assert iso.compose(iso.arrows[3], iso.arrows[2]) == iso.identity("x")
+    assert iso.table[iso.arrows[3], iso.arrows[2]] == iso.identities["x"]
     with pytest.raises(
         CategoryError, match="^not loop-free: arrows both ways between x and y$"
     ):
@@ -651,7 +649,8 @@ def reference_nerve(C, max_dim):
     """Chain ranks and boundaries built the way nerve once built them: one
     {(row, col): value} dict of face sums per boundary, then matrix_from_dict,
     with chains held as tuples of arrow payloads."""
-    nonid = [a for a in C.arrows if not C.is_identity(a)]
+    ident = set(C.identities.values())
+    nonid = [a for a in C.arrows if a not in ident]
     levels = [list(C.objects), [(a,) for a in nonid]][: max_dim + 1]
     while len(levels) <= max_dim:
         levels.append(
@@ -670,7 +669,7 @@ def reference_nerve(C, max_dim):
                 elif i == n:
                     face = c[:-1]
                 else:
-                    face = c[: i - 1] + (C.compose(c[i], c[i - 1]),) + c[i + 1 :]
+                    face = c[: i - 1] + (C.table[c[i], c[i - 1]],) + c[i + 1 :]
                 key = (below[face], col)
                 entries[key] = entries.get(key, 0) + (-1) ** i
         boundaries.append(
@@ -681,7 +680,8 @@ def reference_nerve(C, max_dim):
 
 def test_nerve_of_a_category_with_parallel_arrows_matches_the_reference():
     C = parallel_arrows_category()
-    assert len(C.hom(0, 1)) == 2 and len(C.hom(0, 3)) == 2
+    # the objects 0..3 have the ids 0..3
+    assert len(C._hom[0, 1]) == 2 and len(C._hom[0, 3]) == 2
     for max_dim in range(5):
         cx = nerve(C, max_dim)
         assert (cx.dims, cx.boundaries) == reference_nerve(C, max_dim)
@@ -716,8 +716,8 @@ def test_hat_comma_matches_grothendieck():
         H = build_hat_comma(t)
         assert len(H.objects) == len(G.objects)
         assert len(H.arrows) == len(G.arrows)
-        assert len({iso.obj(x) for x in H.objects}) == len(H.objects)
-        assert len({iso.arr(a) for a in H.arrows}) == len(H.arrows)
+        assert len(set(iso.object_map.values())) == len(H.objects)
+        assert len(set(iso.arrow_map.values())) == len(H.arrows)
 
 
 def test_hat_comma_with_no_whites_is_a_point():
@@ -726,7 +726,7 @@ def test_hat_comma_with_no_whites_is_a_point():
     assert H.objects == ((t, KElt(0, (), ())),)
     assert len(H.arrows) == 1
     iso = hat_comma_isomorphism(t, 2, 0)
-    assert iso.obj(H.objects[0]) == hat_comma_grothendieck(t, 2, 0).objects[0]
+    assert iso.object_map[H.objects[0]] == hat_comma_grothendieck(t, 2, 0).objects[0]
     assert nerve_homology(H, 2).betti == (1, 0, 0)
 
 
@@ -750,7 +750,7 @@ def test_deletion_functor_on_edge_fiber_characterization():
         "{w1 | / {w2 | / |}}",
         "{w2 | / {w1 | / |}}",
     ]
-    fib = fiber(F, target)
+    fib = fiber_inclusion(F, target, "under").dom
     assert set(fib.objects) == set(F.dom.objects)
     assert find_terminal(fib) == parse_config("{w1 {w2 | / |} / |}")
 
@@ -761,7 +761,7 @@ def test_deletion_functor_splices_lead_circle():
     F = deletion_functor(parse_tree("(|)"), cell)
     src = parse_config("{w2 | / {w1 (|) / |}}")
     assert src in set(F.dom.objects)
-    assert F.obj(src) == parse_config("{w1 (|) / |}")
+    assert F.object_map[src] == parse_config("{w1 (|) / |}")
 
 
 def test_fiber_adjoint_report_ok_on_sample():
@@ -781,6 +781,8 @@ def test_slice_side_reflection_can_fail():
     F = deletion_functor(t, k_iota(KElt(2, (1,), (1, 2))))
     target = parse_config("{w1 (|) / |}")
     inc = fiber_inclusion(F, target, "over")
-    missing = [z for z in inc.cod.objects if not comma(inc, z, "under").objects]
+    missing = [
+        z for z in inc.cod.objects if not fiber_inclusion(inc, z, "under").cod.objects
+    ]
     assert missing, "expected at least one slice object without a reflection"
     assert fiber_adjoint_report(F, target).ok

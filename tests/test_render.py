@@ -6,13 +6,14 @@ from pathlib import Path
 from circleops.circled import BLACK, White, parse_config, random_config, underlying
 from circleops.render import (
     _BOX_SLACK,
+    _inside,
+    _relation,
+    _segment_crossings,
+    _Shape,
     clearance_violations,
     convex_hull,
     layout_config,
-    point_in_convex,
-    polygon_relation,
     render_svg,
-    segment_polygon_crossings,
 )
 from circleops.trees import LEAF, parse_tree
 
@@ -38,58 +39,66 @@ def test_convex_hull_drops_interior_and_collinear_points():
 
 
 def test_point_in_convex_is_strict():
-    assert point_in_convex((2.0, 2.0), SQUARE)
-    assert not point_in_convex((5.0, 2.0), SQUARE)
-    assert not point_in_convex((4.0, 2.0), SQUARE)
+    square = _Shape(SQUARE)
+    assert _inside((2.0, 2.0), square)
+    assert not _inside((5.0, 2.0), square)
+    assert not _inside((4.0, 2.0), square)
 
 
 def test_segment_polygon_crossing_counts():
-    assert segment_polygon_crossings((-1.0, 2.0), (5.0, 2.0), SQUARE) == 2
-    assert segment_polygon_crossings((2.0, 2.0), (5.0, 2.0), SQUARE) == 1
-    assert segment_polygon_crossings((1.0, 1.0), (3.0, 3.0), SQUARE) == 0
-    assert segment_polygon_crossings((-1.0, 5.0), (5.0, 5.0), SQUARE) == 0
+    square = _Shape(SQUARE)
+    assert _segment_crossings((-1.0, 2.0), (5.0, 2.0), square) == 2
+    assert _segment_crossings((2.0, 2.0), (5.0, 2.0), square) == 1
+    assert _segment_crossings((1.0, 1.0), (3.0, 3.0), square) == 0
+    assert _segment_crossings((-1.0, 5.0), (5.0, 5.0), square) == 0
 
 
 def test_polygon_relation_cases():
-    inner = ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0))
-    far = ((10.0, 0.0), (14.0, 0.0), (14.0, 4.0), (10.0, 4.0))
-    shifted = ((2.0, 2.0), (6.0, 2.0), (6.0, 6.0), (2.0, 6.0))
-    diamond = ((2.0, -3.0), (7.0, 2.0), (2.0, 7.0), (-3.0, 2.0))
-    # Crossing sides, and no vertex of either inside the other.
-    tall = ((1.0, -2.0), (3.0, -2.0), (3.0, 6.0), (1.0, 6.0))
-    wide = ((-2.0, 1.0), (6.0, 1.0), (6.0, 3.0), (-2.0, 3.0))
-    assert polygon_relation(inner, SQUARE) == "nested_pq"
-    assert polygon_relation(SQUARE, inner) == "nested_qp"
-    assert polygon_relation(SQUARE, diamond) == "nested_pq"
-    assert polygon_relation(diamond, SQUARE) == "nested_qp"
-    assert polygon_relation(SQUARE, far) == "disjoint"
-    assert polygon_relation(SQUARE, shifted) == "crossing"
-    assert polygon_relation(tall, wide) == "crossing"
-    assert polygon_relation(wide, tall) == "crossing"
+    square = _Shape(SQUARE)
+    inner, far, shifted, diamond, tall, wide = map(_Shape, (
+        ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)),
+        ((10.0, 0.0), (14.0, 0.0), (14.0, 4.0), (10.0, 4.0)),
+        ((2.0, 2.0), (6.0, 2.0), (6.0, 6.0), (2.0, 6.0)),
+        ((2.0, -3.0), (7.0, 2.0), (2.0, 7.0), (-3.0, 2.0)),
+        # tall and wide: crossing sides, and no vertex of either inside the other
+        ((1.0, -2.0), (3.0, -2.0), (3.0, 6.0), (1.0, 6.0)),
+        ((-2.0, 1.0), (6.0, 1.0), (6.0, 3.0), (-2.0, 3.0)),
+    ))
+    assert _relation(inner, square) == "nested_pq"
+    assert _relation(square, inner) == "nested_qp"
+    assert _relation(square, diamond) == "nested_pq"
+    assert _relation(diamond, square) == "nested_qp"
+    assert _relation(square, far) == "disjoint"
+    assert _relation(square, shifted) == "crossing"
+    assert _relation(tall, wide) == "crossing"
+    assert _relation(wide, tall) == "crossing"
 
 
 def test_near_boxes_are_decided_by_the_scan():
     # The diamonds' boxes share [1, 2] x [1, 2] but the diamonds do not meet.
-    a = ((2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0))
-    b = ((3.0, 1.0), (5.0, 3.0), (3.0, 5.0), (1.0, 3.0))
-    assert polygon_relation(a, b) == "disjoint"
-    assert polygon_relation(b, a) == "disjoint"
-    near = tuple((x + 4.0 + _BOX_SLACK / 2, y) for x, y in SQUARE)
-    touching = tuple((x + 4.0, y) for x, y in SQUARE)
-    assert polygon_relation(SQUARE, near) == "disjoint"
-    assert polygon_relation(near, SQUARE) == "disjoint"
-    assert polygon_relation(SQUARE, touching) == "disjoint"
+    a = _Shape(((2.0, 0.0), (0.0, 2.0), (-2.0, 0.0), (0.0, -2.0)))
+    b = _Shape(((3.0, 1.0), (5.0, 3.0), (3.0, 5.0), (1.0, 3.0)))
+    assert _relation(a, b) == "disjoint"
+    assert _relation(b, a) == "disjoint"
+    square = _Shape(SQUARE)
+    near = _Shape(tuple((x + 4.0 + _BOX_SLACK / 2, y) for x, y in SQUARE))
+    touching = _Shape(tuple((x + 4.0, y) for x, y in SQUARE))
+    assert _relation(square, near) == "disjoint"
+    assert _relation(near, square) == "disjoint"
+    assert _relation(square, touching) == "disjoint"
 
 
 def test_polygons_with_fewer_than_three_points():
     # A point or a segment contains nothing, but can lie inside a polygon.
-    assert polygon_relation(((2.0, 2.0),), SQUARE) == "nested_pq"
-    assert polygon_relation(SQUARE, ((2.0, 2.0),)) == "nested_qp"
-    assert polygon_relation(((9.0, 9.0),), SQUARE) == "disjoint"
-    assert polygon_relation(((2.0, 2.0), (6.0, 2.0)), SQUARE) == "crossing"
+    square = _Shape(SQUARE)
+    point, far_point = _Shape(((2.0, 2.0),)), _Shape(((9.0, 9.0),))
+    assert _relation(point, square) == "nested_pq"
+    assert _relation(square, point) == "nested_qp"
+    assert _relation(far_point, square) == "disjoint"
+    assert _relation(_Shape(((2.0, 2.0), (6.0, 2.0))), square) == "crossing"
 
 
-# The scan-first relation, kept as the reference polygon_relation must match.
+# The scan-first relation, kept as the reference _relation must match.
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -137,7 +146,7 @@ def test_relation_matches_the_scan_on_the_seeded_drawings():
         for i in range(len(curves)):
             for j in range(i + 1, len(curves)):
                 p, q = curves[i].points, curves[j].points
-                assert polygon_relation(p, q) == _scan_relation(p, q), str(c)
+                assert _relation(_Shape(p), _Shape(q)) == _scan_relation(p, q), str(c)
                 pairs += 1
     assert pairs > 1000
 
@@ -238,7 +247,7 @@ def test_identity_circle_on_corolla_draws_one_labelled_curve():
     curve = lay.curves[0]
     assert curve.kind == White(1) and curve.parent is None
     vertex = next(n for n in lay.nodes if n.kind == "vertex")
-    assert point_in_convex((vertex.x, vertex.y), curve.points)
+    assert _inside((vertex.x, vertex.y), _Shape(curve.points))
     assert clearance_violations(lay) == ()
 
 
@@ -248,12 +257,12 @@ def test_concentric_circles_on_bare_edge_nest():
     outer, inner = lay.curves
     assert outer.parent is None and inner.parent == 0
     assert lay.regions == (frozenset(), frozenset())
-    assert polygon_relation(inner.points, outer.points) == "nested_pq"
+    assert _relation(_Shape(inner.points), _Shape(outer.points)) == "nested_pq"
     # both wrap the middle of the lone edge, away from its endpoints
     a, b = lay.nodes
     mid = ((a.x + b.x) / 2, (a.y + b.y) / 2)
     for curve in lay.curves:
-        assert point_in_convex(mid, curve.points)
+        assert _inside(mid, _Shape(curve.points))
     assert clearance_violations(lay) == ()
 
 

@@ -8,11 +8,9 @@ from circleops.trees import (
     corolla,
     enumerate_trees,
     graft,
-    insert_at_vertex,
     leaves,
     node,
     parse_tree,
-    subtree_at_vertex,
     tree_sort_key,
     vertices,
 )
@@ -24,57 +22,6 @@ def trees_strategy(max_leaves=6):
         lambda sub: st.lists(sub, max_size=3).map(lambda cs: Node(tuple(cs))),
         max_leaves=max_leaves,
     )
-
-
-# --- independent oracles -------------------------------------------------
-
-def oracle_insert(s, v, t):
-    # Independent route for insert_at_vertex: explicit preorder counter walk.
-    seen = {"n": -1}
-
-    def walk(u):
-        if u == LEAF:
-            return u
-        seen["n"] += 1
-        me = seen["n"]
-        kids = tuple(walk(c) for c in u.children)
-        if me == v:
-            return graft(t, kids)
-        return Node(kids)
-
-    out = walk(s)
-    if seen["n"] < v:
-        raise ValueError("vertex out of range")
-    return out
-
-
-def cut_by_shape(t, shape):
-    # Split t = graft(shape, tops); None when shape is not a bottom fragment.
-    if shape == LEAF:
-        return [t]
-    if t == LEAF or len(t.children) != len(shape.children):
-        return None
-    tops = []
-    for c, s in zip(t.children, shape.children):
-        sub = cut_by_shape(c, s)
-        if sub is None:
-            return None
-        tops.extend(sub)
-    return tops
-
-
-def replace_vertex_subtree(t, v, new):
-    seen = {"n": -1}
-
-    def walk(u):
-        if u == LEAF:
-            return u
-        seen["n"] += 1
-        if seen["n"] == v:
-            return new
-        return Node(tuple(walk(c) for c in u.children))
-
-    return walk(t)
 
 
 # --- construction and codec ----------------------------------------------
@@ -167,57 +114,6 @@ def test_graft_two_stage_equals_one_stage(s, data):
 @given(trees_strategy(max_leaves=5))
 def test_graft_with_leaves_is_identity(t):
     assert graft(t, [LEAF] * leaves(t)) == t
-
-
-# --- insertion ------------------------------------------------------------
-
-def test_insert_hand_values():
-    # Inserting the free edge into a unary vertex erases the vertex.
-    assert insert_at_vertex(corolla(1), 0, LEAF) == LEAF
-    # Inserting a unary corolla into a unary vertex recreates the same tree.
-    assert insert_at_vertex(parse_tree("((|) |)"), 1, corolla(1)) == parse_tree("((|) |)")
-    # A branching insertion: the vertex expands to the whole inserted tree.
-    s = parse_tree("((|) (| | |))")
-    t = parse_tree("((| |) |)")
-    assert insert_at_vertex(s, 2, t) == parse_tree("((|) ((| |) |))")
-
-
-def test_insert_errors():
-    with pytest.raises(ValueError):
-        insert_at_vertex(corolla(2), 5, LEAF)
-    with pytest.raises(ValueError):
-        insert_at_vertex(corolla(2), 0, LEAF)  # arity 2 vertex, 1-leaf tree
-
-
-def corpus_insert_cases():
-    for s in enumerate_trees(3, 3):
-        for v in range(vertices(s)):
-            arity = len(subtree_at_vertex(s, v).children)
-            for t in enumerate_trees(2, 3):
-                if leaves(t) == arity:
-                    yield s, v, t
-
-
-def test_insert_matches_independent_oracle_and_counts():
-    cases = 0
-    for s, v, t in corpus_insert_cases():
-        r = insert_at_vertex(s, v, t)
-        assert r == oracle_insert(s, v, t)
-        assert leaves(r) == leaves(s)
-        assert vertices(r) == vertices(s) + vertices(t) - 1
-        cases += 1
-    assert cases > 100
-
-
-def test_insert_contraction_recovers_source():
-    # Collapsing the inserted fragment back to one vertex must undo insertion.
-    for s, v, t in corpus_insert_cases():
-        if t == LEAF:
-            continue  # no vertex survives at index v for the free edge
-        r = insert_at_vertex(s, v, t)
-        tops = cut_by_shape(subtree_at_vertex(r, v), t)
-        assert tops is not None
-        assert replace_vertex_subtree(r, v, Node(tuple(tops))) == s
 
 
 # --- enumeration ----------------------------------------------------------
