@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 
-from .circled import enumerate_configs, relabel_whites, splice, white_addresses
+from .circled import relabel_whites, splice, white_addresses
 from .homology import ChainComplex, HomologyResult, IntMatrix, homology
 from .kgraph import (
     KElt,
@@ -52,7 +52,14 @@ from .kgraph import (
     kelt_delete_vertex,
     vertex_pairs,
 )
-from .operad_h import HOperation, complexity, compose_terms, identity_op, reduce_term
+from .operad_h import (
+    _require_profile,
+    complexity,
+    compose_terms,
+    identity_op,
+    operations,
+    reduce_term,
+)
 
 
 class CategoryError(ValueError):
@@ -564,30 +571,16 @@ def _point(x) -> FinCategory:
     )[0]
 
 
-def _require_profile(found: HOperation, outer: HOperation, args):
-    """Raise as compose does unless found, the validated operation equal to
-    the composite of outer with args, has the profile that composite needs:
-    the sources of args in order and the target of outer."""
-    expected = tuple(s for a in args for s in a.sources)
-    if found.sources != expected or found.target != outer.target:
-        raise RuntimeError("composition changed the operation profile")
-
-
-# the objects of build_comma(tree, k), enumerated once for it and the commas
-# read off it
-_configs = lru_cache(maxsize=None)(enumerate_configs)
-
-
-@lru_cache(maxsize=None)
-def _operations(tree, k: int) -> tuple:
-    """The operations of _configs(tree, k), in the same order."""
-    return tuple(map(HOperation, _configs(tree, k)))
+# the operations on tree with k whites, validated once for every
+# build_comma and comma read off them: the objects of build_comma(tree, k),
+# and with k = 1 the unary arguments of any build_comma
+_operations = lru_cache(maxsize=None)(operations)
 
 
 @lru_cache(maxsize=None)
 def _complexity_classes(tree, k: int):
-    """(values, cls): the distinct complexities of _configs(tree, k) in order
-    of first appearance, and for each configuration the index of its own."""
+    """(values, cls): the distinct complexities of _operations(tree, k) in
+    order of first appearance, and for each operation the index of its own."""
     index, cls = {}, []
     for x in map(complexity, _operations(tree, k)):
         cls.append(index.setdefault(x, len(index)))
@@ -622,19 +615,18 @@ def build_comma(tree, k: int) -> FinCategory:
         raise ValueError("white count must be nonnegative")
     if k == 0:
         return _point(tree)
-    objects = _configs(tree, k)
     ops = _operations(tree, k)
+    objects = tuple(o.term for o in ops)
     oid = {o: n for n, o in enumerate(objects)}
-    unary_terms, unary_ops, unary_id = [], [], {}
+    unary_ops, unary_id = [], {}
 
     @lru_cache(maxsize=None)
     def unaries(source) -> tuple:
-        first = len(unary_terms)
-        unary_terms.extend(enumerate_configs(source, 1))
-        unary_ops.extend(map(HOperation, unary_terms[first:]))
-        for n in range(first, len(unary_terms)):
-            unary_id[unary_terms[n]] = n
-        return tuple(range(first, len(unary_terms)))
+        first = len(unary_ops)
+        unary_ops.extend(_operations(source, 1))
+        for n in range(first, len(unary_ops)):
+            unary_id[unary_ops[n].term] = n
+        return tuple(range(first, len(unary_ops)))
 
     src, dst, labels = [], [], []
     for t, op2 in enumerate(ops):
@@ -670,7 +662,7 @@ def build_comma(tree, k: int) -> FinCategory:
 
     return _labelled(
         objects, src, dst, labels,
-        lambda combo: tuple(unary_terms[p] for p in combo), combine, unit,
+        lambda combo: tuple(unary_ops[p].term for p in combo), combine, unit,
     )[0]
 
 
@@ -704,9 +696,9 @@ def build_hat_comma(tree, level: int = 2, k: int = 2) -> FinCategory:
     kappas = k_enumerate(level, k)
     if k == 0:
         return _point((tree, kappas[0]))
-    configs = _configs(tree, k)
+    ops = _operations(tree, k)
     tagged = [(n, kap) for kap in kappas for n in _ids_below(tree, k, k_iota(kap))]
-    carrying = [[] for _ in configs]
+    carrying = [[] for _ in ops]
     for x, (n, _) in enumerate(tagged):
         carrying[n].append(x)
     C = build_comma(tree, k)
@@ -719,7 +711,7 @@ def build_hat_comma(tree, level: int = 2, k: int = 2) -> FinCategory:
                     dst.append(t)
                     base.append(a)
     return _labelled(
-        tuple((configs[n], kap) for n, kap in tagged), src, dst, base,
+        tuple((ops[n].term, kap) for n, kap in tagged), src, dst, base,
         lambda a: C.arrows[a].label,
         lambda g, f: C._comp[base[f]][base[g]],
         lambda x: C._ident[tagged[x][0]],

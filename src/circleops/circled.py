@@ -33,7 +33,6 @@ from .trees import (
     _parse_item,
     _graft,
     _skip_spaces,
-    graft,
 )
 
 
@@ -80,9 +79,6 @@ class Circ:
         return "{" + f"{self.kind} {self.content} /{sep}{inner}" + "}"
 
 
-CircledTree = Leaf | Node | Circ
-
-
 def open_leaves(c) -> int:
     """Open leaves of a term; a circle binds its content's leaves to grafts."""
     if isinstance(c, Leaf):
@@ -95,20 +91,12 @@ def open_leaves(c) -> int:
 
 def underlying(c):
     """Erase all circles, returning the underlying planar tree."""
-    if isinstance(c, Leaf):
-        return LEAF
-    if isinstance(c, Node):
-        return Node(tuple(underlying(x) for x in c.children))
-    return graft(underlying(c.content), [underlying(g) for g in c.grafts])
+    return _survey(c)[3]
 
 
 def contracted(c):
     """Contract every circle of c to a single vertex over its exits."""
-    if isinstance(c, Leaf):
-        return LEAF
-    if isinstance(c, Node):
-        return Node(tuple(contracted(x) for x in c.children))
-    return Node(tuple(contracted(g) for g in c.grafts))
+    return _survey(c)[4]
 
 
 # --- codec -----------------------------------------------------------------
@@ -159,7 +147,7 @@ def _parse_kind(text: str, pos: int):
     if text[pos] == "w":
         pos += 1
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             raise ParseError(start, "white circle label must be an integer")
@@ -241,8 +229,7 @@ def white_profile(c):
 
     Read off the walk behind validate_config.
     """
-    _, insides, duplicate, out = _survey(c)
-    return _profile(insides, duplicate, out)
+    return _profile(*_survey(c)[1:4])
 
 
 def _profile(insides, duplicate, out):
@@ -273,16 +260,18 @@ def validated_profile(c):
 
     The profile is None when the report has a violation.
     """
-    report, insides, duplicate, out = _survey(c)
+    report, insides, duplicate, out, _ = _survey(c)
     return report, _profile(insides, duplicate, out) if report.ok else None
 
 
 def _survey(c):
-    """The one walk behind validate_config and white_profile.
+    """The one walk behind validate_config, white_profile, underlying and
+    contracted.
 
     Returns the validity report, the contracted content of the first white
     circle with each label (nonpositive ones too), the first label met twice
-    in preorder (None if none) and the underlying tree.  Every subterm
+    in preorder (None if none), the underlying tree and the contracted
+    tree.  Every subterm
     yields its underlying and its contracted tree bottom-up; a circle-free
     subterm is both itself.  Addresses are (parent, what, index) chains,
     spelled out only for a violation.
@@ -360,14 +349,14 @@ def _survey(c):
             return term, term
         return Node(tuple(unders)), Node(tuple(contractions))
 
-    out = c if isinstance(c, Leaf) else walk(c, None, False, False)[0]
+    out, flat = (c, c) if isinstance(c, Leaf) else walk(c, None, False, False)
     k = len(positive)
     if positive and positive != set(range(1, k + 1)):
         flag(None, "white-labels-not-contiguous",
              f"white labels {sorted(positive)} are not 1..{k}")
     report = ValidityReport(ok=not violations, whites=k,
                             violations=tuple(violations))
-    return report, insides, duplicate, out
+    return report, insides, duplicate, out, flat
 
 
 def below_two_vertices(c) -> bool:

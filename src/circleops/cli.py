@@ -53,9 +53,8 @@ from .operad_h import (
     unit_sides,
 )
 from .render import clearance_violations, layout_config, render_layout
-from .trees import LEAF, Node, ParseError, enumerate_trees
+from .trees import LEAF, Node, enumerate_trees, parse_tree
 from .trees import leaves as tree_leaves
-from .trees import parse_tree
 from .trees import vertices as tree_vertices
 
 EXIT_OK = 0
@@ -80,25 +79,12 @@ def _render_records(args, records) -> str:
     return "\n".join(lines)
 
 
-def _parse_tree_arg(text: str):
+def _parse_arg(parse, noun: str, text: str):
+    """parse(text), with a failure reported as a bad noun naming the text."""
     try:
-        return parse_tree(text)
-    except ParseError as exc:
-        raise ValueError(f"bad tree {text!r}: {exc}") from exc
-
-
-def _parse_config_arg(text: str):
-    try:
-        return parse_config(text)
-    except ParseError as exc:
-        raise ValueError(f"bad configuration {text!r}: {exc}") from exc
-
-
-def _parse_kelt_arg(text: str) -> KElt:
-    try:
-        return parse_kelt(text)
+        return parse(text)
     except ValueError as exc:
-        raise ValueError(f"bad graph element {text!r}: {exc}") from exc
+        raise ValueError(f"bad {noun} {text!r}: {exc}") from exc
 
 
 # --- enumerate -----------------------------------------------------------------
@@ -116,7 +102,7 @@ def _enumerate_records(args):
             out.append((str(t), fields))
         return out
     if args.what == "configs":
-        tree = _parse_tree_arg(args.tree)
+        tree = _parse_arg(parse_tree, "tree", args.tree)
         return [
             (str(c), {"kind": "config", "tree": args.tree, "k": args.k,
                       "text": str(c)})
@@ -139,8 +125,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_compose(args) -> int:
     if args.what == "config":
-        outer = HOperation(_parse_config_arg(args.outer))
-        inners = tuple(HOperation(_parse_config_arg(t)) for t in args.inner)
+        outer, *inners = (HOperation(_parse_arg(parse_config, "configuration", t))
+                          for t in (args.outer, *args.inner))
         if len(inners) != outer.k:
             raise ValueError(
                 f"outer operation has {outer.k} white circles,"
@@ -152,8 +138,8 @@ def cmd_compose(args) -> int:
                   "target": str(result.target),
                   "sources": [str(s) for s in result.sources]}
     else:
-        outer = _parse_kelt_arg(args.outer)
-        inners = tuple(_parse_kelt_arg(t) for t in args.inner)
+        outer, *inners = (_parse_arg(parse_kelt, "graph element", t)
+                          for t in (args.outer, *args.inner))
         if len(inners) != outer.k:
             raise ValueError(
                 f"outer element has arity {outer.k},"
@@ -240,7 +226,7 @@ def _suite_inequality(args, records):
 
 
 def _suite_lemma(args, records):
-    tree = _parse_tree_arg(args.tree)
+    tree = _parse_arg(parse_tree, "tree", args.tree)
     for base in k_enumerate(2, args.k):
         cell = k_iota(base)
         report = acyclicity_report(comma_below(tree, cell), args.max_dim)
@@ -265,7 +251,7 @@ def _suite_remark_linear(args, records):
 
 
 def _suite_grothendieck(args, records):
-    tree = _parse_tree_arg(args.tree)
+    tree = _parse_arg(parse_tree, "tree", args.tree)
     iso = hat_comma_isomorphism(tree)
     omap, amap = iso._omap, iso._amap
     objects_ok = len(set(omap)) == len(omap) == len(iso.cod.objects)
@@ -289,7 +275,7 @@ def _suite_cowedge(args, records):
 
 
 def _suite_proof_structure(args, records):
-    tree = _parse_tree_arg(args.tree)
+    tree = _parse_arg(parse_tree, "tree", args.tree)
     for base in k_enumerate(2, 2):
         cell = k_iota(base)
         F = deletion_functor(tree, cell)
@@ -335,13 +321,15 @@ def _homology_records(args):
         C = poset_category(k_enumerate(args.m, args.k), k_leq)
         name = f"kposet m={args.m} k={args.k}"
     elif args.what == "comma":
-        C = build_comma(_parse_tree_arg(args.tree), args.k)
+        C = build_comma(_parse_arg(parse_tree, "tree", args.tree), args.k)
         name = f"comma tree={args.tree} k={args.k}"
     elif args.what == "hat":
-        C = build_hat_comma(_parse_tree_arg(args.tree), args.level, args.k)
+        C = build_hat_comma(_parse_arg(parse_tree, "tree", args.tree),
+                            args.level, args.k)
         name = f"hat tree={args.tree} level={args.level} k={args.k}"
     else:
-        C = comma_below(_parse_tree_arg(args.tree), _parse_kelt_arg(args.cell))
+        C = comma_below(_parse_arg(parse_tree, "tree", args.tree),
+                        _parse_arg(parse_kelt, "graph element", args.cell))
         name = f"below tree={args.tree} cell=[{args.cell}]"
     result = nerve_homology(C, args.max_dim)
     out = []
@@ -363,7 +351,7 @@ def cmd_homology(args) -> int:
 # --- render -------------------------------------------------------------------
 
 def cmd_render(args) -> int:
-    config = _parse_config_arg(args.config)
+    config = _parse_arg(parse_config, "configuration", args.config)
     layout = layout_config(config)
     if args.check:
         violations = clearance_violations(layout)

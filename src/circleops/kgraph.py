@@ -56,12 +56,6 @@ class KElt:
             raise ValueError(f"perm {self.perm} is not a permutation of 1..{self.k}")
 
     @cached_property
-    def orientations(self) -> tuple:
-        """before(i, j) for each vertex pair i < j, in label order; computed
-        on first use and kept outside ==, hash and repr."""
-        return tuple(_orientations(self.perm))
-
-    @cached_property
     def down(self) -> frozenset | None:
         """The down-set code, or None when a label reaches DOWN_LABELS.
 
@@ -146,7 +140,8 @@ def k_leq(x: KElt, y: KElt) -> bool:
     dx, dy = x.down, y.down
     if dx is not None and dy is not None:
         return dx <= dy
-    for a, b, s, t in zip(x.labels, y.labels, x.orientations, y.orientations):
+    for a, b, s, t in zip(x.labels, y.labels, _orientations(x.perm),
+                          _orientations(y.perm)):
         if a > b or (a == b and s != t):
             return False
     return True
@@ -276,14 +271,23 @@ def kelt_text(x: KElt) -> str:
     return f"{x.k}; {mus}; perm=[{order}]"
 
 
-_MU_TOKEN = re.compile(r"mu\((\d+),(\d+)\)=(\d+)$")
+_MU_TOKEN = re.compile(r"mu\(([0-9]+),([0-9]+)\)=([0-9]+)$")
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(word: str) -> int:
+    """int(word), which also reads '+', '_' and other scripts' digits."""
+    n = int(word)
+    if not _INTEGER.fullmatch(word):
+        raise ValueError(f"integer {word!r} must be ASCII digits 0-9")
+    return n
 
 
 def parse_kelt(text: str) -> KElt:
     parts = text.split(";")
     if len(parts) != 3:
         raise ValueError(f"expected 'k; mu...; perm=[...]', got {text!r}")
-    k = int(parts[0].strip())
+    k = _integer(parts[0].strip())
     seen = {}
     for token in parts[1].split():
         m = _MU_TOKEN.match(token)
@@ -299,7 +303,6 @@ def parse_kelt(text: str) -> KElt:
     ptext = parts[2].strip()
     if not (ptext.startswith("perm=[") and ptext.endswith("]")):
         raise ValueError(f"bad vertex order {ptext!r}")
-    body = ptext[len("perm=["):-1].split()
-    perm = tuple(int(w) for w in body)
+    perm = tuple(map(_integer, ptext[len("perm=["):-1].split()))
     labels = tuple(seen[i] for i in range(comb(k, 2)))
     return KElt(k, labels, perm)

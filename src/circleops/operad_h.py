@@ -265,10 +265,16 @@ def compose(o: HOperation, args, r3: bool = True) -> HOperation:
     """
     args = tuple(args)
     result = HOperation(compose_terms(o, args, r3))
-    expected = tuple(chain.from_iterable(a.sources for a in args))
-    if result.sources != expected or result.target != o.target:
-        raise RuntimeError("composition changed the operation profile")
+    _require_profile(result, o, args)
     return result
+
+
+def _require_profile(found: HOperation, outer: HOperation, args):
+    """Raise unless found, the operation built for the composite of outer
+    with args, has the sources of args in order and the target of outer."""
+    expected = tuple(chain.from_iterable(a.sources for a in args))
+    if found.sources != expected or found.target != outer.target:
+        raise RuntimeError("composition changed the operation profile")
 
 
 def sigma_act(sigma, o: HOperation) -> HOperation:

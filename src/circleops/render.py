@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circled import Black, Circ, White
+from .circled import Black, White
 from .trees import Leaf, Node
 
 

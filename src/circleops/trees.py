@@ -43,8 +43,6 @@ class Node:
 
 LEAF = Leaf()
 
-PlanarTree = Leaf | Node
-
 
 def node(*children) -> Node:
     return Node(tuple(children))
@@ -129,18 +127,8 @@ def _parse_item(text: str, pos: int, depth: int, noun: str, brace):
         children.append(child)
 
 
-def graft(base, replacements):
-    """Replace the leaves of base, left to right, with the given trees."""
-    reps = list(replacements)
-    if leaves(base) != len(reps):
-        raise ValueError(
-            f"graft arity mismatch: base has {leaves(base)} leaves, got {len(reps)} replacements"
-        )
-    it = iter(reps)
-    return _graft(base, it)
-
-
 def _graft(t, it):
+    """t with its leaves replaced, left to right, by the trees from it."""
     if isinstance(t, Leaf):
         return next(it)
     return Node(tuple(_graft(c, it) for c in t.children))

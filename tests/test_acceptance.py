@@ -25,12 +25,10 @@ from circleops.cattop import (
 from circleops.circled import (
     BLACK,
     Circ,
-    circle_addresses,
     enumerate_configs,
     open_leaves,
     parse_config,
     random_config,
-    splice,
     underlying,
 )
 from circleops.cli import run
@@ -53,10 +51,10 @@ from circleops.operad_h import (
     identity_op,
     operations,
     reduce_term,
-    reduction_violations,
     substitute_whites,
 )
 from circleops.trees import LEAF, Node, enumerate_trees, parse_tree, vertices
+from test_operad_h import normal_forms
 
 FIVE_TREES = ("|", "(|)", "(| |)", "((|))", "((|) |)")
 
@@ -111,24 +109,6 @@ def assert_associative(o, ps, qss):
 def assert_equivariant(o, sigma, gathered):
     lhs, rhs = equivariance_sides(sigma, o, gathered)
     assert lhs == rhs
-
-
-def normal_forms(term, seen=None):
-    """Every normal form reachable by splicing in any order."""
-    if seen is None:
-        seen = {}
-    if term in seen:
-        return seen[term]
-    viols = reduction_violations(term)
-    if not viols:
-        out = frozenset((term,))
-    else:
-        acc = set()
-        for addr, _ in viols:
-            acc |= normal_forms(splice(term, addr), seen)
-        out = frozenset(acc)
-    seen[term] = out
-    return out
 
 
 def test_01_complete_graph_composition_worked_example():

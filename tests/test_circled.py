@@ -171,6 +171,16 @@ def test_parse_errors_carry_offsets(text, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize("text", ["{w² | / |}", "{w١ | / |}"])
+def test_white_labels_are_ascii_digits(text):
+    # str.isdigit takes "²", which int() then rejects, and int() reads "١"
+    # as 1, so "{w١ | / |}" would print as "{w1 | / |}"
+    with pytest.raises(ParseError) as exc:
+        parse_config(text)
+    assert (exc.value.offset, exc.value.reason) == (
+        2, "white circle label must be an integer")
+
+
 def test_nesting_limit_counts_both_brackets():
     # 100 circles around 100 vertices are 200 brackets deep
     def nest(circles, vertices):

@@ -16,7 +16,10 @@ The `CLI_SHA256` values were recorded before the result cache was removed:
 exit code, stdout and stderr of the README's CLI commands, of every `verify`
 suite at two seeds in both formats, and of two usage errors.  The two arity
 runs were recorded once the lemma with no white circles ran and a negative
-arity was reported by name.
+arity was reported by name.  The `compose config`, `homology comma` and
+`homology below` runs, one that parses its arguments and one with a bad
+argument each, were recorded before the CLI's three argument parsers became
+one.
 The `TERM_SHA256` values were recorded before composition became one walk
 per stage: both sides of each operad law on seeded operations, with and
 without the uncovered-black rule, and the errors of rejected compositions.
@@ -185,6 +188,19 @@ CLI_SHA256 = {
         "c6601d47002d084186c3f64a65388d3e402989722df362cebd3705cc406072c3",
     "cli/enumerate kgraph --m 2 --k -1":
         "e739eb8774e3262874de00bf0ffaa9acf6acd1a393ac6925f6e0b9a19bad2d92",
+    "cli/compose config --outer {w1 (| |) / | |}"
+    " --inner ({w1 | / |} {w2 | / |})":
+        "1d8f4a890b60a32d6bac4ba8153f3afe9828b0989547e4f13d49a948c9bcf60c",
+    "cli/compose config --outer {w1 (| |) / | --inner {w1 | / |}":
+        "9354916159734ce0266c4f2f187cee56eb3a2d883668530bcc2b012ca925c558",
+    "cli/homology comma --tree (|) --k 2":
+        "a1880196d24ccf9226964ec20340b073a6913109b0767bf16a5fa68e027c2390",
+    "cli/homology comma --tree (| x) --k 2":
+        "f89e551a5f8d65fb70c19cfb9c06839a8025700934963baade2258f290c933e7",
+    "cli/homology below --tree (| |) --cell 2; mu(1,2)=1; perm=[1 2]":
+        "7c7a38b493128a6507bc7c7710e23842195e24625536d57602c4977a34d36415",
+    "cli/homology below --tree (| |) --cell 2; mu(1,2)=x; perm=[1 2]":
+        "e907ccedea6f9b623009d076317ae6b616b0a9aac0152750df37e33cf85dfa41",
 }
 
 CORPUS = ["|", "(|)", "(| |)", "((|))", "((|) |)", "((|) (|))"]

@@ -1,6 +1,5 @@
 """Tests for the labelled-complete-graph operad."""
 
-import itertools
 import random
 from math import comb
 
@@ -12,6 +11,7 @@ from circleops.kgraph import (
     DOWN_LABELS,
     K_UNIT,
     KElt,
+    _orientations,
     block_perm,
     k_compose,
     k_enumerate,
@@ -152,7 +152,7 @@ def test_leq_matches_the_edgewise_definition():
             for _ in range(2)
         )
         assert k_leq(x, y) == edgewise_leq(x, y)
-        assert k_leq(x, x) and x.orientations == tuple(
+        assert k_leq(x, x) and tuple(_orientations(x.perm)) == tuple(
             x.before(i, j) for i, j in vertex_pairs(k))
     with pytest.raises(ValueError, match="cannot compare arity 2 with arity 3"):
         k_leq(KElt(2, (0,), (1, 2)), KElt(3, (0, 0, 0), (1, 2, 3)))
@@ -162,16 +162,14 @@ def test_cached_orientations_leave_equality_and_hash_alone():
     x = KElt(3, (0, 1, 1), (2, 3, 1))
     y = KElt(3, (0, 1, 1), (2, 3, 1))
     fresh = (hash(y), repr(y))
-    assert x.orientations == (True, False, False)
     # edge e's pair (m, o) is e + 3 * (2m + o): edge 0 keeps (0, True),
     # edges 1 and 2 hold both orientations of label 0 and then (1, False)
     assert x.down == frozenset({3, 1, 4, 7, 2, 5, 8})
-    # only x has filled its caches
-    assert "orientations" in vars(x) and "down" in vars(x)
-    assert not {"orientations", "down"} & set(vars(y))
+    # only x has filled its cache
+    assert "down" in vars(x) and "down" not in vars(y)
     assert x == y and y == x and len({x, y}) == 1
     assert (hash(x), repr(x)) == (hash(y), repr(y)) == fresh
-    assert "down" not in repr(x) and "orientations" not in repr(x)
+    assert "down" not in repr(x)
     assert y.down == x.down and x == y and (hash(y), repr(y)) == fresh
     z = KElt(3, (0, 1, 1), (2, 1, 3))
     assert z.down != x.down and z != x
@@ -371,6 +369,28 @@ def test_codec_round_trip():
 def test_codec_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_kelt(text)
+
+
+@pytest.mark.parametrize(
+    "text, word",
+    [
+        ("1; ; perm=[0_1]", "0_1"),  # int() drops underscores
+        ("+2; mu(1,2)=0; perm=[1 2]", "+2"),
+        ("١; ; perm=[1]", "١"),
+        ("2; mu(1,2)=0; perm=[1 ٢]", "٢"),
+    ],
+)
+def test_codec_integers_are_ascii_digits(text, word):
+    # int() reads each word as a number; the codec does not
+    with pytest.raises(ValueError) as exc:
+        parse_kelt(text)
+    assert str(exc.value) == f"integer {word!r} must be ASCII digits 0-9"
+
+
+def test_codec_edge_labels_are_ascii_digits():
+    with pytest.raises(ValueError) as exc:
+        parse_kelt("2; mu(1,2)=١; perm=[1 2]")
+    assert str(exc.value) == "bad edge label token 'mu(1,2)=١'"
 
 
 # --- vertex deletion ---------------------------------------------------------------

@@ -342,13 +342,19 @@ def test_sigma_act_needs_a_permutation_of_the_whites():
 # --- reduction --------------------------------------------------------------------
 
 def normal_forms(term, r3=True):
-    viols = reduction_violations(term, r3=r3)
-    if not viols:
-        return {term}
-    out = set()
-    for addr, _ in viols:
-        out |= normal_forms(splice(term, addr), r3=r3)
-    return out
+    """Every normal form reachable by splicing in any order; each term met
+    on the way is expanded once."""
+    seen = {}
+
+    def forms(t):
+        if t not in seen:
+            viols = reduction_violations(t, r3=r3)
+            seen[t] = frozenset().union(
+                *(forms(splice(t, addr)) for addr, _ in viols)
+            ) or frozenset((t,))
+        return seen[t]
+
+    return forms(term)
 
 
 def test_reduction_is_confluent():

@@ -1,5 +1,6 @@
 """Tests for the package's public surface."""
 
+import ast
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -31,3 +32,24 @@ def test_readme_library_quick_start_prints_its_comments():
     with redirect_stdout(out):
         exec(block, {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__ imports the names it re-exports, and reads them only as the
+    # strings of __all__
+    src = Path(circleops.__file__).resolve().parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read |= set(circleops.__all__)
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.module == "__future__":
+                continue
+            if isinstance(n, (ast.Import, ast.ImportFrom)):
+                unread.extend(
+                    f"{path.name}: {a.asname or a.name}" for a in n.names
+                    if (a.asname or a.name).split(".")[0] not in read)
+    assert unread == []

@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from circleops.circled import circle_graft as graft
 from circleops.trees import (
     LEAF,
     Node,
     ParseError,
     corolla,
     enumerate_trees,
-    graft,
     leaves,
     node,
     parse_tree,
@@ -86,6 +86,7 @@ def test_counts():
 
 
 # --- graft ----------------------------------------------------------------
+# Grafting planar trees is circle_graft on terms without circles.
 
 def test_graft_hand_values():
     assert graft(corolla(2), [corolla(1), LEAF]) == parse_tree("((|) |)")
@@ -94,7 +95,7 @@ def test_graft_hand_values():
 
 
 def test_graft_arity_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="term has 2 open leaves, got 1"):
         graft(corolla(2), [LEAF])
 
 

@@ -498,10 +498,22 @@ ARITY_COMMANDS = (
     ("verify", "lemma", "--tree", "(|)", "--k", "0"),
     ("enumerate", "kgraph", "--m", "2", "--k", "-1"),
 )
+# The configuration, tree and graph-element arguments of compose and
+# homology: one run that parses and one that names a bad argument, each.
+ARGUMENT_COMMANDS = (
+    ("compose", "config", "--outer", "{w1 (| |) / | |}",
+     "--inner", "({w1 | / |} {w2 | / |})"),
+    ("compose", "config", "--outer", "{w1 (| |) / |", "--inner", "{w1 | / |}"),
+    ("homology", "comma", "--tree", "(|)", "--k", "2"),
+    ("homology", "comma", "--tree", "(| x)", "--k", "2"),
+    ("homology", "below", "--tree", "(| |)", "--cell", "2; mu(1,2)=1; perm=[1 2]"),
+    ("homology", "below", "--tree", "(| |)", "--cell", "2; mu(1,2)=x; perm=[1 2]"),
+)
 
 CLI = {
     "cli/" + " ".join(argv): cli_item(argv)
-    for argv in README_COMMANDS + VERIFY_COMMANDS + ERROR_COMMANDS + ARITY_COMMANDS
+    for argv in (README_COMMANDS + VERIFY_COMMANDS + ERROR_COMMANDS
+                 + ARITY_COMMANDS + ARGUMENT_COMMANDS)
 }
 
 
