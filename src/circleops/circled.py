@@ -145,13 +145,15 @@ def _parse_kind(text: str, pos: int):
     if text[pos] == "b":
         return BLACK, pos + 1
     if text[pos] == "w":
-        pos += 1
-        start = pos
+        start = pos = pos + 1
         while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if pos == start:
             raise ParseError(start, "white circle label must be an integer")
-        return White(int(text[start:pos])), pos
+        try:
+            return White(int(text[start:pos])), pos
+        except ValueError:  # more digits than int() converts
+            raise ParseError(start, "white circle label is too long") from None
     raise ParseError(pos, f"unexpected circle kind {text[pos]!r}")
 
 
@@ -270,23 +272,23 @@ def _survey(c):
 
     Returns the validity report, the contracted content of the first white
     circle with each label (nonpositive ones too), the first label met twice
-    in preorder (None if none), the underlying tree and the contracted
-    tree.  Every subterm
-    yields its underlying and its contracted tree bottom-up; a circle-free
-    subterm is both itself.  Addresses are (parent, what, index) chains,
-    spelled out only for a violation.
+    in preorder (None if none), the underlying tree and the contracted tree.
+    Every subterm yields its underlying and its contracted tree bottom-up; a
+    circle-free subterm is both itself.  Addresses are (parent, what, index)
+    chains, spelled out only for a violation.
     """
     violations = []
     positive = set()
     insides = {}
     duplicate = None
 
-    def flag(chain, code, message):
+    def flag(chain, code, message, at=None):
         steps = []
         while chain is not None:
             chain, what, idx = chain
             steps.append((what, idx))
-        violations.append((tuple(reversed(steps)), code, message))
+        violations.insert(len(violations) if at is None else at,
+                          (tuple(reversed(steps)), code, message))
 
     def walk(term, chain, in_white, black_parent):
         # (underlying, contracted) of a Node or Circ term.  in_white: some
@@ -299,8 +301,11 @@ def _survey(c):
         else:
             parts, what = term.grafts, "graft"
             content = term.content
-            under = inner = content
-            if isinstance(term.kind, White):
+            white = isinstance(term.kind, White)
+            # a black circle's black-around-small names its contracted
+            # content, known only after the walk; it goes in ahead of the rest
+            at = len(violations)
+            if white:
                 label = term.kind.label
                 if label < 1:
                     flag(chain, "white-label-nonpositive",
@@ -315,25 +320,23 @@ def _survey(c):
                     insides[label] = None
                 elif duplicate is None:
                     duplicate = label
-                if not isinstance(content, Leaf):
-                    under, inner = walk(content, (chain, "content", 0),
-                                        True, False)
-                if first:
-                    insides[label] = inner
             else:
-                if below_two_vertices(content):
-                    flag(chain, "black-around-small",
-                         f"black circle encloses {contracted(content)},"
-                         " fewer than two vertices")
                 if black_parent:
                     flag(chain, "black-in-black",
                          "black circle directly inside a black circle")
                 if not in_white:
                     flag(chain, "black-outside-white",
                          "black circle not inside any white circle")
-                if not isinstance(content, Leaf):
-                    under, _ = walk(content, (chain, "content", 0),
-                                    in_white, True)
+            under = inner = content
+            if not isinstance(content, Leaf):
+                under, inner = walk(content, (chain, "content", 0),
+                                    in_white or white, not white)
+            if white and first:
+                insides[label] = inner
+            elif not white and below_two_vertices(content):
+                flag(chain, "black-around-small",
+                     f"black circle encloses {inner}, fewer than two vertices",
+                     at)
         unders, contractions = [], []
         for i, x in enumerate(parts):
             if isinstance(x, Leaf):
@@ -378,8 +381,7 @@ def circle_graft(t, replacements):
             f"graft arity mismatch: term has {open_leaves(t)} open leaves,"
             f" got {len(reps)} replacements"
         )
-    it = iter(reps)
-    return _circle_graft(t, it)
+    return _circle_graft(t, iter(reps))
 
 
 def _circle_graft(t, it):

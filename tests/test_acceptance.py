@@ -54,7 +54,6 @@ from circleops.operad_h import (
     substitute_whites,
 )
 from circleops.trees import LEAF, Node, enumerate_trees, parse_tree, vertices
-from test_operad_h import normal_forms
 
 FIVE_TREES = ("|", "(|)", "(| |)", "((|))", "((|) |)")
 
@@ -281,7 +280,7 @@ def test_10_composition_squares_commute():
     assert time.perf_counter() - start < 60.0
 
 
-def test_11_reduction_confluent_across_splice_orders():
+def test_11_reduction_confluent_across_splice_orders(normal_forms):
     rot = Rotation()
     checked = 0
     for o in two_vertex_ops():

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,30 @@ def test_white_labels_are_ascii_digits(text):
         parse_config(text)
     assert (exc.value.offset, exc.value.reason) == (
         2, "white circle label must be an integer")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() converts digit strings of any length here")
+def test_white_label_longer_than_int_reads_is_a_parse_error():
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(ParseError) as exc:
+        parse_config("{w" + "1" * digits + " | / |}")
+    assert (exc.value.offset, exc.value.reason) == (
+        2, "white circle label is too long")
+
+
+def test_nested_black_chain_validates_in_linear_time():
+    # each black circle encloses the next over one bare edge, so every one
+    # is flagged black-around-small; naming its contracted content must not
+    # walk that content again
+    n = 40
+    c = parse_config("{w1 " + "{b " * n + "|" + " / |}" * n + " / |}")
+    start = time.perf_counter()
+    codes = [code for _, code, _ in validate_config(c).violations]
+    assert time.perf_counter() - start < 1.0
+    assert codes == ["black-around-small"] + [
+        "black-around-small", "black-in-black"] * (n - 1)
 
 
 def test_nesting_limit_counts_both_brackets():

@@ -45,7 +45,6 @@ from circleops.operad_h import (
     identity_op,
     operations,
     reduce_term,
-    reduction_violations,
     sigma_act,
     substitute_whites,
     superimpose,
@@ -341,23 +340,7 @@ def test_sigma_act_needs_a_permutation_of_the_whites():
 
 # --- reduction --------------------------------------------------------------------
 
-def normal_forms(term, r3=True):
-    """Every normal form reachable by splicing in any order; each term met
-    on the way is expanded once."""
-    seen = {}
-
-    def forms(t):
-        if t not in seen:
-            viols = reduction_violations(t, r3=r3)
-            seen[t] = frozenset().union(
-                *(forms(splice(t, addr)) for addr, _ in viols)
-            ) or frozenset((t,))
-        return seen[t]
-
-    return forms(term)
-
-
-def test_reduction_is_confluent():
+def test_reduction_is_confluent(normal_forms):
     checked = 0
     for i in range(120):
         rng = random.Random(5000 + i)
