@@ -150,6 +150,8 @@ def _parse_kind(text: str, pos: int):
             pos += 1
         if pos == start:
             raise ParseError(start, "white circle label must be an integer")
+        if text[start] == "0" and pos - start > 1:  # "w01" would print as "w1"
+            raise ParseError(start, "white circle label has a leading zero")
         try:
             return White(int(text[start:pos])), pos
         except ValueError:  # more digits than int() converts

@@ -36,6 +36,7 @@ from .circled import enumerate_configs, parse_config, random_config
 from .homology import HomologyError
 from .kgraph import (
     KElt,
+    _integer,
     k_compose,
     k_enumerate,
     k_iota,
@@ -378,12 +379,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+def _int_option(text: str) -> int:
+    """The type of every integer option: the codecs' integers, ASCII digits
+    with no leading zero after an optional minus, so '+1', '0_1' and other
+    scripts' digits are usage errors as they are in a codec text."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_global_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "records"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_int_option, default=0)
     parser.add_argument("--no-r3", dest="r3", action="store_false",
                         help="drop the black-circles-inside-white rule")
-    parser.add_argument("--max-dim", type=int, default=3)
+    parser.add_argument("--max-dim", type=_int_option, default=3)
 
 
 def _check_global_options(argv) -> None:
@@ -412,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list trees, configurations, or cells")
     ps = p.add_subparsers(dest="what", required=True)
     q = ps.add_parser("trees")
-    q.add_argument("--max-vertices", type=int, required=True)
-    q.add_argument("--max-leaves", type=int, required=True)
+    q.add_argument("--max-vertices", type=_int_option, required=True)
+    q.add_argument("--max-leaves", type=_int_option, required=True)
     q = ps.add_parser("configs")
     q.add_argument("--tree", required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_int_option, required=True)
     q = ps.add_parser("kgraph")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--m", type=_int_option, required=True)
+    q.add_argument("--k", type=_int_option, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("compose", help="operadic composition")
@@ -435,18 +446,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a property suite")
     ps = p.add_subparsers(dest="suite", required=True)
     q = ps.add_parser("axioms")
-    q.add_argument("--samples", type=int, default=200)
+    q.add_argument("--samples", type=_int_option, default=200)
     q = ps.add_parser("inequality")
-    q.add_argument("--samples", type=int, default=200)
+    q.add_argument("--samples", type=_int_option, default=200)
     q = ps.add_parser("lemma")
     q.add_argument("--tree", required=True)
-    q.add_argument("--k", type=int, default=2)
+    q.add_argument("--k", type=_int_option, default=2)
     q = ps.add_parser("remark-linear")
-    q.add_argument("--vertices", type=int, default=3)
+    q.add_argument("--vertices", type=_int_option, default=3)
     q = ps.add_parser("grothendieck")
     q.add_argument("--tree", required=True)
     q = ps.add_parser("cowedge")
-    q.add_argument("--samples", type=int, default=100)
+    q.add_argument("--samples", type=_int_option, default=100)
     q = ps.add_parser("proof-structure")
     q.add_argument("--tree", required=True)
     p.set_defaults(func=cmd_verify)
@@ -454,15 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="integral homology of a nerve")
     ps = p.add_subparsers(dest="what", required=True)
     q = ps.add_parser("kposet")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--m", type=_int_option, required=True)
+    q.add_argument("--k", type=_int_option, required=True)
     q = ps.add_parser("comma")
     q.add_argument("--tree", required=True)
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_int_option, required=True)
     q = ps.add_parser("hat")
     q.add_argument("--tree", required=True)
-    q.add_argument("--level", type=int, default=2)
-    q.add_argument("--k", type=int, default=2)
+    q.add_argument("--level", type=_int_option, default=2)
+    q.add_argument("--k", type=_int_option, default=2)
     q = ps.add_parser("below")
     q.add_argument("--tree", required=True)
     q.add_argument("--cell", required=True)

@@ -276,10 +276,13 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _integer(word: str) -> int:
-    """int(word), which also reads '+', '_' and other scripts' digits."""
+    """int(word), which also reads '+', '_', other scripts' digits and
+    leading zeros; the codecs read one text per value."""
     n = int(word)
     if not _INTEGER.fullmatch(word):
         raise ValueError(f"integer {word!r} must be ASCII digits 0-9")
+    if str(n) != word:
+        raise ValueError(f"integer {word!r} must be written {n}")
     return n
 
 
@@ -293,7 +296,7 @@ def parse_kelt(text: str) -> KElt:
         m = _MU_TOKEN.match(token)
         if not m:
             raise ValueError(f"bad edge label token {token!r}")
-        i, j, v = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        i, j, v = map(_integer, m.groups())
         idx = pair_index(k, i, j)
         if idx in seen:
             raise ValueError(f"edge ({i},{j}) labelled twice")

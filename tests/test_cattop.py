@@ -1,5 +1,6 @@
 """Tests for finite categories, comma constructions, and their homology."""
 
+import random
 import re
 
 import pytest
@@ -119,7 +120,8 @@ def idempotent(a_after_a=1):
 
 def test_every_category_check_names_its_failure():
     ix, iy, f = walking_arrow()["arrows"]
-    i, a, b = (Arrow("x", "x", label) for label in "iab")
+    i, a, b, e = (Arrow("x", "x", label) for label in "iabe")
+    fa, fb = Arrow("x", "y", "a"), Arrow("x", "y", "b")
     assert FinCategory._of_ids(**walking_arrow()).identities == {"x": ix, "y": iy}
     cases = [
         (walking_arrow(src=[0, 1, -1]), f"arrow endpoints outside the category: {f}"),
@@ -164,6 +166,14 @@ def test_every_category_check_names_its_failure():
         (one_object("i", "a", "b", after=lambda g, f: (
             f if g == 0 else g if f == 0 else 1 if (g, f) == (1, 1) else 0)),
          f"associativity fails on {a} then {a} then {b}"),
+        # not thin, so the laws are walked: x has i and e = e.e, the parallel
+        # arrows a, b: x -> y have a.e = b and b.e = a, so (a.e).e = a but
+        # a.(e.e) = b, with every endpoint and unit right
+        (dict(objects=("x", "y"), arrows=(ix, e, iy, fa, fb),
+              src=[0, 0, 1, 0, 0], dst=[0, 0, 1, 1, 1], ident=[0, 2],
+              comp=[{0: 0, 1: 1, 3: 3, 4: 4}, {0: 1, 1: 1, 3: 4, 4: 3},
+                    {2: 2}, {2: 3}, {2: 4}]),
+         f"associativity fails on {e} then {e} then {fa}"),
     ]
     for args, message in cases:
         with pytest.raises(CategoryError, match=f"^{re.escape(message)}$"):
@@ -200,6 +210,61 @@ def test_every_functor_check_names_its_failure():
     for args, message in cases:
         with pytest.raises(CategoryError, match=f"^{re.escape(message)}$"):
             FinFunctor._of_ids(*args)
+
+
+FIVE_TREES = ("|", "(|)", "(| |)", "((|))", "((|) |)")
+
+
+def thin_corpus():
+    """The thin categories of the digest corpus: the stage-2 poset at k=3,
+    the down-set below a maximal stage-3 element, the positive k=2 commas
+    below the five trees and build_comma of (| |) at k=2."""
+    yield poset_category(k_enumerate(2, 3), k_leq)
+    top = parse_kelt("3; mu(1,2)=2 mu(1,3)=2 mu(2,3)=2; perm=[1 2 3]")
+    yield poset_category([e for e in k_enumerate(3, 3) if k_leq(e, top)], k_leq)
+    for t in FIVE_TREES:
+        for cell in cells22():
+            yield comma_below(parse_tree(t), cell)
+    yield build_comma(parse_tree("(| |)"), 2)
+
+
+def test_thin_categories_reject_misdirected_composites():
+    # the unit and associativity loops are skipped on thin categories, so
+    # the endpoint check alone must catch a composite pointed elsewhere
+    rng = random.Random(23)
+    for C in thin_corpus():
+        assert C._thin
+        if len(C.arrows) == 1:  # no other arrow to point at
+            continue
+        entries = [(f, g) for f, row in enumerate(C._comp) for g in row]
+        for f, g in rng.sample(entries, min(len(entries), 150)):
+            comp = list(C._comp)
+            wrong = rng.choice([h for h in range(len(C.arrows)) if h != comp[f][g]])
+            comp[f] = {**comp[f], g: wrong}
+            with pytest.raises(CategoryError) as err:
+                FinCategory._of_ids(C.objects, C.arrows, C._src, C._dst, C._ident, comp)
+            assert str(err.value) == (
+                f"composite of ({C.arrows[f]}, {C.arrows[g]}) has wrong endpoints")
+
+
+def test_functors_into_thin_categories_reject_every_misdirected_arrow():
+    # every arrow image pointed at every other codomain arrow
+    for t in ("|", "(|)"):
+        for cell in cells22():
+            F = deletion_functor(parse_tree(t), cell)
+            functors = [F] + [fiber_inclusion(F, z, side)
+                              for z in F.cod.objects for side in ("under", "over")]
+            for G in functors:
+                assert G.cod._thin
+                for a, b in enumerate(G._amap):
+                    for wrong in range(len(G.cod.arrows)):
+                        if wrong == b:
+                            continue
+                        amap = G._amap[:a] + [wrong] + G._amap[a + 1:]
+                        with pytest.raises(CategoryError) as err:
+                            FinFunctor._of_ids(G.dom, G.cod, G._omap, amap)
+                        assert str(err.value) == (
+                            f"functor breaks endpoints on {G.dom.arrows[a]}")
 
 
 def test_categories_and_functors_are_built_only_by_of_ids():

@@ -183,6 +183,21 @@ def test_white_labels_are_ascii_digits(text):
         2, "white circle label must be an integer")
 
 
+@pytest.mark.parametrize(
+    "text", ["{w01 | / |}", "{w00 | / |}", "({w1 | / |} {w2 | / |} {w007 | / |})"])
+def test_white_labels_have_no_leading_zero(text):
+    # "{w01 | / |}" would print back as "{w1 | / |}"
+    with pytest.raises(ParseError) as exc:
+        parse_config(text)
+    assert (exc.value.offset, exc.value.reason) == (
+        text.rindex("w") + 1, "white circle label has a leading zero")
+
+
+@pytest.mark.parametrize("text", ["{w0 | / |}", "{w10 | / |}", "{w1 {w0 | / |} / |}"])
+def test_white_labels_zero_and_trailing_zeros_parse(text):
+    assert str(parse_config(text)) == text
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="int() converts digit strings of any length here")

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 
@@ -5,7 +6,7 @@ import pytest
 
 from circleops.cattop import CategoryError, deletion_functor
 from circleops.circled import parse_config
-from circleops.cli import run
+from circleops.cli import _int_option, build_parser, run
 from circleops.kgraph import k_iota, parse_kelt
 from circleops.trees import LEAF
 
@@ -243,6 +244,30 @@ def test_negative_tree_bounds_are_usage_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def integer_options(parser, path=()):
+    """(subcommand path, option, type) for every option of parser and of its
+    subcommands that converts its value."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from integer_options(sub, path + (name,))
+        elif action.type is not None:
+            yield path, action.option_strings[-1], action.type
+
+
+def test_integer_options_read_ascii_digits_only(capsys):
+    # int() also reads other scripts' digits, '+', '_', spaces and leading zeros
+    options = list(integer_options(build_parser()))
+    assert len(options) == 17
+    for path, option, kind in options:
+        assert kind is _int_option, option
+        for word in ("١", "+1", "0_1", "01", " 1"):
+            assert run([*path, option, word]) == 2, (path, option, word)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: argument {option}: invalid int value: {word!r}\n"
 
 
 def test_usage_error_exit_code(capsys):

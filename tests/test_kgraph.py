@@ -387,6 +387,28 @@ def test_codec_integers_are_ascii_digits(text, word):
     assert str(exc.value) == f"integer {word!r} must be ASCII digits 0-9"
 
 
+@pytest.mark.parametrize(
+    "text, word, value",
+    [
+        ("2; mu(1,2)=01; perm=[1 2]", "01", 1),
+        ("2; mu(01,2)=1; perm=[1 2]", "01", 1),
+        ("2; mu(1,2)=1; perm=[01 2]", "01", 1),
+        ("02; mu(1,2)=1; perm=[1 2]", "02", 2),
+        ("-0; ; perm=[]", "-0", 0),
+    ],
+)
+def test_codec_integers_have_no_leading_zero(text, word, value):
+    # each would read as the element that prints with value in its place
+    with pytest.raises(ValueError) as exc:
+        parse_kelt(text)
+    assert str(exc.value) == f"integer {word!r} must be written {value}"
+
+
+@pytest.mark.parametrize("text", ["0; ; perm=[]", "2; mu(1,2)=0; perm=[2 1]"])
+def test_codec_zero_parses(text):
+    assert kelt_text(parse_kelt(text)) == text
+
+
 def test_codec_edge_labels_are_ascii_digits():
     with pytest.raises(ValueError) as exc:
         parse_kelt("2; mu(1,2)=١; perm=[1 2]")
