@@ -1,22 +1,25 @@
 """Finite categories built from circled-tree operations, and their homology.
 
-A FinCategory is a finite category presented by an explicit composition
-table; every categorical axiom is checked at construction time, so a value
-of the type is itself a certificate.  Its core is integer: objects and
-arrows are numbered in the order given, composition is one int dict per
-arrow, and the axioms and the functor laws are checked on those ids.  The
-payloads (configurations, graph elements, Arrow values) live in side
-tables, read back as payload views and to name a failure.  Categories
-and functors are built only by the constructions below, through
+A FinCategory is a finite category whose every categorical axiom is
+checked at construction time, so a value of the type is itself a
+certificate.  Its core is integer: objects and arrows are numbered in the
+order given, a thin category (at most one arrow per hom-set) composes
+through its hom index and stores no table, any other holds one int dict of
+composites per arrow, and the axioms and the functor laws are checked on
+those ids.  The payloads (configurations, graph elements, Arrow values)
+live in side tables, read back as payload views and to name a failure.
+Categories and functors are built only by the constructions below, through
 FinCategory._of_ids and FinFunctor._of_ids, which take ids and hash no
-payload for their tables or checks.  The constructions used by the
+payload for their indexes or checks.  The constructions used by the
 verification suites are: posets, the inclusion of a functor's strict fiber
 over z into its comma category under or over z (fiber_inclusion), and the
 Grothendieck total of a diagram of categories.
 
 Every construction whose arrows are told apart by labels is made by one
-builder, _labelled, which finds each composite and identity by its label;
-subcategories are read off their parent's ids instead (_subcategory).
+builder, _labelled, which finds or checks each composite and identity by
+its label; a poset has one unlabelled arrow per x <= y and is handed to
+FinCategory as it is, and subcategories are read off their parent's ids
+(_subcategory).
 
 The bridge to the operad is build_comma: its objects are the k-white
 configurations on a fixed tree and its arrows are k-tuples of unary
@@ -93,7 +96,7 @@ def _first_outside(ids, n: int):
 
 
 class FinCategory:
-    """A finite category with an explicit, verified composition table.
+    """A finite category with verified composition.
 
     The core is integer.  Objects and arrows are numbered 0..n-1 in the
     order given, and their payloads, the tuples objects and arrows, are
@@ -101,25 +104,28 @@ class FinCategory:
     failure renders them, and no check hashes them.  Every categorical
     axiom is checked on the ids at construction time.
 
-    _of_ids(objects, arrows, src, dst, ident, comp) is the one constructor:
-    src and dst give the id of each arrow's source and target object, ident
-    the identity arrow id of each object, and comp[f], one dict per arrow f,
-    sends each g that composes after f to the id of g after f.  An id that
-    was not found is -1.  They are kept as _src, _dst, _ident and _comp;
-    identities and table read the payload maps back from them, table in the
-    order of f, then of g in comp[f].
+    _of_ids(objects, arrows, src, dst, ident, comp=None) is the one
+    constructor: src and dst give the id of each arrow's source and target
+    object and ident the identity arrow id of each object; an id that was
+    not found is -1.  They are kept as _src, _dst and _ident.
 
-    A thin category, one with no two arrows sharing a source and a target,
-    is certified by its hom-sets: once the composite endpoints are checked,
-    the unit and associativity laws hold (see _verify), so their loops run
-    only when some hom-set has two arrows.  _thin records which case held.
+    Without comp the category is thin, at most one arrow per hom-set, and
+    stores no composition: _at, its hom index, maps each (x, y) with an
+    arrow x -> y to that arrow's id, and g after f is _at[src f, dst g].
+    comp, kept as _comp, allows parallel arrows: one dict per arrow f,
+    sending each g that composes after f to the id of g after f.  Either
+    way _thin records whether no two arrows share a source and a target.
+
+    identities and table read the payload maps back from the ids; table
+    lists f in order, then each g composing after it, in the order of comp[f]
+    or, without comp, of the arrows out of dst f.
     """
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a FinCategory is built by FinCategory._of_ids")
 
     @classmethod
-    def _of_ids(cls, objects, arrows, src, dst, ident, comp) -> "FinCategory":
+    def _of_ids(cls, objects, arrows, src, dst, ident, comp=None) -> "FinCategory":
         """The category on numbered payloads, checked by _verify."""
         C = cls.__new__(cls)
         C.objects, C.arrows = tuple(objects), tuple(arrows)
@@ -151,6 +157,25 @@ class FinCategory:
             hom.setdefault(key, []).append(a)
         return hom
 
+    def _composite(self, f: int, g: int) -> int:
+        """The id of g after f, for arrow ids f and g that compose."""
+        if self._comp is None:
+            return self._at[self._src[f], self._dst[g]]
+        return self._comp[f][g]
+
+    def _triples(self):
+        """(f, g, h) for each composable pair, h the id of g after f, in the
+        order of table."""
+        if self._comp is not None:
+            for f, row in enumerate(self._comp):
+                for g, h in row.items():
+                    yield f, g, h
+            return
+        src, dst, at, out = self._src, self._dst, self._at, self._out
+        for f, (s, t) in enumerate(zip(src, dst)):
+            for g in out[t]:
+                yield f, g, at[s, dst[g]]
+
     @property
     def identities(self) -> dict:
         return {x: self.arrows[e] for x, e in zip(self.objects, self._ident)}
@@ -163,22 +188,13 @@ class FinCategory:
         """The axioms on ids; payloads are read only to name a failure.
 
         An id out of range is rejected before it indexes a list: the endpoint
-        lists by min and max in C, the identities as they are read, and the
-        composition table by the walk that checks its entries, which indexes
-        src by every arrow id in it.
-
-        When no two arrows share a source and a target the laws are not
-        walked, because the checks before them already imply both:
-        - each row's keys are composable and distinct, and the row sizes add
-          up to the composable count, so every composable pair has exactly
-          one entry;
-        - every entry's endpoints are (src f, dst g);
-        - in a hom-set of one arrow, both sides of each law are that arrow.
+        lists by min and max in C and the identities as they are read.  The
+        rest is _verify_thin without comp and _verify_table with it.
         """
         objects, arrows = self.objects, self.arrows
         src, dst, ident, comp = self._src, self._dst, self._ident, self._comp
         n, m = len(objects), len(arrows)
-        if not len(src) == len(dst) == len(comp) == m:
+        if not len(src) == len(dst) == m or comp is not None and len(comp) != m:
             raise CategoryError(
                 "endpoints and composition rows must cover exactly the arrows"
             )
@@ -188,12 +204,74 @@ class FinCategory:
             raise CategoryError(
                 f"arrow endpoints outside the category: {arrows[min(bad)]}"
             )
-        out = self._out
         if len(ident) != n:
             raise CategoryError("identities must cover exactly the objects")
         for x, e in enumerate(ident):
             if not 0 <= e < m or src[e] != x or dst[e] != x:
                 raise CategoryError(f"bad identity arrow at {objects[x]}")
+        if comp is None:
+            self._verify_thin()
+        else:
+            self._verify_table()
+
+    def _verify_thin(self):
+        """At most one arrow per hom-set and closure under composition, both
+        on up-set bitsets, then the hom index.
+
+        up[x] has bit y set when there is an arrow x -> y, so the bits of
+        all the up-sets count the hom-sets that have an arrow; fewer than
+        the arrows means a second arrow with the same ends.  For every arrow
+        a: x -> y, up[y] must lie inside up[x]: each g: y -> z then has an
+        arrow x -> z, which is _at[x, z], the composite of a and g, and its
+        ends are (src a, dst g) by construction.  The bitsets are dropped
+        before _at is built, so the two are never held at once.
+
+        That is all there is to check.  An identity x -> x is the one arrow
+        of its hom-set, so f after the identity at src f and the identity at
+        dst f after f both lie in the hom-set of f, whose one arrow is f: the
+        unit laws hold.  h after (g after f) and (h after g) after f both run
+        src f -> dst h, so they are that hom-set's one arrow: associativity
+        holds.
+        """
+        src, dst, arrows = self._src, self._dst, self.arrows
+        up = [0] * len(self.objects)
+        for s, t in zip(src, dst):
+            up[s] |= 1 << t
+        if sum(map(int.bit_count, up)) < len(arrows):
+            first = {}
+            for a, key in enumerate(zip(src, dst)):
+                b = first.setdefault(key, a)
+                if b != a:
+                    raise CategoryError(
+                        f"two arrows share a source and a target:"
+                        f" {arrows[b]} and {arrows[a]}"
+                    )
+        for f, (s, t) in enumerate(zip(src, dst)):
+            if up[t] | up[s] != up[s]:  # as up[t] & ~up[s], with no negative int
+                g = next(g for g in self._out[t] if not up[s] >> dst[g] & 1)
+                raise CategoryError(
+                    f"composite of {arrows[f]} then {arrows[g]} is not an arrow"
+                )
+        del up
+        self._at = dict(zip(zip(src, dst), range(len(arrows))))
+        self._thin = True
+
+    def _verify_table(self):
+        """The composition table, then the unit and associativity laws.
+
+        The table walk indexes src by every arrow id in it, so an id past the
+        end is caught there.  When no two arrows share a source and a target
+        the laws are not walked, because the checks before them already
+        imply both:
+        - each row's keys are composable and distinct, and the row sizes add
+          up to the composable count, so every composable pair has exactly
+          one entry;
+        - every entry's endpoints are (src f, dst g);
+        - in a hom-set of one arrow, both sides of each law are that arrow.
+        """
+        arrows, src, dst, ident, comp = (
+            self.arrows, self._src, self._dst, self._ident, self._comp)
+        out = self._out
         size = sum(map(len, comp))
         composable = sum(len(out[x]) for x in dst)
         if size != composable:
@@ -219,7 +297,7 @@ class FinCategory:
                         )
         except IndexError:
             raise CategoryError("composition table mentions unknown arrows") from None
-        self._thin = len(set(zip(src, dst))) == m
+        self._thin = len(set(zip(src, dst))) == len(arrows)
         if self._thin:
             return
         for f, row in enumerate(comp):
@@ -237,27 +315,33 @@ class FinCategory:
 
 
 class _Table(Mapping):
-    """The composition table of a FinCategory, read from its int core."""
+    """The composition table of a FinCategory, read from its int core: the
+    pairs (g, f) that compose, each mapped to g after f."""
 
     def __init__(self, C: FinCategory):
         self._C = C
 
     def __len__(self) -> int:
-        return sum(map(len, self._C._comp))
+        # _verify checks a stored table against this count
+        C = self._C
+        return sum(len(C._out[t]) for t in C._dst)
 
     def __iter__(self):
         arrows = self._C.arrows
-        for f, row in enumerate(self._C._comp):
-            for g in row:
-                yield arrows[g], arrows[f]
+        for f, g, _ in self._C._triples():
+            yield arrows[g], arrows[f]
 
     def __getitem__(self, key):
         C = self._C
         try:
             g, f = key
-            return C.arrows[C._comp[C._aid[f]][C._aid[g]]]
+            f, g = C._aid[f], C._aid[g]
         except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
+        if C._dst[f] != C._src[g]:
+            # the hom index of a thin category would answer any f and g
+            raise KeyError(key)
+        return C.arrows[C._composite(f, g)]
 
     def items(self):
         return _TableItems(self)
@@ -266,9 +350,8 @@ class _Table(Mapping):
 class _TableItems(ItemsView):
     def __iter__(self):
         arrows = self._mapping._C.arrows
-        for f, row in enumerate(self._mapping._C._comp):
-            for g, h in row.items():
-                yield (arrows[g], arrows[f]), arrows[h]
+        for f, g, h in self._mapping._C._triples():
+            yield (arrows[g], arrows[f]), arrows[h]
 
 
 class FinFunctor:
@@ -316,14 +399,12 @@ class FinFunctor:
         for x, e in enumerate(dom._ident):
             if amap[e] != cod._ident[omap[x]]:
                 raise CategoryError(f"functor breaks the identity at {dom.objects[x]}")
-        for f, row in enumerate(dom._comp):
-            after_f = cod._comp[amap[f]]
-            for g, h in row.items():
-                if amap[h] != after_f[amap[g]]:
-                    raise CategoryError(
-                        f"functor breaks composition on"
-                        f" ({dom.arrows[f]}, {dom.arrows[g]})"
-                    )
+        for f, g, h in dom._triples():
+            if amap[h] != cod._composite(amap[f], amap[g]):
+                raise CategoryError(
+                    f"functor breaks composition on"
+                    f" ({dom.arrows[f]}, {dom.arrows[g]})"
+                )
 
     @cached_property
     def object_map(self) -> dict:
@@ -336,18 +417,37 @@ class FinFunctor:
         return {a: cod[b] for a, b in zip(self.dom.arrows, self._amap)}
 
 
-def _labelled(objects, src, dst, labels, payload, combine, unit):
-    """The category whose arrow a runs between the object ids src[a] and
-    dst[a] and carries payload(labels[a]); labels tell parallel arrows apart.
+def _labelled(objects, src, dst, labels, payload, combine, unit) -> FinCategory:
+    """The checked category whose arrow a runs between the object ids src[a]
+    and dst[a] and carries payload(labels[a]); labels tell parallel arrows
+    apart.
 
     combine(g, f) is the label of g after f and unit(x) that of the identity
-    at x.  Returns the checked category and the index (src, dst, label) ->
-    arrow id; raises if two arrows share a key or a composite is missing.
+    at x.  When no two arrows share a source and a target the category is
+    thin: the one arrow (src f, dst g) must carry combine(g, f) for every
+    composable pair, each compared as it is met and none stored, and the
+    loop at x must carry unit(x).  Otherwise the arrows are indexed by
+    (src, dst, label) and the composite rows are stored; two arrows with one
+    key are rejected.  A composite without its arrow raises.
     """
     arrows = tuple(
         Arrow(objects[s], objects[t], payload(label))
         for s, t, label in zip(src, dst, labels)
     )
+    out = _outgoing(len(objects), src)
+    at = dict(zip(zip(src, dst), range(len(arrows))))
+    if len(at) == len(arrows):
+        for f, (s, t) in enumerate(zip(src, dst)):
+            for g in out[t]:
+                h = at.get((s, dst[g]))
+                if h is None or labels[h] != combine(g, f):
+                    raise CategoryError(
+                        f"composite of {arrows[f]} then {arrows[g]} is not an arrow"
+                    )
+        ident = [at.get((x, x), -1) for x in range(len(objects))]
+        ident = [e if e < 0 or labels[e] == unit(x) else -1 for x, e in enumerate(ident)]
+        del at  # freed before the category builds its own, not held beside it
+        return FinCategory._of_ids(objects, arrows, src, dst, ident)
     index = {}
     for a, key in enumerate(zip(src, dst, labels)):
         if index.setdefault(key, a) != a:
@@ -355,7 +455,6 @@ def _labelled(objects, src, dst, labels, payload, combine, unit):
             raise CategoryError(
                 f"two arrows share source, target and label: {(x.src, x.dst, x.label)}"
             )
-    out = _outgoing(len(objects), src)
     comp = []
     for f, (s, t) in enumerate(zip(src, dst)):
         row = {}
@@ -368,31 +467,30 @@ def _labelled(objects, src, dst, labels, payload, combine, unit):
             row[g] = h
         comp.append(row)
     ident = [index.get((x, x, unit(x)), -1) for x in range(len(objects))]
-    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp), index
+    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp)
 
 
 # --- general constructions ----------------------------------------------------
 
 def poset_category(elements, leq) -> FinCategory:
-    """The thin category of a preorder; composition exists by transitivity."""
+    """The thin category of a preorder, one arrow labelled None per x <= y;
+    composition exists by transitivity, which FinCategory checks."""
     elements = tuple(elements)
-    src, dst, reflexive = [], [], [False] * len(elements)
+    src, dst, ident = [], [], [-1] * len(elements)
     for i, x in enumerate(elements):
         for j, y in enumerate(elements):
             if leq(x, y):
                 if i == j:
-                    reflexive[i] = True
+                    ident[i] = len(src)
                 src.append(i)
                 dst.append(j)
-    for x, r in zip(elements, reflexive):
-        if not r:
+    for x, e in zip(elements, ident):
+        if e < 0:
             raise CategoryError(f"order is not reflexive at {x}")
     if len(set(elements)) != len(elements):
         raise CategoryError("duplicate objects")
-    return _labelled(
-        elements, src, dst, [None] * len(src),
-        lambda label: None, lambda g, f: None, lambda x: None,
-    )[0]
+    arrows = tuple(Arrow(elements[s], elements[t], None) for s, t in zip(src, dst))
+    return FinCategory._of_ids(elements, arrows, src, dst, ident)
 
 
 def _subcategory(C: FinCategory, objs, keep_arrow):
@@ -403,7 +501,10 @@ def _subcategory(C: FinCategory, objs, keep_arrow):
     their order in C.
 
     Identities and composites are inherited from C, so keep_arrow must pass
-    identities and be closed under composition.
+    identities and be closed under composition.  A thin C gives a thin
+    subcategory, whose construction checks that closure on the kept
+    objects' up-sets; otherwise the composite rows of the kept arrows are
+    read off C's.
     """
     new_obj = [-1] * len(C.objects)
     for n, x in enumerate(objs):
@@ -422,7 +523,7 @@ def _subcategory(C: FinCategory, objs, keep_arrow):
         [new_obj[src[a]] for a in kept],
         [new_obj[dst[a]] for a in kept],
         [new_arr[C._ident[x]] for x in objs],
-        [
+        None if C._comp is None else [
             {new_arr[g]: new_arr[h] for g, h in C._comp[f].items() if new_arr[g] >= 0}
             for f in kept
         ],
@@ -443,9 +544,9 @@ def find_terminal(C: FinCategory):
 def _comma(F: FinFunctor, z: int, side: str):
     """The comma category under or over the codomain object id z, as
     fiber_inclusion describes it: returns the category, its object ids by
-    (w, g) pair and its arrow ids by (src, dst, domain arrow id)."""
+    (w, g) pair and the domain arrow id labelling each of its arrows."""
     A, B = F.dom, F.cod
-    omap, amap, hom, comp = F._omap, F._amap, B._hom, B._comp
+    omap, amap, hom = F._omap, F._amap, B._hom
     under = side == "under"
 
     def legs(w):
@@ -459,18 +560,18 @@ def _comma(F: FinFunctor, z: int, side: str):
         for g in legs(s if under else t):
             if under:
                 src.append(pair_id[(s, g)])
-                dst.append(pair_id[(t, comp[g][fm])])
+                dst.append(pair_id[(t, B._composite(g, fm))])
             else:
-                src.append(pair_id[(s, comp[fm][g])])
+                src.append(pair_id[(s, B._composite(fm, g))])
                 dst.append(pair_id[(t, g)])
             labels.append(m)
-    K, index = _labelled(
+    K = _labelled(
         tuple((A.objects[w], B.arrows[g]) for w, g in pairs),
         src, dst, labels, A.arrows.__getitem__,
-        lambda g, f: A._comp[labels[f]][labels[g]],
+        lambda g, f: A._composite(labels[f], labels[g]),
         lambda n: A._ident[pairs[n][0]],
     )
-    return K, pair_id, index
+    return K, pair_id, labels
 
 
 def fiber_inclusion(F: FinFunctor, z, side: str) -> FinFunctor:
@@ -492,10 +593,11 @@ def fiber_inclusion(F: FinFunctor, z, side: str) -> FinFunctor:
     id_z = F.cod._ident[z]
     objs = [x for x, y in enumerate(F._omap) if y == z]
     fib, kept = _subcategory(F.dom, objs, lambda u: F._amap[u] == id_z)
-    K, pair_id, index = _comma(F, z, side)
+    K, pair_id, labels = _comma(F, z, side)
     omap = [pair_id.get((x, id_z), -1) for x in objs]
+    hom = K._hom
     amap = [
-        index.get((omap[s], omap[t], u), -1)
+        next((b for b in hom.get((omap[s], omap[t]), ()) if labels[b] == u), -1)
         for s, t, u in zip(fib._src, fib._dst, kept)
     ]
     return FinFunctor._of_ids(fib, K, omap, amap)
@@ -528,17 +630,15 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
             raise CategoryError(
                 f"identity transition at {base.objects[b]} is not the identity"
             )
-    for f, row in enumerate(base._comp):
-        Tf = trans[f]
-        for g, h in row.items():
-            Tg, Th = trans[g], trans[h]
-            if any(Th._omap[x] != Tg._omap[y] for x, y in enumerate(Tf._omap)) or any(
-                Th._amap[u] != Tg._amap[v] for u, v in enumerate(Tf._amap)
-            ):
-                raise CategoryError(
-                    f"transitions are not functorial over"
-                    f" ({base.arrows[f]}, {base.arrows[g]})"
-                )
+    for f, g, h in base._triples():
+        Tf, Tg, Th = trans[f], trans[g], trans[h]
+        if any(Th._omap[x] != Tg._omap[y] for x, y in enumerate(Tf._omap)) or any(
+            Th._amap[u] != Tg._amap[v] for u, v in enumerate(Tf._amap)
+        ):
+            raise CategoryError(
+                f"transitions are not functorial over"
+                f" ({base.arrows[f]}, {base.arrows[g]})"
+            )
 
     start = [0]
     for F in fib:
@@ -560,15 +660,15 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
         f, u = labels[small]
         g, v = labels[big]
         return (
-            base._comp[f][g],
-            fib[base._dst[g]]._comp[trans[g]._amap[u]][v],
+            base._composite(f, g),
+            fib[base._dst[g]]._composite(trans[g]._amap[u], v),
         )
 
     return _labelled(
         objects, src, dst, labels,
         lambda fu: (base.arrows[fu[0]], fib[base._dst[fu[0]]].arrows[fu[1]]),
         combine, units.__getitem__,
-    )[0]
+    )
 
 
 def _matching_arrow(C: FinCategory, s: int, t: int, a: Arrow) -> int:
@@ -592,7 +692,7 @@ def _point(x) -> FinCategory:
     """The category with the one object x and its identity, labelled ()."""
     return _labelled(
         (x,), [0], [0], [()], lambda label: label, lambda g, f: (), lambda n: ()
-    )[0]
+    )
 
 
 # the operations on tree with k whites, validated once for every
@@ -687,7 +787,7 @@ def build_comma(tree, k: int) -> FinCategory:
     return _labelled(
         objects, src, dst, labels,
         lambda combo: tuple(unary_ops[p].term for p in combo), combine, unit,
-    )[0]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -703,7 +803,7 @@ def comma_below(tree, cell: KElt) -> FinCategory:
         return build_comma(tree, 0)
     ids = _ids_below(tree, cell.k, cell)
     if not ids:
-        return _labelled((), [], [], [], None, None, None)[0]
+        return _labelled((), [], [], [], None, None, None)
     return _subcategory(build_comma(tree, cell.k), ids, lambda a: True)[0]
 
 
@@ -737,9 +837,9 @@ def build_hat_comma(tree, level: int = 2, k: int = 2) -> FinCategory:
     return _labelled(
         tuple((ops[n].term, kap) for n, kap in tagged), src, dst, base,
         lambda a: C.arrows[a].label,
-        lambda g, f: C._comp[base[f]][base[g]],
+        lambda g, f: C._composite(base[f], base[g]),
         lambda x: C._ident[tagged[x][0]],
-    )[0]
+    )
 
 
 def hat_comma_grothendieck(tree, level: int = 2, k: int = 2) -> FinCategory:
@@ -866,17 +966,17 @@ def fiber_adjoint_report(F: FinFunctor, target) -> FiberAdjointReport:
 # --- nerves and homology ---------------------------------------------------------
 
 def _require_loop_free(C: FinCategory):
-    pairs = set()
-    for a, (x, y) in enumerate(zip(C._src, C._dst)):
-        if C._ident[x] == a:
-            continue
-        if x == y:
+    """Raise unless the only endomorphisms are identities and no two
+    objects have arrows both ways; the hom index answers the second."""
+    src, dst, ident = C._src, C._dst, C._ident
+    for a, (x, y) in enumerate(zip(src, dst)):
+        if x == y and ident[x] != a:
             raise CategoryError(
                 f"not loop-free: nonidentity endomorphism at {C.objects[x]}"
             )
-        pairs.add((x, y))
-    for x, y in pairs:
-        if (y, x) in pairs:
+    hom = C._at if C._comp is None else C._hom
+    for x, y in zip(src, dst):
+        if x != y and (y, x) in hom:
             raise CategoryError(
                 f"not loop-free: arrows both ways between {C.objects[x]}"
                 f" and {C.objects[y]}"
@@ -900,6 +1000,7 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
         raise ValueError("max_dim must be nonnegative")
     _require_loop_free(C)
     src, dst, comp = C._src, C._dst, C._comp
+    at = C._at if comp is None else None
     nonid = [a for a, x in enumerate(src) if C._ident[x] != a]
     nonid_from = [[] for _ in C.objects]
     for a in nonid:
@@ -930,11 +1031,10 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
                     elif i == n:
                         face = chain[:-1]
                     else:
-                        face = (
-                            chain[: i - 1]
-                            + (comp[chain[i - 1]][chain[i]],)
-                            + chain[i + 1 :]
-                        )
+                        # g after f, from the hom index when C is thin
+                        f, g = chain[i - 1], chain[i]
+                        mid = comp[f][g] if at is None else at[src[f], dst[g]]
+                        face = chain[: i - 1] + (mid,) + chain[i + 1 :]
                     row = below[face]
                     rows[row].append(((row, col), -1 if i % 2 else 1))
         matrices.append(IntMatrix(

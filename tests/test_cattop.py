@@ -180,6 +180,53 @@ def test_every_category_check_names_its_failure():
             FinCategory._of_ids(**args)
 
 
+def test_thin_categories_without_a_table_name_each_failure():
+    # _of_ids without comp stores no composites, so thinness, the
+    # identities and closure under composition are all it has to check
+    ix, iy, iz = (Arrow(x, x, None) for x in "xyz")
+    f, f2, g = Arrow("x", "y", "f"), Arrow("x", "y", "f2"), Arrow("y", "z", "g")
+    cases = [
+        (dict(objects=("x", "y"), arrows=(ix, iy, f, f2),
+              src=[0, 1, 0, 0], dst=[0, 1, 1, 1], ident=[0, 1]),
+         f"two arrows share a source and a target: {f} and {f2}"),
+        (dict(objects=("x", "y"), arrows=(ix, f),
+              src=[0, 0], dst=[0, 1], ident=[0, -1]),
+         "bad identity arrow at y"),
+        (dict(objects=("x", "y", "z"), arrows=(ix, iy, iz, f, g),
+              src=[0, 1, 2, 0, 1], dst=[0, 1, 2, 1, 2], ident=[0, 1, 2]),
+         f"composite of {f} then {g} is not an arrow"),
+    ]
+    for args, message in cases:
+        with pytest.raises(CategoryError, match=f"^{re.escape(message)}$"):
+            FinCategory._of_ids(**args)
+    # with the composite x -> z the same arrows form a thin category
+    h = Arrow("x", "z", "h")
+    C = FinCategory._of_ids(("x", "y", "z"), (ix, iy, iz, f, g, h),
+                            [0, 1, 2, 0, 1, 0], [0, 1, 2, 1, 2, 2], [0, 1, 2])
+    assert C._thin and C._comp is None and C.table[g, f] == h
+
+
+def test_thin_table_rejects_pairs_that_do_not_compose():
+    # the hom index has an arrow src f -> dst g for these pairs, so only
+    # the composability test keeps the table from answering them
+    C = poset_category(k_enumerate(2, 3), k_leq)
+    assert C._comp is None
+    src, dst = C._src, C._dst
+    pairs = [(f, g) for f in range(0, len(C.arrows), 17)
+             for g in range(0, len(C.arrows), 13)
+             if dst[f] != src[g] and (src[f], dst[g]) in C._at]
+    assert len(pairs) > 100
+    for f, g in pairs:
+        key = (C.arrows[g], C.arrows[f])
+        assert key not in C.table
+        with pytest.raises(KeyError):
+            C.table[key]
+    # and every pair that does compose is answered by its one arrow
+    for (g, f), h in C.table.items():
+        assert C.table[g, f] == h == C.arrows[C._hom[C._oid[f.src], C._oid[g.dst]][0]]
+    assert len(C.table) == sum(1 for _ in C.table) == 948
+
+
 def test_every_functor_check_names_its_failure():
     C, D = chain(3), chain(2)
     omap = [0, 1, 1]
@@ -228,17 +275,27 @@ def thin_corpus():
     yield build_comma(parse_tree("(| |)"), 2)
 
 
+def composite_rows(C):
+    """The composition table of a thin category as the comp argument of
+    _of_ids, read off its hom index: one row per arrow f, sending each g
+    that composes after f to the id of g after f."""
+    return [{g: C._at[s, C._dst[g]] for g in C._out[t]}
+            for s, t in zip(C._src, C._dst)]
+
+
 def test_thin_categories_reject_misdirected_composites():
-    # the unit and associativity loops are skipped on thin categories, so
-    # the endpoint check alone must catch a composite pointed elsewhere
+    # given a table, the unit and associativity loops are skipped on thin
+    # categories, so the endpoint check alone must catch a composite
+    # pointed elsewhere
     rng = random.Random(23)
     for C in thin_corpus():
-        assert C._thin
+        assert C._thin and C._comp is None
         if len(C.arrows) == 1:  # no other arrow to point at
             continue
-        entries = [(f, g) for f, row in enumerate(C._comp) for g in row]
+        rows = composite_rows(C)
+        entries = [(f, g) for f, row in enumerate(rows) for g in row]
         for f, g in rng.sample(entries, min(len(entries), 150)):
-            comp = list(C._comp)
+            comp = list(rows)
             wrong = rng.choice([h for h in range(len(C.arrows)) if h != comp[f][g]])
             comp[f] = {**comp[f], g: wrong}
             with pytest.raises(CategoryError) as err:
@@ -539,7 +596,8 @@ def test_comma_below_is_the_full_subcategory_below_each_cell():
     assert len(cells) == 48
     cx = [complexity(HOperation(o)) for o in C.objects]
     src, dst = C._src, C._dst
-    table = [(f, g, h) for f, row in enumerate(C._comp) for g, h in row.items()]
+    aid = C._aid
+    table = [(aid[f], aid[g], aid[h]) for (g, f), h in C.table.items()]
     for cell in cells:
         below = [k_leq(x, cell) for x in cx]
         objs = [x for x, b in enumerate(below) if b]
@@ -616,12 +674,11 @@ def test_build_comma_agrees_with_validating_compose(txt, k):
         args = tuple(map(as_op, a.label))
         assert a.src == compose(as_op(C.objects[t]), args).term
     unary = {}
-    for f, row in enumerate(C._comp):
-        for g, h in row.items():
-            for q, p, r in zip(C.arrows[g].label, C.arrows[f].label, C.arrows[h].label):
-                if (q, p) not in unary:
-                    unary[q, p] = compose(as_op(q), (as_op(p),)).term
-                assert unary[q, p] == r
+    for (g, f), h in C.table.items():
+        for q, p, r in zip(g.label, f.label, h.label):
+            if (q, p) not in unary:
+                unary[q, p] = compose(as_op(q), (as_op(p),)).term
+            assert unary[q, p] == r
 
 
 # --- nerve and homology of the complete-graph posets -------------------------------
@@ -657,7 +714,7 @@ def walking_isomorphism():
     return cattop._labelled(
         ("x", "y"), [0, 1, 0, 1], [0, 1, 1, 0], labels,
         lambda label: label, combine, ["ix", "iy"].__getitem__,
-    )[0]
+    )
 
 
 def test_nerve_requires_loop_free():
@@ -707,7 +764,7 @@ def parallel_arrows_category():
 
     return cattop._labelled(
         tuple(range(4)), src, dst, labels, lambda c: c, combine, lambda x: 0
-    )[0]
+    )
 
 
 def reference_nerve(C, max_dim):
