@@ -113,8 +113,7 @@ class FinCategory:
     stores no composition: _at, its hom index, maps each (x, y) with an
     arrow x -> y to that arrow's id, and g after f is _at[src f, dst g].
     comp, kept as _comp, allows parallel arrows: one dict per arrow f,
-    sending each g that composes after f to the id of g after f.  Either
-    way _thin records whether no two arrows share a source and a target.
+    sending each g that composes after f to the id of g after f.
 
     identities and table read the payload maps back from the ids; table
     lists f in order, then each g composing after it, in the order of comp[f]
@@ -156,6 +155,14 @@ class FinCategory:
         for a, key in enumerate(zip(self._src, self._dst)):
             hom.setdefault(key, []).append(a)
         return hom
+
+    def _homset(self, x: int, y: int):
+        """The ids of the arrows x -> y, in arrow order; a thin category
+        reads its hom index and builds no _hom."""
+        if self._comp is None:
+            a = self._at.get((x, y))
+            return () if a is None else (a,)
+        return self._hom.get((x, y), ())
 
     def _composite(self, f: int, g: int) -> int:
         """The id of g after f, for arrow ids f and g that compose."""
@@ -254,20 +261,12 @@ class FinCategory:
                 )
         del up
         self._at = dict(zip(zip(src, dst), range(len(arrows))))
-        self._thin = True
 
     def _verify_table(self):
         """The composition table, then the unit and associativity laws.
 
         The table walk indexes src by every arrow id in it, so an id past the
-        end is caught there.  When no two arrows share a source and a target
-        the laws are not walked, because the checks before them already
-        imply both:
-        - each row's keys are composable and distinct, and the row sizes add
-          up to the composable count, so every composable pair has exactly
-          one entry;
-        - every entry's endpoints are (src f, dst g);
-        - in a hom-set of one arrow, both sides of each law are that arrow.
+        end is caught there.
         """
         arrows, src, dst, ident, comp = (
             self.arrows, self._src, self._dst, self._ident, self._comp)
@@ -297,9 +296,6 @@ class FinCategory:
                         )
         except IndexError:
             raise CategoryError("composition table mentions unknown arrows") from None
-        self._thin = len(set(zip(src, dst))) == len(arrows)
-        if self._thin:
-            return
         for f, row in enumerate(comp):
             if comp[ident[src[f]]][f] != f or row[ident[dst[f]]] != f:
                 raise CategoryError(f"unit law fails at {arrows[f]}")
@@ -362,10 +358,10 @@ class FinFunctor:
     of each domain arrow, -1 for an image that was not found.  The payload
     maps object_map and arrow_map are read back from them.
 
-    When the codomain is thin, the identity and composition laws are not
-    walked: once every image has the right endpoints, the image of an
-    identity and the codomain identity lie in one hom-set of one arrow, and
-    so do both sides of each composition law.
+    When the codomain is thin, built without a table, the identity and
+    composition laws are not walked: once every image has the right
+    endpoints, the image of an identity and the codomain identity lie in
+    one hom-set of one arrow, and so do both sides of each composition law.
     """
 
     def __init__(self, *args, **kwargs):
@@ -394,7 +390,7 @@ class FinFunctor:
         for a, b in enumerate(amap):
             if cod._src[b] != omap[dom._src[a]] or cod._dst[b] != omap[dom._dst[a]]:
                 raise CategoryError(f"functor breaks endpoints on {dom.arrows[a]}")
-        if cod._thin:
+        if cod._comp is None:
             return
         for x, e in enumerate(dom._ident):
             if amap[e] != cod._ident[omap[x]]:
@@ -424,30 +420,30 @@ def _labelled(objects, src, dst, labels, payload, combine, unit) -> FinCategory:
 
     combine(g, f) is the label of g after f and unit(x) that of the identity
     at x.  When no two arrows share a source and a target the category is
-    thin: the one arrow (src f, dst g) must carry combine(g, f) for every
-    composable pair, each compared as it is met and none stored, and the
-    loop at x must carry unit(x).  Otherwise the arrows are indexed by
-    (src, dst, label) and the composite rows are stored; two arrows with one
-    key are rejected.  A composite without its arrow raises.
+    thin: it is built without a table, the loop at x must carry unit(x),
+    and then the one arrow (src f, dst g) must carry combine(g, f) for
+    every composable pair, each compared as it is met and none stored.
+    Otherwise the arrows are indexed by (src, dst, label) and the composite
+    rows are stored; two arrows with one key are rejected.  A composite
+    without its arrow raises.
     """
     arrows = tuple(
         Arrow(objects[s], objects[t], payload(label))
         for s, t, label in zip(src, dst, labels)
     )
+    if len(set(zip(src, dst))) == len(arrows):
+        ident = [-1] * len(objects)
+        for a, (s, t) in enumerate(zip(src, dst)):
+            if s == t and labels[a] == unit(s):
+                ident[s] = a
+        C = FinCategory._of_ids(objects, arrows, src, dst, ident)
+        for f, g, h in C._triples():
+            if labels[h] != combine(g, f):
+                raise CategoryError(
+                    f"composite of {arrows[f]} then {arrows[g]} is not an arrow"
+                )
+        return C
     out = _outgoing(len(objects), src)
-    at = dict(zip(zip(src, dst), range(len(arrows))))
-    if len(at) == len(arrows):
-        for f, (s, t) in enumerate(zip(src, dst)):
-            for g in out[t]:
-                h = at.get((s, dst[g]))
-                if h is None or labels[h] != combine(g, f):
-                    raise CategoryError(
-                        f"composite of {arrows[f]} then {arrows[g]} is not an arrow"
-                    )
-        ident = [at.get((x, x), -1) for x in range(len(objects))]
-        ident = [e if e < 0 or labels[e] == unit(x) else -1 for x, e in enumerate(ident)]
-        del at  # freed before the category builds its own, not held beside it
-        return FinCategory._of_ids(objects, arrows, src, dst, ident)
     index = {}
     for a, key in enumerate(zip(src, dst, labels)):
         if index.setdefault(key, a) != a:
@@ -546,11 +542,11 @@ def _comma(F: FinFunctor, z: int, side: str):
     fiber_inclusion describes it: returns the category, its object ids by
     (w, g) pair and the domain arrow id labelling each of its arrows."""
     A, B = F.dom, F.cod
-    omap, amap, hom = F._omap, F._amap, B._hom
+    omap, amap, homset = F._omap, F._amap, B._homset
     under = side == "under"
 
     def legs(w):
-        return hom.get((z, omap[w]) if under else (omap[w], z), ())
+        return homset(z, omap[w]) if under else homset(omap[w], z)
 
     pairs = [(w, g) for w in range(len(A.objects)) for g in legs(w)]
     pair_id = {p: n for n, p in enumerate(pairs)}
@@ -595,9 +591,8 @@ def fiber_inclusion(F: FinFunctor, z, side: str) -> FinFunctor:
     fib, kept = _subcategory(F.dom, objs, lambda u: F._amap[u] == id_z)
     K, pair_id, labels = _comma(F, z, side)
     omap = [pair_id.get((x, id_z), -1) for x in objs]
-    hom = K._hom
     amap = [
-        next((b for b in hom.get((omap[s], omap[t]), ()) if labels[b] == u), -1)
+        next((b for b in K._homset(omap[s], omap[t]) if labels[b] == u), -1)
         for s, t, u in zip(fib._src, fib._dst, kept)
     ]
     return FinFunctor._of_ids(fib, K, omap, amap)
@@ -673,7 +668,7 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
 
 def _matching_arrow(C: FinCategory, s: int, t: int, a: Arrow) -> int:
     """The id of the arrow s -> t of C equal to the payload a, or -1."""
-    return next((b for b in C._hom.get((s, t), ()) if C.arrows[b] == a), -1)
+    return next((b for b in C._homset(s, t) if C.arrows[b] == a), -1)
 
 
 def _inclusion(dom: FinCategory, cod: FinCategory) -> FinFunctor:

@@ -72,6 +72,18 @@ def test_labelled_rejects_parallel_arrows_with_one_label():
     )
 
 
+def test_labelled_thin_loop_is_an_identity_only_with_the_unit_label():
+    def one_loop(unit):
+        return cattop._labelled(
+            ("x",), [0], [0], ["i"],
+            lambda label: label, lambda g, f: "i", lambda x: unit,
+        )
+
+    assert one_loop("i")._comp is None
+    with pytest.raises(CategoryError, match="^bad identity arrow at x$"):
+        one_loop("e")
+
+
 def test_poset_category_needs_transitivity():
     steps = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}  # no 0 <= 2
     with pytest.raises(CategoryError) as err:
@@ -203,7 +215,7 @@ def test_thin_categories_without_a_table_name_each_failure():
     h = Arrow("x", "z", "h")
     C = FinCategory._of_ids(("x", "y", "z"), (ix, iy, iz, f, g, h),
                             [0, 1, 2, 0, 1, 0], [0, 1, 2, 1, 2, 2], [0, 1, 2])
-    assert C._thin and C._comp is None and C.table[g, f] == h
+    assert C._comp is None and C.table[g, f] == h
 
 
 def test_thin_table_rejects_pairs_that_do_not_compose():
@@ -284,12 +296,12 @@ def composite_rows(C):
 
 
 def test_thin_categories_reject_misdirected_composites():
-    # given a table, the unit and associativity loops are skipped on thin
-    # categories, so the endpoint check alone must catch a composite
-    # pointed elsewhere
+    # the corpus categories store no table; given one, a composite pointed
+    # elsewhere is caught by the endpoint check, before the unit and
+    # associativity loops
     rng = random.Random(23)
     for C in thin_corpus():
-        assert C._thin and C._comp is None
+        assert C._comp is None
         if len(C.arrows) == 1:  # no other arrow to point at
             continue
         rows = composite_rows(C)
@@ -312,7 +324,7 @@ def test_functors_into_thin_categories_reject_every_misdirected_arrow():
             functors = [F] + [fiber_inclusion(F, z, side)
                               for z in F.cod.objects for side in ("under", "over")]
             for G in functors:
-                assert G.cod._thin
+                assert G.cod._comp is None
                 for a, b in enumerate(G._amap):
                     for wrong in range(len(G.cod.arrows)):
                         if wrong == b:
