@@ -8,8 +8,11 @@ Degree conventions: a complex stores ``dims[n]``, the rank of the free group
 of n-chains, and ``boundaries[n]``, the matrix of the boundary map from
 (n+1)-chains to n-chains.  Composites of consecutive boundaries are checked
 to vanish at construction time, one column at a time.  ``homology`` reduces
-the boundaries from the top degree down and skips the columns that the unit
-pivots one degree up have cleared.
+the boundaries one at a time and skips what the unit pivots of the boundary
+reduced before have cleared: when the top chain group is larger than the one
+below it, from d_1 up, skipping rows named by the pivots one degree down;
+otherwise from the top degree down, skipping columns named by the pivots
+one degree up.
 """
 
 from __future__ import annotations
@@ -101,26 +104,35 @@ def smith_invariants(m: IntMatrix) -> tuple:
     diagonal restore divisibility.  ``homology`` runs the same reduction
     with clearing.
     """
-    return _smith_reduce(m, ())[0]
+    return _smith_reduce(m, (), ())[0]
 
 
-def _smith_reduce(m: IntMatrix, cleared) -> tuple:
-    """Invariant factors of m without the columns in cleared, and the rows
-    of the unit-phase pivots in pivot order.
+def _smith_reduce(m: IntMatrix, cleared_cols, cleared_rows) -> tuple:
+    """Invariant factors of m without the columns in cleared_cols and the
+    rows in cleared_rows, then the rows and the columns of the unit-phase
+    pivots, each in pivot order.
 
     Only unit-phase pivots are reported: those are the ones ``homology``
-    may clear with.  The unit phase updates the row dicts and column sets
-    inline, as it makes most of the entry updates.
+    may clear with, pivot rows one degree down and pivot columns one degree
+    up.  The unit phase updates the row dicts and column sets inline, as it
+    makes most of the entry updates.
     """
-    cleared = set(cleared)
+    entries = m.entries
+    # Rows are dropped in a pass of their own, so that a reduction that
+    # clears only columns reads each entry with one test.
+    if cleared_rows:
+        cleared_rows = set(cleared_rows)
+        entries = [e for e in entries if e[0][0] not in cleared_rows]
+    cleared_cols = set(cleared_cols)
     rows: dict = {}
     cols: dict = {}
-    for (i, j), v in m.entries:
-        if j not in cleared:
+    for (i, j), v in entries:
+        if j not in cleared_cols:
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
 
     pivot_rows = []
+    pivot_cols = []
     heap = [(len(col), j) for j, col in cols.items()]
     heapify(heap)
     while heap:
@@ -161,6 +173,7 @@ def _smith_reduce(m: IntMatrix, cleared) -> tuple:
             else:
                 del cols[j]
         pivot_rows.append(pi)
+        pivot_cols.append(pj)
 
     def put(i, j, v):
         row = rows.setdefault(i, {})
@@ -230,7 +243,7 @@ def _smith_reduce(m: IntMatrix, cleared) -> tuple:
                     g = gcd(rest[a], rest[b])
                     rest[a], rest[b] = g, rest[a] * rest[b] // g
                     changed = True
-    return (1,) * ones + tuple(sorted(rest)), tuple(pivot_rows)
+    return (1,) * ones + tuple(sorted(rest)), tuple(pivot_rows), tuple(pivot_cols)
 
 
 @dataclass(frozen=True)
@@ -294,20 +307,41 @@ class HomologyResult:
 def homology(cx: ChainComplex) -> HomologyResult:
     """Exact homology of the complex in every stored degree.
 
-    The boundaries are reduced from the top degree down, with clearing over
-    the integers (after Chen and Kerber's twist): the unit-phase pivots of
-    d_(n+1) name n-chains, and d_n is reduced without those columns.  This
-    leaves its invariant factors unchanged.  Take the rows R and columns C
-    of those pivots in pivot order.  The unit phase only adds pivot rows to
-    rows not yet pivoted, so after its row operations the block on R x C is
-    triangular with +-1 on the diagonal, and on the rows R those operations
-    are unitriangular; so the block of d_(n+1) itself is unimodular.  Hence
-    the boundaries of the chains C, together with the basis n-chains
-    outside R, form a basis of C_n, and d_n kills the first group because
-    d_n d_(n+1) = 0.  In that basis d_n is its columns outside R beside
-    zero columns, a change of basis that keeps invariant factors.  The
-    Euclidean phase also adds columns to columns, so none of its pivots,
-    not even a +-1, clears a column.
+    The boundaries are reduced one at a time with clearing over the
+    integers, and the chain ranks alone pick the direction.  When the top
+    chain group is larger than the one below it, as in a nerve cut off below
+    its full depth, the boundaries are reduced from d_1 up, and d_(n+1) is
+    reduced without the rows of the n-chains named by d_n's unit-phase pivot
+    columns (the cochain dual of the twist, after de Silva, Morozov and
+    Vejdemo-Johansson).  Top down, no column of the top boundary is ever
+    cleared, and when it is the widest its dependent rows are driven to zero
+    through fill.  Otherwise the boundaries are reduced from the top degree
+    down, and d_n is reduced without the columns of the n-chains named by
+    d_(n+1)'s unit-phase pivot rows (Chen and Kerber's twist); on nerves
+    taken to their full depth that is the faster of the two.
+
+    Neither changes any invariant factor.  Take the rows R and columns C of
+    one boundary's unit-phase pivots in pivot order.  The unit phase only
+    adds pivot rows to rows not yet pivoted, so after its row operations the
+    block on R x C is triangular with +-1 on the diagonal, and on the rows R
+    those operations are unitriangular; so the block of the boundary itself
+    is unimodular.
+
+    - Top down, with that block in d_(n+1): the boundaries of the chains C,
+      together with the basis n-chains outside R, form a basis of C_n, and
+      d_n kills the first group because d_n d_(n+1) = 0.  In that basis d_n
+      is its columns outside R beside zero columns, a change of basis that
+      keeps invariant factors.
+    - Bottom up, with that block in d_n: since it is unimodular, the kernel
+      K of d_n followed by the projection onto the coordinates R is a direct
+      summand of C_n, with the span of the chains C as a complement.  So the
+      projection onto the coordinates outside C maps K isomorphically onto
+      the free group on the n-chains outside C.  The image of d_(n+1) lies
+      in ker d_n, inside K, so d_(n+1) has the invariant factors of its rows
+      outside C.
+
+    The Euclidean phase also adds columns to columns, so none of its pivots,
+    not even a +-1, sits on a block of the boundary itself, and none clears.
 
     The Euler characteristic computed from chain ranks must agree with the
     one computed from Betti numbers; a mismatch means the rank computations
@@ -315,8 +349,12 @@ def homology(cx: ChainComplex) -> HomologyResult:
     """
     factors = [()] * len(cx.boundaries)
     cleared = ()
-    for n in reversed(range(len(cx.boundaries))):
-        factors[n], cleared = _smith_reduce(cx.boundaries[n], cleared)
+    if len(cx.dims) > 1 and cx.dims[-1] > cx.dims[-2]:
+        for n, b in enumerate(cx.boundaries):
+            factors[n], _, cleared = _smith_reduce(b, (), cleared)
+    else:
+        for n in reversed(range(len(cx.boundaries))):
+            factors[n], cleared, _ = _smith_reduce(cx.boundaries[n], cleared, ())
     ranks = [len(f) for f in factors]
     betti = []
     torsion = []

@@ -350,7 +350,8 @@ def test_homology_check_failure_exits_1(capsys, monkeypatch):
     # too many pivots make a Betti number negative; homology() reaches
     # every boundary through _smith_reduce
     monkeypatch.setattr(homology, "_smith_reduce",
-                        lambda m, cleared: ((1,) * (m.nrows + 1), ()))
+                        lambda m, cleared_cols, cleared_rows:
+                        ((1,) * (m.nrows + 1), (), ()))
     assert_internal_failure(
         capsys, ["homology", "kposet", "--m", "2", "--k", "2"],
         "negative Betti number")

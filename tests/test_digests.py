@@ -19,7 +19,9 @@ runs were recorded once the lemma with no white circles ran and a negative
 arity was reported by name.  The `compose config`, `homology comma` and
 `homology below` runs, one that parses its arguments and one with a bad
 argument each, were recorded before the CLI's three argument parsers became
-one.
+one.  The `--max-dim 1 homology kposet --m 2 --k 3` run, a nerve whose top
+chain group is larger than the one below it, was recorded before
+`homology` reduced such nerves from d_1 up.
 The `TERM_SHA256` values were recorded before composition became one walk
 per stage: both sides of each operad law on seeded operations, with and
 without the uncovered-black rule, and the errors of rejected compositions.
@@ -201,6 +203,8 @@ CLI_SHA256 = {
         "7c7a38b493128a6507bc7c7710e23842195e24625536d57602c4977a34d36415",
     "cli/homology below --tree (| |) --cell 2; mu(1,2)=x; perm=[1 2]":
         "e907ccedea6f9b623009d076317ae6b616b0a9aac0152750df37e33cf85dfa41",
+    "cli/--max-dim 1 homology kposet --m 2 --k 3":
+        "a19745032f21777ab71abe0634b2b500466375a51a519967d8f2ecd3eacf0f18",
 }
 
 CORPUS = ["|", "(|)", "(| |)", "((|))", "((|) |)", "((|) (|))"]

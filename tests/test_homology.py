@@ -31,7 +31,7 @@ from circleops.homology import (
     matrix_from_dict,
     smith_invariants,
 )
-from circleops.kgraph import k_enumerate, k_leq
+from circleops.kgraph import k_enumerate, k_leq, parse_kelt
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import digests  # noqa: E402
@@ -374,17 +374,18 @@ def random_unimodular(rng, size, steps):
     return p, q
 
 
-def random_torsion_complex(rng):
+def random_torsion_complex(rng, top_free=0):
     """A complex with known homology in random bases.
 
     It is a sum of free cells and pieces Z -> Z, each piece multiplying by
-    its coefficient; the first piece's coefficient is 2, 3 or 4.  Each chain
-    group then gets a random unimodular change of basis.  Returns the
-    complex, the free cell count of each degree, and the order of each
-    degree's torsion.
+    its coefficient; the first piece's coefficient is 2, 3 or 4.  The top
+    degree gets top_free more free cells.  Each chain group then gets a
+    random unimodular change of basis.  Returns the complex, the free cell
+    count of each degree, and the order of each degree's torsion.
     """
     top = rng.randint(1, 4)
     free = [rng.randint(0, 2) for _ in range(top + 1)]
+    free[top] += top_free
     dims = free[:]
     normal = [{} for _ in range(top)]
     for piece in range(rng.randint(1, 6)):
@@ -421,45 +422,116 @@ def test_clearing_matches_uncleared_reduction():
         assert homology(cx) == uncleared_homology(cx), name
 
 
-def test_clearing_on_random_complexes_with_torsion():
+def recording_reductions(monkeypatch):
+    """Record every _smith_reduce call as (m, cleared_cols, cleared_rows,
+    result) in the list returned.  smith_invariants goes through it too, so
+    a reference computed while recording is recorded as well."""
+    reduce = homology_module._smith_reduce
+    calls = []
+
+    def recording(m, cleared_cols, cleared_rows):
+        out = reduce(m, cleared_cols, cleared_rows)
+        calls.append((m, tuple(cleared_cols), tuple(cleared_rows), out))
+        return out
+
+    monkeypatch.setattr(homology_module, "_smith_reduce", recording)
+    return calls
+
+
+def reduction_branch(cx, calls):
+    """The direction homology() took on cx, read off its recorded calls:
+    "up" from d_1, "down" from the top boundary, or None when cx has fewer
+    than two boundaries and the order shows nothing."""
+    order = [m for m, _, _, _ in calls]
+    if len(cx.boundaries) < 2:
+        return None
+    if order == list(cx.boundaries):
+        return "up"
+    assert order == list(reversed(cx.boundaries))
+    return "down"
+
+
+def seeded_torsion_complexes():
+    """50 complexes at the first seed; 50 more at a second seed, each with
+    four more free top cells, so that more of them reduce from d_1 up."""
     rng = random.Random(20261019)
     for _ in range(50):
-        cx, free, torsion_order = random_torsion_complex(rng)
+        yield random_torsion_complex(rng)
+    rng = random.Random(20261020)
+    for _ in range(50):
+        yield random_torsion_complex(rng, top_free=4)
+
+
+def test_clearing_on_random_complexes_with_torsion(monkeypatch):
+    calls = recording_reductions(monkeypatch)
+    clearing = set()
+    for cx, free, torsion_order in seeded_torsion_complexes():
+        expected = uncleared_homology(cx)
+        calls.clear()
         h = homology(cx)
-        assert h == uncleared_homology(cx)
+        assert h == expected
         assert list(h.betti) == free
         assert [prod(t) for t in h.torsion] == torsion_order
         assert any(h.torsion)
+        branch = reduction_branch(cx, calls)
+        if branch is not None:
+            assert (branch == "up") == (cx.dims[-1] > cx.dims[-2])
+            if any(cols or rows for _, cols, rows, _ in calls):
+                clearing.add(branch)
+    # torsion is present on both branches, and both of them clear
+    assert clearing == {"up", "down"}
 
 
 def test_clearing_drops_one_column_per_unit_pivot_above(monkeypatch):
     cx = nerve(poset_category(k_enumerate(2, 3), k_leq), 3)
+    assert cx.dims[-1] <= cx.dims[-2]
     expected = uncleared_homology(cx)
-    reduce = homology_module._smith_reduce
-    calls = []
-
-    def recording(m, cleared):
-        out = reduce(m, cleared)
-        calls.append((m, tuple(cleared), out))
-        return out
-
-    monkeypatch.setattr(homology_module, "_smith_reduce", recording)
+    calls = recording_reductions(monkeypatch)
     assert homology(cx) == expected
-    assert [m for m, _, _ in calls] == list(reversed(cx.boundaries))
+    assert [m for m, _, _, _ in calls] == list(reversed(cx.boundaries))
     assert calls[0][1] == ()
-    for (_, _, (factors, pivots)), (below, cleared, _) in zip(calls, calls[1:]):
+    assert all(rows == () for _, _, rows, _ in calls)
+    for (_, _, _, (factors, pivot_rows, _)), (below, cleared, _, _) in zip(
+            calls, calls[1:]):
         # d_n drops one column for each unit pivot of d_(n+1), and no other
-        assert cleared == pivots
-        assert 0 < len(set(cleared)) == len(pivots) <= factors.count(1)
+        assert cleared == pivot_rows
+        assert 0 < len(set(cleared)) == len(pivot_rows) <= factors.count(1)
         assert all(0 <= c < below.ncols for c in cleared)
+
+
+def test_clearing_drops_one_row_per_unit_pivot_below(monkeypatch):
+    top = parse_kelt(digests.DOWN_SET_TOP)
+    down_set = [e for e in k_enumerate(3, 3) if k_leq(e, top)]
+    calls = recording_reductions(monkeypatch)
+    for elements in (k_enumerate(2, 3), down_set):
+        cx = nerve(poset_category(elements, k_leq), 2)
+        assert cx.dims[-1] > cx.dims[-2]
+        expected = uncleared_homology(cx)
+        calls.clear()
+        assert homology(cx) == expected
+        # d_1 comes first, with no rows cleared
+        assert [m for m, _, _, _ in calls] == list(cx.boundaries)
+        assert calls[0][2] == ()
+        assert all(cols == () for _, cols, _, _ in calls)
+        for (_, _, _, (factors, _, pivot_cols)), (above, _, cleared, _) in zip(
+                calls, calls[1:]):
+            # d_(n+1) drops one row for each unit pivot of d_n, and no other
+            assert cleared == pivot_cols
+            assert 0 < len(set(cleared)) == len(pivot_cols) <= factors.count(1)
+            assert all(0 <= r < above.nrows for r in cleared)
 
 
 def test_only_unit_phase_pivots_clear():
     reduce = homology_module._smith_reduce
     # gcd(2, 3) = 1 is found by the Euclidean phase, after a column operation
-    assert reduce(matrix_from_dict(1, 2, {(0, 0): 2, (0, 1): 3}), ()) == ((1,), ())
-    assert reduce(PROJECTIVE_PLANE.boundaries[1], ()) == ((2,), ())
+    assert reduce(matrix_from_dict(1, 2, {(0, 0): 2, (0, 1): 3}), (), ()) == (
+        (1,), (), ())
+    assert reduce(PROJECTIVE_PLANE.boundaries[1], (), ()) == ((2,), (), ())
     m = matrix_from_dict(1, 2, {(0, 0): 2, (0, 1): 1})
-    assert reduce(m, ()) == ((1,), (0,))
+    assert reduce(m, (), ()) == ((1,), (0,), (1,))
     # a cleared column is not read
-    assert reduce(m, (1,)) == ((2,), ())
+    assert reduce(m, (1,), ()) == ((2,), (), ())
+    m = matrix_from_dict(2, 1, {(0, 0): 2, (1, 0): 1})
+    assert reduce(m, (), ()) == ((1,), (1,), (0,))
+    # a cleared row is not read
+    assert reduce(m, (), (1,)) == ((2,), (), ())

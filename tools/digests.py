@@ -473,6 +473,10 @@ HEAVY = {
     # the boundaries with the most fill in Smith normal form
     "heavy/cli/--max-dim 5 homology kposet --m 3 --k 3": cli_item(
         ("--max-dim", "5", "homology", "kposet", "--m", "3", "--k", "3")),
+    # a top chain group larger than the one below it (68,664 over 52,920
+    # chains), so homology reduces from d_1 up
+    "heavy/cli/homology kposet --m 3 --k 3": cli_item(
+        ("homology", "kposet", "--m", "3", "--k", "3")),
 }
 
 
@@ -520,11 +524,16 @@ ARGUMENT_COMMANDS = (
     ("homology", "below", "--tree", "(| |)", "--cell", "2; mu(1,2)=1; perm=[1 2]"),
     ("homology", "below", "--tree", "(| |)", "--cell", "2; mu(1,2)=x; perm=[1 2]"),
 )
+# A nerve whose top chain group is larger than the one below it, 48/264/372
+# chains, so homology reduces from d_1 up.
+BOTTOM_UP_COMMANDS = (
+    ("--max-dim", "1", "homology", "kposet", "--m", "2", "--k", "3"),
+)
 
 CLI = {
     "cli/" + " ".join(argv): cli_item(argv)
     for argv in (README_COMMANDS + VERIFY_COMMANDS + ERROR_COMMANDS
-                 + ARITY_COMMANDS + ARGUMENT_COMMANDS)
+                 + ARITY_COMMANDS + ARGUMENT_COMMANDS + BOTTOM_UP_COMMANDS)
 }
 
 
