@@ -34,8 +34,9 @@ forgetting a distinguished white circle gives the deletion functor whose
 fibers certify the contraction argument.
 
 Nerves of loop-free categories are turned into integer chain complexes,
-one chain per composable string of nonidentity arrows (a tuple of arrow
-ids), so homology is computed exactly.
+one chain per composable string of nonidentity arrows, so homology is
+computed exactly; no string is held, only its last arrow and the column of
+its faces.
 """
 
 from __future__ import annotations
@@ -983,13 +984,26 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
 
     Requires the category to be loop-free, which guarantees finitely many
     nondegenerate simplices: the n-chains are the composable strings of n
-    nonidentity arrows, held as tuples of arrow ids.  Degree 0 is the
-    objects in order and each higher degree lists its strings in the order
-    of their first arrow, then of each next arrow out of the last target.
-    Each boundary is written in row order: the faces of a chain are distinct
-    rows, so each face's sign is appended to its row's list as the columns
-    are met, and the entries come out in IntMatrix's order with no sort;
-    IntMatrix still rejects a repeated position.
+    nonidentity arrows.  Degree 0 is the objects in order, degree 1 the
+    nonidentity arrows in order, and each higher degree lists its strings
+    in the order of the string without its last arrow, then of that last
+    arrow among the arrows out of its source.
+
+    No string is held.  Each boundary is stored as compressed columns: the
+    column of an n-chain is the rows of its n+1 faces, appended to one flat
+    list, with the same signs in every column.  An n-chain is known by its
+    last arrow and its column, and that is enough to write the next
+    boundary.  The children of an (n-1)-chain q are numbered from start[q]
+    on, each at start[q] + place[g] for its last arrow g, so for an n-chain
+    c with faces r_0..r_n and an arrow g out of its last target, the
+    (n+1)-chain c g has the faces start[r_i] + place[g] for i < n (face i of
+    c, then g), start[r_n] + place[h] for h the composite of c's last arrow
+    and g, and c itself.  For n >= 2, place[g] is g's place among the
+    arrows out of its source; the 1-chains are numbered in arrow order, so
+    start is 0 on every object and place[g] is g's place among the
+    nonidentity arrows.  Each level is dropped once the next boundary is
+    written.  Loop-free: the objects of a chain are distinct, so its faces
+    are distinct rows, which IntMatrix checks.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -998,44 +1012,52 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
     at = C._at if comp is None else None
     nonid = [a for a, x in enumerate(src) if C._ident[x] != a]
     nonid_from = [[] for _ in C.objects]
-    for a in nonid:
+    place = [0] * len(src)
+    pos = [0] * len(src)
+    for r, a in enumerate(nonid):
+        place[a] = r
+        pos[a] = len(nonid_from[src[a]])
         nonid_from[src[a]].append(a)
-    levels = [range(len(C.objects))]
-    if max_dim:
-        levels.append([(a,) for a in nonid])
-    while len(levels) <= max_dim:
-        levels.append(
-            [chain + (g,) for chain in levels[-1] for g in nonid_from[dst[chain[-1]]]]
-        )
+    dims = [len(C.objects)]
     matrices = []
-    for n in range(1, len(levels)):
-        rows = [[] for _ in levels[n - 1]]
-        if n == 1:
-            # Loop-free: the two ends of an arrow are distinct rows.
-            for col, (f,) in enumerate(levels[1]):
-                rows[dst[f]].append(((dst[f], col), 1))
-                rows[src[f]].append(((src[f], col), -1))
-        else:
-            # Loop-free: the objects of a chain are distinct, so its faces
-            # are distinct rows.
-            below = {s: row for row, s in enumerate(levels[n - 1])}
-            for col, chain in enumerate(levels[n]):
-                for i in range(n + 1):
-                    if i == 0:
-                        face = chain[1:]
-                    elif i == n:
-                        face = chain[:-1]
-                    else:
-                        # g after f, from the hom index when C is thin
-                        f, g = chain[i - 1], chain[i]
-                        mid = comp[f][g] if at is None else at[src[f], dst[g]]
-                        face = chain[: i - 1] + (mid,) + chain[i + 1 :]
-                    row = below[face]
-                    rows[row].append(((row, col), -1 if i % 2 else 1))
-        matrices.append(IntMatrix(
-            len(levels[n - 1]), len(levels[n]), tuple(e for row in rows for e in row)
-        ))
-    return ChainComplex(tuple(len(l) for l in levels), tuple(matrices))
+    rows = []
+    for f in nonid:
+        rows += (dst[f], src[f])
+    last, start = nonid, [0] * len(C.objects)
+    for n in range(1, max_dim + 1):
+        dims.append(len(last))
+        matrices.append(_face_columns(dims[n - 1], n + 1, rows))
+        if n == max_dim:
+            break
+        faces, width = rows, n + 1
+        # one int per n-chain, which every row naming it shares
+        ids = list(range(len(last)))
+        rows, children, first_child = [], [], []
+        for j, f in zip(ids, last):
+            first_child.append(len(children))
+            out = nonid_from[dst[f]]
+            if not out:
+                continue
+            base = [start[r] for r in faces[j * width:(j + 1) * width]]
+            tail = base.pop()
+            for g in out:
+                h = comp[f][g] if at is None else at[src[f], dst[g]]
+                p = place[g]
+                rows += [ids[b + p] for b in base]
+                rows += (ids[tail + place[h]], j)
+                children.append(g)
+        last, start, place = children, first_child, pos
+    return ChainComplex(tuple(dims), tuple(matrices))
+
+
+def _face_columns(nrows: int, width: int, rows: list) -> IntMatrix:
+    """The boundary whose columns are rows cut width at a time, each
+    signed +1, -1, +1, ... in face order."""
+    ncols = len(rows) // width
+    signs = [(-1) ** i for i in range(width)]
+    return IntMatrix._of_columns(
+        nrows, ncols, range(0, len(rows) + 1, width), rows, signs * ncols
+    )
 
 
 def nerve_homology(C: FinCategory, max_dim: int = 3) -> HomologyResult:

@@ -354,7 +354,10 @@ def _survey(c):
             return term, term
         return Node(tuple(unders)), Node(tuple(contractions))
 
-    out, flat = (c, c) if isinstance(c, Leaf) else walk(c, None, False, False)
+    try:
+        out, flat = (c, c) if isinstance(c, Leaf) else walk(c, None, False, False)
+    finally:
+        del walk  # it refers to itself: left alone, each call leaves a cycle
     k = len(positive)
     if positive and positive != set(range(1, k + 1)):
         flag(None, "white-labels-not-contiguous",

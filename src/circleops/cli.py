@@ -517,6 +517,14 @@ def run(argv=None) -> int:
         print("error: term nested too deeply: a result nests deeper than the"
               " term walkers follow (inputs nest at most 200 deep)", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        # A nerve or category too large for the machine: the input is the
+        # fault, as for a term nested too deeply.
+        what = getattr(args, "what", None) or getattr(args, "suite", None)
+        name = " ".join(x for x in (args.command, what) if x)
+        print(f"error: out of memory while running {name}: the input is too"
+              " large for this machine", file=sys.stderr)
+        return EXIT_USAGE
     except (HomologyError, RuntimeError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK

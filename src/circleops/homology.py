@@ -1,13 +1,15 @@
 """Exact integral homology of finite chain complexes.
 
-Boundary matrices are sparse and live over Python's unbounded integers; ranks
-and torsion coefficients come out of a pivoting Smith normal form reduction,
-so every reported group is exact.  Floating point is never used.
+Boundary matrices are sparse, stored as compressed columns (a pointer list
+cutting one flat list of rows and one of values, as in Bauer's Ripser), and
+live over Python's unbounded integers; ranks and torsion coefficients come
+out of a pivoting Smith normal form reduction, so every reported group is
+exact.  Floating point is never used.
 
 Degree conventions: a complex stores ``dims[n]``, the rank of the free group
 of n-chains, and ``boundaries[n]``, the matrix of the boundary map from
 (n+1)-chains to n-chains.  Composites of consecutive boundaries are checked
-to vanish at construction time, one column at a time.  ``homology`` reduces
+to vanish at construction time, one column at a time, and exactly.  ``homology`` reduces
 the boundaries one at a time and skips what the unit pivots of the boundary
 reduced before have cleared: when the top chain group is larger than the one
 below it, from d_1 up, skipping rows named by the pivots one degree down;
@@ -19,34 +21,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, chain, cycle, repeat
 from math import gcd
+from operator import eq, gt, ne, sub
 
 
 class HomologyError(ValueError):
     """Raised when a matrix, complex, or reduction is inconsistent."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class IntMatrix:
-    """A sparse integer matrix stored as ((row, col), value) pairs.
+    """A sparse integer matrix stored as compressed columns.
 
-    The positions must be strictly increasing in row-major order, which also
-    rules out duplicates; every value is nonzero and inside the shape.
+    Column j holds the rows ``rows[ptr[j]:ptr[j+1]]`` with the values
+    ``vals[ptr[j]:ptr[j+1]]``, every value nonzero, every row inside the
+    shape and none twice in one column; within a column the rows may come
+    in any order.  ``IntMatrix(nrows, ncols, entries)`` takes the entries as
+    ((row, col), value) pairs whose positions are strictly increasing in
+    row-major order, which also rules out duplicates; ``_of_columns`` takes
+    the three lists as they are, as ``nerve`` writes them.  ``entries`` is
+    derived: the ((row, col), value) pairs in row-major order, which is how
+    two matrices compare.
     """
 
     nrows: int
     ncols: int
-    entries: tuple
+    ptr: object
+    rows: list
+    vals: list
 
-    def __post_init__(self):
-        if self.nrows < 0 or self.ncols < 0:
+    def __init__(self, nrows: int, ncols: int, entries):
+        if nrows < 0 or ncols < 0:
             raise HomologyError("matrix dimensions must be nonnegative")
+        col_rows = [[] for _ in range(ncols)]
+        col_vals = [[] for _ in range(ncols)]
         last = (-1, -1)
-        for pos, v in self.entries:
+        for pos, v in entries:
             i, j = pos
-            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            if not (0 <= i < nrows and 0 <= j < ncols):
                 raise HomologyError(
-                    f"entry ({i},{j}) outside a {self.nrows}x{self.ncols} matrix"
+                    f"entry ({i},{j}) outside a {nrows}x{ncols} matrix"
                 )
             if v == 0:
                 raise HomologyError(f"explicit zero stored at ({i},{j})")
@@ -55,6 +70,67 @@ class IntMatrix:
                     raise HomologyError(f"duplicate entry at ({i},{j})")
                 raise HomologyError(f"entry ({i},{j}) out of row-major order")
             last = pos
+            col_rows[j].append(i)
+            col_vals[j].append(v)
+        self._set(nrows, ncols, [0, *accumulate(map(len, col_rows))],
+                  list(chain.from_iterable(col_rows)),
+                  list(chain.from_iterable(col_vals)))
+
+    def _set(self, nrows, ncols, ptr, rows, vals):
+        # frozen: the fields are written past __setattr__, once
+        self.__dict__.update(nrows=nrows, ncols=ncols, ptr=ptr, rows=rows,
+                             vals=vals)
+
+    @classmethod
+    def _of_columns(cls, nrows: int, ncols: int, ptr, rows, vals) -> IntMatrix:
+        """The matrix with these compressed columns, checked as they are."""
+        if nrows < 0 or ncols < 0:
+            raise HomologyError("matrix dimensions must be nonnegative")
+        if (len(ptr) != ncols + 1 or ptr[0] != 0 or ptr[-1] != len(rows)
+                or len(vals) != len(rows) or any(map(gt, ptr, ptr[1:]))):
+            raise HomologyError(
+                f"malformed column pointers for {ncols} columns"
+                f" of {len(rows)} entries"
+            )
+        in_range = 0 <= min(rows, default=0) and max(rows, default=-1) < nrows
+        if not in_range or 0 in vals:
+            for (i, j), v in zip(zip(rows, _column_numbers(ptr)), vals):
+                if not 0 <= i < nrows:
+                    raise HomologyError(
+                        f"entry ({i},{j}) outside a {nrows}x{ncols} matrix"
+                    )
+                if v == 0:
+                    raise HomologyError(f"explicit zero stored at ({i},{j})")
+        for j, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
+            if len(set(rows[lo:hi])) < hi - lo:
+                i = next(i for i in rows[lo:hi] if rows[lo:hi].count(i) > 1)
+                raise HomologyError(f"duplicate entry at ({i},{j})")
+        m = object.__new__(cls)
+        m._set(nrows, ncols, ptr, rows, vals)
+        return m
+
+    @property
+    def entries(self) -> tuple:
+        """The ((row, col), value) pairs in row-major order."""
+        by_row = [[] for _ in range(self.nrows)]
+        for pos, v in zip(zip(self.rows, _column_numbers(self.ptr)), self.vals):
+            by_row[pos[0]].append((pos, v))
+        return tuple(chain.from_iterable(by_row))
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return ((self.nrows, self.ncols, self.entries)
+                == (other.nrows, other.ncols, other.entries))
+
+    def __hash__(self):
+        return hash((self.nrows, self.ncols, self.entries))
+
+
+def _column_numbers(ptr):
+    """The column of every stored entry, in storage order: each column's
+    number repeated down the column."""
+    return chain.from_iterable(map(repeat, range(len(ptr) - 1), map(sub, ptr[1:], ptr)))
 
 
 def matrix_from_dict(nrows: int, ncols: int, entries) -> IntMatrix:
@@ -63,25 +139,57 @@ def matrix_from_dict(nrows: int, ncols: int, entries) -> IntMatrix:
     return IntMatrix(nrows, ncols, cleaned)
 
 
-def _composite_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether a times b is zero, summed one column of b at a time.
+def _sign_pattern(m: IntMatrix):
+    """The values of m's first column, when every column has that many
+    entries and those values in that order, as nerve writes them; else
+    None."""
+    if not m.ncols:
+        return None
+    w = m.ptr[1]
+    if not w or len(m.rows) != w * m.ncols or not all(
+        map(eq, m.ptr, range(0, len(m.rows) + 1, w))
+    ):
+        return None
+    pattern = m.vals[:w]
+    return pattern if all(map(eq, m.vals, cycle(pattern))) else None
 
-    A column's sums go into one list indexed by row; when the column
+
+def _composite_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether a times b is zero.
+
+    Column l of the product sums w times a's column j over b's entries w at
+    (j, l).  When a's columns all have one width and one pattern of +-1
+    values, and so do b's, as nerve writes them, every term is a row with a
+    sign: the row at place t of a's column j, signed by a's value at t
+    times b's value at its place s.  Place t of every column of a is one
+    strided slice of a's rows, so the terms are read for all columns at
+    once, and a column vanishes exactly when the rows met with + and those
+    met with - are the same list once sorted.  Otherwise the sums go into
+    one list indexed by row, one column of b at a time; when a column
     vanishes every slot it touched is back at zero, so the list is reused.
     """
-    cols_of_a = [[] for _ in range(a.ncols)]
-    for (i, j), v in a.entries:
-        cols_of_a[j].append((i, v))
-    cols_of_b = [[] for _ in range(b.ncols)]
-    for (j, l), w in b.entries:
-        cols_of_b[l].append((j, w))
+    pa, pb = _sign_pattern(a), _sign_pattern(b)
+    if pa and pb and set(pa + pb) <= {1, -1}:
+        places = [a.rows[t::len(pa)] for t in range(len(pa))]
+        terms = {1: [], -1: []}
+        for s, w in enumerate(pb):
+            js = b.rows[s::len(pb)]
+            for t, v in enumerate(pa):
+                terms[v * w].append(map(places[t].__getitem__, js))
+        if len(terms[1]) != len(terms[-1]):
+            return False
+        ups = map(sorted, zip(*terms[1]))
+        downs = map(sorted, zip(*terms[-1]))
+        return not any(map(ne, ups, downs))
+    aptr, arows, avals = a.ptr, a.rows, a.vals
+    bptr, brows, bvals = b.ptr, b.rows, b.vals
     total = [0] * a.nrows
-    for col in cols_of_b:
-        for j, w in col:
-            for i, v in cols_of_a[j]:
-                total[i] += v * w
-        for j, _ in col:
-            for i, _ in cols_of_a[j]:
+    for lo, hi in zip(bptr, bptr[1:]):
+        for j, w in zip(brows[lo:hi], bvals[lo:hi]):
+            for k in range(aptr[j], aptr[j + 1]):
+                total[arows[k]] += avals[k] * w
+        for j in brows[lo:hi]:
+            for i in arows[aptr[j]:aptr[j + 1]]:
                 if total[i]:
                     return False
     return True
@@ -114,20 +222,16 @@ def _smith_reduce(m: IntMatrix, cleared_cols, cleared_rows) -> tuple:
 
     Only unit-phase pivots are reported: those are the ones ``homology``
     may clear with, pivot rows one degree down and pivot columns one degree
-    up.  The unit phase updates the row dicts and column sets inline, as it
-    makes most of the entry updates.
+    up.  The row dicts and column sets are read straight off m's columns.
+    The unit phase updates them inline, as it makes most of the entry
+    updates.
     """
-    entries = m.entries
-    # Rows are dropped in a pass of their own, so that a reduction that
-    # clears only columns reads each entry with one test.
-    if cleared_rows:
-        cleared_rows = set(cleared_rows)
-        entries = [e for e in entries if e[0][0] not in cleared_rows]
     cleared_cols = set(cleared_cols)
+    cleared_rows = set(cleared_rows)
     rows: dict = {}
     cols: dict = {}
-    for (i, j), v in entries:
-        if j not in cleared_cols:
+    for i, j, v in zip(m.rows, _column_numbers(m.ptr), m.vals):
+        if j not in cleared_cols and i not in cleared_rows:
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
 

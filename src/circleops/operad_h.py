@@ -387,7 +387,10 @@ def _white_sites(term):
                 grafts, around, exits = exits
                 c = next(grafts)
 
-    walk(term, 0, frozenset(), None)
+    try:
+        walk(term, 0, frozenset(), None)
+    finally:
+        del walk  # it refers to itself: left alone, each call leaves a cycle
     ends[0] = len(ends)
     return sites, ends
 

@@ -1,5 +1,6 @@
 """Tests for finite categories, comma constructions, and their homology."""
 
+import importlib
 import random
 import re
 
@@ -31,6 +32,9 @@ from circleops.cattop import (
     nerve_homology,
     poset_category,
 )
+
+# The package exports the function homology under the module's own name.
+homology_module = importlib.import_module("circleops.homology")
 
 
 def chain(n):
@@ -810,6 +814,26 @@ def reference_nerve(C, max_dim):
             matrix_from_dict(len(levels[n - 1]), len(levels[n]), entries)
         )
     return tuple(len(l) for l in levels), tuple(boundaries)
+
+
+def test_nerve_matches_the_reference_nerve():
+    # test_14's stage posets through the degree past their longest chain, and
+    # a comma of operations; the parallel-arrow fixture is the next test
+    cases = [
+        (poset_category(k_enumerate(m, k), k_leq), (m - 1) * k * (k - 1) // 2 + 1)
+        for m, k in ((2, 2), (3, 2), (4, 2), (2, 3))
+    ]
+    cases.append((build_comma(parse_tree("(| |)"), 2), 4))
+    for C, max_dim in cases:
+        cx = nerve(C, max_dim)
+        assert (cx.dims, cx.boundaries) == reference_nerve(C, max_dim)
+        for n, b in enumerate(cx.boundaries, 1):
+            # one width and one sign pattern: the d-squared check's +-1 branch
+            assert b.ptr == range(0, (n + 1) * b.ncols + 1, n + 1)
+            if b.ncols:
+                assert homology_module._sign_pattern(b) == [
+                    (-1) ** i for i in range(n + 1)
+                ]
 
 
 def test_nerve_of_a_category_with_parallel_arrows_matches_the_reference():

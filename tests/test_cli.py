@@ -395,6 +395,22 @@ def test_too_deep_result_is_usage_error(capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_out_of_memory_is_usage_error(capsys, monkeypatch):
+    # a nerve too large for the machine, simulated: nothing large is built
+    def too_large(C, max_dim):
+        raise MemoryError
+
+    monkeypatch.setattr(importlib.import_module("circleops.cattop"), "nerve",
+                        too_large)
+    assert run(["homology", "kposet", "--m", "2", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory while running homology kposet: the input is"
+        " too large for this machine\n"
+    )
+
+
 def test_seeded_runs_are_deterministic(capsys):
     args = ["--seed", "11", "--format", "records", "verify", "cowedge",
             "--samples", "20"]

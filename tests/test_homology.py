@@ -139,6 +139,111 @@ def test_matrix_validation():
         ((0, 1), 1), ((1, 0), 1))
 
 
+def test_column_constructor_rejects_malformed_columns():
+    of_columns = IntMatrix._of_columns
+    m = of_columns(3, 2, [0, 2, 3], [2, 0, 1], [1, -1, 1])
+    # rows within a column come in any order; entries are row-major
+    assert m.entries == (((0, 0), -1), ((1, 1), 1), ((2, 0), 1))
+    assert m == IntMatrix(3, 2, m.entries)
+    # a row may sit in two columns, not twice in one
+    of_columns(3, 2, [0, 2, 3], [2, 0, 2], [1, -1, 1])
+    with pytest.raises(HomologyError, match=r"duplicate entry at \(2,0\)"):
+        of_columns(3, 2, [0, 2, 3], [2, 2, 1], [1, -1, 1])
+    with pytest.raises(HomologyError,
+                       match=r"entry \(3,1\) outside a 3x2 matrix"):
+        of_columns(3, 2, [0, 2, 3], [2, 0, 3], [1, -1, 1])
+    with pytest.raises(HomologyError,
+                       match=r"entry \(-1,0\) outside a 3x2 matrix"):
+        of_columns(3, 2, [0, 2, 3], [-1, 0, 1], [1, -1, 1])
+    with pytest.raises(HomologyError, match=r"explicit zero stored at \(1,1\)"):
+        of_columns(3, 2, [0, 2, 3], [2, 0, 1], [1, -1, 0])
+    with pytest.raises(HomologyError, match="matrix dimensions must be nonnegative"):
+        of_columns(-1, 0, [0], [], [])
+    # too few or too many pointers, a first pointer past 0, a last one short
+    # of the entries, a decreasing one, and values not matching the rows
+    for ptr, vals in (
+        ([0, 3], [1, -1, 1]),
+        ([0, 2, 3, 3], [1, -1, 1]),
+        ([1, 2, 3], [1, -1, 1]),
+        ([0, 1, 2], [1, -1, 1]),
+        ([0, 4, 3], [1, -1, 1]),
+        ([0, 2, 3], [1, -1]),
+    ):
+        with pytest.raises(HomologyError, match="malformed column pointers"):
+            of_columns(3, 2, ptr, [2, 0, 1], vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_entries_round_trip(m):
+    assert IntMatrix(m.nrows, m.ncols, m.entries).entries == m.entries
+    dense_m = dense(m)
+    assert all(dense_m[i][j] == v for (i, j), v in m.entries)
+    assert sum(map(bool, sum(dense_m, []))) == len(m.entries)
+
+
+def test_nerve_entries_round_trip():
+    cx = nerve(poset_category(k_enumerate(2, 3), k_leq), 3)
+    for b in cx.boundaries:
+        rebuilt = IntMatrix(b.nrows, b.ncols, b.entries)
+        assert rebuilt == b and rebuilt.entries == b.entries
+        assert hash(rebuilt) == hash(b)
+
+
+def uniform(nrows, width, columns, pattern):
+    """Columns of one width and one sign pattern, as nerve writes them."""
+    rows = [i for col in columns for i in col]
+    return IntMatrix._of_columns(nrows, len(columns),
+                                 range(0, len(rows) + 1, width), rows,
+                                 list(pattern) * len(columns))
+
+
+def test_composite_vanishes_on_both_branches():
+    vanishes = homology_module._composite_vanishes
+    # +-1 branch: a's columns are e0 - e1 and e1 - e0, so b's column
+    # c0 - c1 gives 2 e0 - 2 e1, and c0 + c1 gives 0
+    a = uniform(2, 2, [[0, 1], [1, 0]], (1, -1))
+    b = uniform(2, 2, [[0, 1]], (1, -1))
+    assert homology_module._sign_pattern(a) == [1, -1]
+    assert not vanishes(a, b)
+    assert vanishes(a, uniform(2, 2, [[0, 1]], (1, 1)))
+    # more + terms than - terms in every column
+    assert not vanishes(uniform(2, 2, [[0, 1]], (1, 1)), uniform(1, 1, [[0]], (1,)))
+    # general branch: values other than +-1
+    a = matrix_from_dict(1, 2, {(0, 0): 2, (0, 1): 1})
+    assert vanishes(a, matrix_from_dict(2, 1, {(0, 0): 1, (1, 0): -2}))
+    assert not vanishes(a, matrix_from_dict(2, 1, {(0, 0): 1, (1, 0): -1}))
+    # one width but two sign patterns: e0 - e1 and e1 - e0 as rows [0, 1]
+    # with the values (1, -1) and (-1, 1) go the general way, and sum to 0
+    a = IntMatrix._of_columns(2, 2, range(0, 5, 2), [0, 1, 0, 1], [1, -1, -1, 1])
+    assert homology_module._sign_pattern(a) is None
+    assert vanishes(a, uniform(2, 2, [[0, 1]], (1, 1)))
+    # +-1 values whose columns differ in width go the general way too
+    a = matrix_from_dict(2, 2, {(0, 0): 1, (1, 0): -1, (1, 1): 1})
+    assert homology_module._sign_pattern(a) is None
+    assert not vanishes(a, matrix_from_dict(2, 1, {(0, 0): 1, (1, 0): 1}))
+    assert vanishes(a, matrix_from_dict(2, 1, {}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sign_branch_agrees_with_the_dense_product(data):
+    nrows, mid, width, bwidth = (data.draw(st.integers(1, 4)) for _ in range(4))
+    width, bwidth = min(width, nrows), min(bwidth, mid)
+    ncols = data.draw(st.integers(1, 4))
+
+    def columns(height, w, count):
+        return [data.draw(st.permutations(range(height)))[:w] for _ in range(count)]
+
+    def pattern(w):
+        return [data.draw(st.sampled_from((1, -1))) for _ in range(w)]
+
+    a = uniform(nrows, width, columns(nrows, width, mid), pattern(width))
+    b = uniform(mid, bwidth, columns(mid, bwidth, ncols), pattern(bwidth))
+    zero = not any(map(any, dense_product(dense(a), dense(b))))
+    assert homology_module._composite_vanishes(a, b) == zero
+
+
 def test_smith_known_values():
     assert smith_invariants(matrix_from_dict(2, 2, {})) == ()
     eye = matrix_from_dict(3, 3, {(i, i): 1 for i in range(3)})

@@ -1,5 +1,6 @@
 """Tests for the circled-tree operad: composition, reduction, complexity."""
 
+import gc
 import random
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from circleops.circled import (
     splice,
     underlying,
     validate_config,
+    validated_profile,
     white_addresses,
     white_profile,
 )
@@ -506,3 +508,18 @@ def test_hat_compose_randomized_keeps_invariant():
         hat_compose(h, tuple(inners))
         count += 1
     assert count == 150
+
+
+def test_profile_and_complexity_leave_no_cyclic_garbage():
+    # The recursive walks behind both refer to themselves; unless each call
+    # breaks that cycle, every call leaves garbage for the cyclic collector.
+    ops = [HOperation(c) for c in enumerate_configs(parse_tree("((|) |)"), 3)]
+    gc.collect()
+    gc.disable()
+    try:
+        for o in ops:
+            validated_profile(o.term)
+            complexity(o)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -12,6 +12,11 @@ the outputs with ``diff``:
 
     PYTHONPATH=src python3 tools/digests.py > digests.txt
 
+Each item's wall time and the process's peak RSS after it (as
+``getrusage`` reports it, so the largest of this item and those before it)
+go to stderr, one line per item; run one heavy item alone, by its name, to
+compare its memory between checkouts.
+
 Optional arguments select the items whose names start with one of them.
 The light items (``LIGHT``, ``TERM``, ``RENDER`` and ``CLI``) are also pinned by
 ``tests/test_digests.py``; the heavy ones (``HEAVY``) take minutes and run
@@ -24,7 +29,9 @@ import hashlib
 import io
 import json
 import random
+import resource
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
@@ -541,7 +548,12 @@ def main(argv) -> int:
     for name, lines in {**LIGHT, **TERM, **RENDER, **CLI, **HEAVY}.items():
         if argv and not any(name.startswith(p) for p in argv):
             continue
+        start = time.perf_counter()
         print(name, sha256_lines(lines()), flush=True)
+        # ru_maxrss is in kilobytes on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{name}: {time.perf_counter() - start:.2f} s,"
+              f" peak RSS {peak:.0f} MB", file=sys.stderr, flush=True)
     return 0
 
 
