@@ -1,25 +1,23 @@
 """Finite categories built from circled-tree operations, and their homology.
 
-A FinCategory is a finite category whose every categorical axiom is
-checked at construction time, so a value of the type is itself a
-certificate.  Its core is integer: objects and arrows are numbered in the
-order given, a thin category (at most one arrow per hom-set) composes
-through its hom index and stores no table, any other holds one int dict of
-composites per arrow, and the axioms and the functor laws are checked on
-those ids.  The payloads (configurations, graph elements, Arrow values)
-live in side tables, read back as payload views and to name a failure.
-Categories and functors are built only by the constructions below, through
+A FinCategory is a finite thin category, at most one arrow per hom-set,
+whose every categorical axiom is checked at construction time, so a value
+of the type is itself a certificate.  Its core is integer: objects and
+arrows are numbered in the order given, composition is read off the hom
+index, and the axioms and the functor laws are checked on those ids.  The
+payloads (configurations, graph elements, Arrow values) live in side
+tables, read back as payload views and to name a failure.  Categories and
+functors are built only by the constructions below, through
 FinCategory._of_ids and FinFunctor._of_ids, which take ids and hash no
 payload for their indexes or checks.  The constructions used by the
 verification suites are: posets, the inclusion of a functor's strict fiber
 over z into its comma category under or over z (fiber_inclusion), and the
 Grothendieck total of a diagram of categories.
 
-Every construction whose arrows are told apart by labels is made by one
-builder, _labelled, which finds or checks each composite and identity by
-its label; a poset has one unlabelled arrow per x <= y and is handed to
-FinCategory as it is, and subcategories are read off their parent's ids
-(_subcategory).
+Every construction whose arrows carry labels is made by one builder,
+_labelled, which checks each composite and identity by its label; a poset
+has one unlabelled arrow per x <= y and is handed to FinCategory as it is,
+and subcategories are read off their parent's ids (_subcategory).
 
 The bridge to the operad is build_comma: its objects are the k-white
 configurations on a fixed tree and its arrows are k-tuples of unary
@@ -72,7 +70,7 @@ class CategoryError(ValueError):
 
 @dataclass(frozen=True)
 class Arrow:
-    """A morphism; parallel arrows are told apart by their label."""
+    """A morphism src -> dst with the label its construction gives it."""
 
     src: object
     dst: object
@@ -97,7 +95,7 @@ def _first_outside(ids, n: int):
 
 
 class FinCategory:
-    """A finite category with verified composition.
+    """A finite thin category with verified composition.
 
     The core is integer.  Objects and arrows are numbered 0..n-1 in the
     order given, and their payloads, the tuples objects and arrows, are
@@ -105,31 +103,29 @@ class FinCategory:
     failure renders them, and no check hashes them.  Every categorical
     axiom is checked on the ids at construction time.
 
-    _of_ids(objects, arrows, src, dst, ident, comp=None) is the one
-    constructor: src and dst give the id of each arrow's source and target
-    object and ident the identity arrow id of each object; an id that was
-    not found is -1.  They are kept as _src, _dst and _ident.
+    _of_ids(objects, arrows, src, dst, ident) is the one constructor: src
+    and dst give the id of each arrow's source and target object and ident
+    the identity arrow id of each object; an id that was not found is -1.
+    They are kept as _src, _dst and _ident.
 
-    Without comp the category is thin, at most one arrow per hom-set, and
-    stores no composition: _at, its hom index, maps each (x, y) with an
-    arrow x -> y to that arrow's id, and g after f is _at[src f, dst g].
-    comp, kept as _comp, allows parallel arrows: one dict per arrow f,
-    sending each g that composes after f to the id of g after f.
+    The category is thin, at most one arrow per hom-set, and stores no
+    composition: _at, its hom index, maps each (x, y) with an arrow x -> y
+    to that arrow's id, and g after f is _at[src f, dst g].
 
     identities and table read the payload maps back from the ids; table
-    lists f in order, then each g composing after it, in the order of comp[f]
-    or, without comp, of the arrows out of dst f.
+    lists f in order, then each g composing after it, in the order of the
+    arrows out of dst f.
     """
 
     def __init__(self, *args, **kwargs):
         raise TypeError("a FinCategory is built by FinCategory._of_ids")
 
     @classmethod
-    def _of_ids(cls, objects, arrows, src, dst, ident, comp=None) -> "FinCategory":
+    def _of_ids(cls, objects, arrows, src, dst, ident) -> "FinCategory":
         """The category on numbered payloads, checked by _verify."""
         C = cls.__new__(cls)
         C.objects, C.arrows = tuple(objects), tuple(arrows)
-        C._src, C._dst, C._ident, C._comp = src, dst, ident, comp
+        C._src, C._dst, C._ident = src, dst, ident
         C._verify()
         return C
 
@@ -149,36 +145,18 @@ class FinCategory:
     def _into(self) -> list:
         return _outgoing(len(self.objects), self._dst)
 
-    @cached_property
-    def _hom(self) -> dict:
-        """(x, y) -> the ids of the arrows x -> y, in arrow order."""
-        hom = {}
-        for a, key in enumerate(zip(self._src, self._dst)):
-            hom.setdefault(key, []).append(a)
-        return hom
-
     def _homset(self, x: int, y: int):
-        """The ids of the arrows x -> y, in arrow order; a thin category
-        reads its hom index and builds no _hom."""
-        if self._comp is None:
-            a = self._at.get((x, y))
-            return () if a is None else (a,)
-        return self._hom.get((x, y), ())
+        """The ids of the arrows x -> y: none or one, read off _at."""
+        a = self._at.get((x, y))
+        return () if a is None else (a,)
 
     def _composite(self, f: int, g: int) -> int:
         """The id of g after f, for arrow ids f and g that compose."""
-        if self._comp is None:
-            return self._at[self._src[f], self._dst[g]]
-        return self._comp[f][g]
+        return self._at[self._src[f], self._dst[g]]
 
     def _triples(self):
         """(f, g, h) for each composable pair, h the id of g after f, in the
         order of table."""
-        if self._comp is not None:
-            for f, row in enumerate(self._comp):
-                for g, h in row.items():
-                    yield f, g, h
-            return
         src, dst, at, out = self._src, self._dst, self._at, self._out
         for f, (s, t) in enumerate(zip(src, dst)):
             for g in out[t]:
@@ -197,15 +175,13 @@ class FinCategory:
 
         An id out of range is rejected before it indexes a list: the endpoint
         lists by min and max in C and the identities as they are read.  The
-        rest is _verify_thin without comp and _verify_table with it.
+        rest is _verify_thin.
         """
         objects, arrows = self.objects, self.arrows
-        src, dst, ident, comp = self._src, self._dst, self._ident, self._comp
+        src, dst, ident = self._src, self._dst, self._ident
         n, m = len(objects), len(arrows)
-        if not len(src) == len(dst) == m or comp is not None and len(comp) != m:
-            raise CategoryError(
-                "endpoints and composition rows must cover exactly the arrows"
-            )
+        if not len(src) == len(dst) == m:
+            raise CategoryError("endpoints must cover exactly the arrows")
         bad = [a for a in (_first_outside(src, n), _first_outside(dst, n))
                if a is not None]
         if bad:
@@ -217,10 +193,7 @@ class FinCategory:
         for x, e in enumerate(ident):
             if not 0 <= e < m or src[e] != x or dst[e] != x:
                 raise CategoryError(f"bad identity arrow at {objects[x]}")
-        if comp is None:
-            self._verify_thin()
-        else:
-            self._verify_table()
+        self._verify_thin()
 
     def _verify_thin(self):
         """At most one arrow per hom-set and closure under composition, both
@@ -263,53 +236,6 @@ class FinCategory:
         del up
         self._at = dict(zip(zip(src, dst), range(len(arrows))))
 
-    def _verify_table(self):
-        """The composition table, then the unit and associativity laws.
-
-        The table walk indexes src by every arrow id in it, so an id past the
-        end is caught there.
-        """
-        arrows, src, dst, ident, comp = (
-            self.arrows, self._src, self._dst, self._ident, self._comp)
-        out = self._out
-        size = sum(map(len, comp))
-        composable = sum(len(out[x]) for x in dst)
-        if size != composable:
-            raise CategoryError(
-                f"composition table has {size} entries, expected {composable}"
-            )
-        # An arrow id past the end fails src[g] or src[h]; a negative one
-        # would index from the end, so it is tested.
-        try:
-            for f, row in enumerate(comp):
-                for g, h in row.items():
-                    if g < 0 or h < 0:
-                        raise IndexError
-                    if dst[f] != src[g]:
-                        raise CategoryError(
-                            f"table entry for non-composable pair"
-                            f" ({arrows[f]}, {arrows[g]})"
-                        )
-                    if src[h] != src[f] or dst[h] != dst[g]:
-                        raise CategoryError(
-                            f"composite of ({arrows[f]}, {arrows[g]})"
-                            f" has wrong endpoints"
-                        )
-        except IndexError:
-            raise CategoryError("composition table mentions unknown arrows") from None
-        for f, row in enumerate(comp):
-            if comp[ident[src[f]]][f] != f or row[ident[dst[f]]] != f:
-                raise CategoryError(f"unit law fails at {arrows[f]}")
-        for f, row in enumerate(comp):
-            for g in out[dst[f]]:
-                after_g, after_gf = comp[g], comp[row[g]]
-                for h in out[dst[g]]:
-                    if after_gf[h] != row[after_g[h]]:
-                        raise CategoryError(
-                            f"associativity fails on {arrows[f]} then {arrows[g]}"
-                            f" then {arrows[h]}"
-                        )
-
 
 class _Table(Mapping):
     """The composition table of a FinCategory, read from its int core: the
@@ -319,7 +245,7 @@ class _Table(Mapping):
         self._C = C
 
     def __len__(self) -> int:
-        # _verify checks a stored table against this count
+        # one entry per composable pair, counted without walking them
         C = self._C
         return sum(len(C._out[t]) for t in C._dst)
 
@@ -359,10 +285,10 @@ class FinFunctor:
     of each domain arrow, -1 for an image that was not found.  The payload
     maps object_map and arrow_map are read back from them.
 
-    When the codomain is thin, built without a table, the identity and
-    composition laws are not walked: once every image has the right
-    endpoints, the image of an identity and the codomain identity lie in
-    one hom-set of one arrow, and so do both sides of each composition law.
+    The codomain is thin, so the identity and composition laws are not
+    walked: once every image has the right endpoints, the image of an
+    identity and the codomain identity lie in one hom-set of one arrow, and
+    so do both sides of each composition law.
     """
 
     def __init__(self, *args, **kwargs):
@@ -391,17 +317,6 @@ class FinFunctor:
         for a, b in enumerate(amap):
             if cod._src[b] != omap[dom._src[a]] or cod._dst[b] != omap[dom._dst[a]]:
                 raise CategoryError(f"functor breaks endpoints on {dom.arrows[a]}")
-        if cod._comp is None:
-            return
-        for x, e in enumerate(dom._ident):
-            if amap[e] != cod._ident[omap[x]]:
-                raise CategoryError(f"functor breaks the identity at {dom.objects[x]}")
-        for f, g, h in dom._triples():
-            if amap[h] != cod._composite(amap[f], amap[g]):
-                raise CategoryError(
-                    f"functor breaks composition on"
-                    f" ({dom.arrows[f]}, {dom.arrows[g]})"
-                )
 
     @cached_property
     def object_map(self) -> dict:
@@ -416,55 +331,29 @@ class FinFunctor:
 
 def _labelled(objects, src, dst, labels, payload, combine, unit) -> FinCategory:
     """The checked category whose arrow a runs between the object ids src[a]
-    and dst[a] and carries payload(labels[a]); labels tell parallel arrows
-    apart.
+    and dst[a] and carries payload(labels[a]).
 
     combine(g, f) is the label of g after f and unit(x) that of the identity
-    at x.  When no two arrows share a source and a target the category is
-    thin: it is built without a table, the loop at x must carry unit(x),
-    and then the one arrow (src f, dst g) must carry combine(g, f) for
-    every composable pair, each compared as it is met and none stored.
-    Otherwise the arrows are indexed by (src, dst, label) and the composite
-    rows are stored; two arrows with one key are rejected.  A composite
-    without its arrow raises.
+    at x.  The loop at x must carry unit(x); _of_ids rejects two arrows with
+    one source and target and a composite without its arrow, and then the
+    one arrow (src f, dst g) must carry combine(g, f) for every composable
+    pair, each compared as it is met and none stored.
     """
     arrows = tuple(
         Arrow(objects[s], objects[t], payload(label))
         for s, t, label in zip(src, dst, labels)
     )
-    if len(set(zip(src, dst))) == len(arrows):
-        ident = [-1] * len(objects)
-        for a, (s, t) in enumerate(zip(src, dst)):
-            if s == t and labels[a] == unit(s):
-                ident[s] = a
-        C = FinCategory._of_ids(objects, arrows, src, dst, ident)
-        for f, g, h in C._triples():
-            if labels[h] != combine(g, f):
-                raise CategoryError(
-                    f"composite of {arrows[f]} then {arrows[g]} is not an arrow"
-                )
-        return C
-    out = _outgoing(len(objects), src)
-    index = {}
-    for a, key in enumerate(zip(src, dst, labels)):
-        if index.setdefault(key, a) != a:
-            x = arrows[a]
+    ident = [-1] * len(objects)
+    for a, (s, t) in enumerate(zip(src, dst)):
+        if s == t and labels[a] == unit(s):
+            ident[s] = a
+    C = FinCategory._of_ids(objects, arrows, src, dst, ident)
+    for f, g, h in C._triples():
+        if labels[h] != combine(g, f):
             raise CategoryError(
-                f"two arrows share source, target and label: {(x.src, x.dst, x.label)}"
+                f"composite of {arrows[f]} then {arrows[g]} is not an arrow"
             )
-    comp = []
-    for f, (s, t) in enumerate(zip(src, dst)):
-        row = {}
-        for g in out[t]:
-            h = index.get((s, dst[g], combine(g, f)))
-            if h is None:
-                raise CategoryError(
-                    f"composite of {arrows[f]} then {arrows[g]} is not an arrow"
-                )
-            row[g] = h
-        comp.append(row)
-    ident = [index.get((x, x, unit(x)), -1) for x in range(len(objects))]
-    return FinCategory._of_ids(objects, arrows, src, dst, ident, comp)
+    return C
 
 
 # --- general constructions ----------------------------------------------------
@@ -498,10 +387,8 @@ def _subcategory(C: FinCategory, objs, keep_arrow):
     their order in C.
 
     Identities and composites are inherited from C, so keep_arrow must pass
-    identities and be closed under composition.  A thin C gives a thin
-    subcategory, whose construction checks that closure on the kept
-    objects' up-sets; otherwise the composite rows of the kept arrows are
-    read off C's.
+    identities and be closed under composition; the subcategory's
+    construction checks that closure on the kept objects' up-sets.
     """
     new_obj = [-1] * len(C.objects)
     for n, x in enumerate(objs):
@@ -520,20 +407,17 @@ def _subcategory(C: FinCategory, objs, keep_arrow):
         [new_obj[src[a]] for a in kept],
         [new_obj[dst[a]] for a in kept],
         [new_arr[C._ident[x]] for x in objs],
-        None if C._comp is None else [
-            {new_arr[g]: new_arr[h] for g, h in C._comp[f].items() if new_arr[g] >= 0}
-            for f in kept
-        ],
     )
     return S, kept
 
 
 def find_terminal(C: FinCategory):
     """The terminal object if one exists, else None: the first object with
-    exactly one arrow from every object."""
+    as many arrows into it as there are objects, which C, being thin, has
+    one from each object."""
     n = len(C.objects)
     for x, arrows in enumerate(C._into):
-        if len(arrows) == n and len({C._src[a] for a in arrows}) == n:
+        if len(arrows) == n:
             return C.objects[x]
     return None
 
@@ -962,17 +846,12 @@ def fiber_adjoint_report(F: FinFunctor, target) -> FiberAdjointReport:
 # --- nerves and homology ---------------------------------------------------------
 
 def _require_loop_free(C: FinCategory):
-    """Raise unless the only endomorphisms are identities and no two
-    objects have arrows both ways; the hom index answers the second."""
-    src, dst, ident = C._src, C._dst, C._ident
-    for a, (x, y) in enumerate(zip(src, dst)):
-        if x == y and ident[x] != a:
-            raise CategoryError(
-                f"not loop-free: nonidentity endomorphism at {C.objects[x]}"
-            )
-    hom = C._at if C._comp is None else C._hom
-    for x, y in zip(src, dst):
-        if x != y and (y, x) in hom:
+    """Raise unless no two objects have arrows both ways, read off the hom
+    index.  C is thin, so the one endomorphism of each object is its
+    identity."""
+    at = C._at
+    for x, y in zip(C._src, C._dst):
+        if x != y and (y, x) in at:
             raise CategoryError(
                 f"not loop-free: arrows both ways between {C.objects[x]}"
                 f" and {C.objects[y]}"
@@ -1008,8 +887,7 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     _require_loop_free(C)
-    src, dst, comp = C._src, C._dst, C._comp
-    at = C._at if comp is None else None
+    src, dst, at = C._src, C._dst, C._at
     nonid = [a for a, x in enumerate(src) if C._ident[x] != a]
     nonid_from = [[] for _ in C.objects]
     place = [0] * len(src)
@@ -1041,10 +919,9 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
             base = [start[r] for r in faces[j * width:(j + 1) * width]]
             tail = base.pop()
             for g in out:
-                h = comp[f][g] if at is None else at[src[f], dst[g]]
                 p = place[g]
                 rows += [ids[b + p] for b in base]
-                rows += (ids[tail + place[h]], j)
+                rows += (ids[tail + place[at[src[f], dst[g]]]], j)
                 children.append(g)
         last, start, place = children, first_child, pos
     return ChainComplex(tuple(dims), tuple(matrices))

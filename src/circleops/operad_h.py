@@ -36,7 +36,7 @@ from .circled import (
     validate_config,
     validated_profile,
 )
-from .kgraph import KElt, block_perm, k_compose, k_iota, k_leq, vertex_pairs
+from .kgraph import KElt, block_perm, vertex_pairs
 from .trees import LEAF, Leaf, Node
 from .trees import leaves as tree_leaves
 
@@ -393,35 +393,3 @@ def _white_sites(term):
         del walk  # it refers to itself: left alone, each call leaves a cycle
     ends[0] = len(ends)
     return sites, ends
-
-
-# --- the filtered extension ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class HatOperation:
-    """An operation tagged with a stage-two graph bounding its complexity."""
-
-    op: HOperation
-    kappa: KElt
-
-    def __post_init__(self):
-        if self.kappa.k != self.op.k:
-            raise ValueError(
-                f"tag arity {self.kappa.k} does not match operation arity {self.op.k}"
-            )
-        if any(l > 1 for l in self.kappa.labels):
-            raise ValueError("stage-two edge labels must be 0 or 1")
-        if not k_leq(complexity(self.op), k_iota(self.kappa)):
-            raise ValueError("operation complexity exceeds the shifted tag")
-
-
-def hat_identity(t) -> HatOperation:
-    return HatOperation(identity_op(t), KElt(1, (), (1,)))
-
-
-def hat_compose(h: HatOperation, inners) -> HatOperation:
-    inners = tuple(inners)
-    return HatOperation(
-        compose(h.op, tuple(x.op for x in inners)),
-        k_compose(h.kappa, tuple(x.kappa for x in inners)),
-    )

@@ -9,9 +9,10 @@ the Smith normal form gained its unit-pivot phase, and recorded again, with
 the stage-3 poset at k=3 added, before homology gained clearing.  Invariant
 factors are unique, so it must never move.
 The `CATTOP_SHA256` values were recorded before `FinCategory` was given its
-integer core: the objects, arrows, identities and composition tables of the
-categories, every entry of their nerve boundaries, and the deletion functors
-and fiber reports, all as codec text in the order the library returns them.
+integer core: the objects, arrows and identities of the categories and the
+composite of each composable pair (their `table` view), every entry of
+their nerve boundaries, and the deletion functors and fiber reports, all as
+codec text in the order the library returns them.
 The `CLI_SHA256` values were recorded before the result cache was removed:
 exit code, stdout and stderr of the README's CLI commands, of every `verify`
 suite at two seeds in both formats, and of two usage errors.  The two arity

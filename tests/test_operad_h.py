@@ -35,15 +35,12 @@ from circleops.kgraph import (
     kelt_relabel,
 )
 from circleops.operad_h import (
-    HatOperation,
     HOperation,
     associativity_sides,
     complexity,
     compose,
     compose_terms,
     equivariance_sides,
-    hat_compose,
-    hat_identity,
     identity_op,
     operations,
     reduce_term,
@@ -452,62 +449,84 @@ def test_composition_never_exceeds_composite_complexity():
         assert k_leq(complexity(compose(o, args)), bound)
 
 
-# --- the tagged extension ------------------------------------------------------------
+# --- stage-two tags bounding complexity, as build_hat_comma pairs them ------------
 
-def test_hat_operation_checks_the_bound():
-    stacked = HOperation(parse_config("{w1 | / {w2 | / |}}"))
-    assert HatOperation(stacked, KElt(2, (0,), (1, 2)))
-    with pytest.raises(ValueError):
-        HatOperation(stacked, KElt(2, (0,), (2, 1)))
-    conc = HOperation(parse_config("{w2 {w1 | / |} / |}"))
-    assert HatOperation(conc, KElt(2, (1,), (2, 1)))
-    with pytest.raises(ValueError):
-        HatOperation(conc, KElt(2, (1,), (1, 2)))
-    with pytest.raises(ValueError):
-        HatOperation(conc, KElt(2, (2,), (2, 1)))
-    with pytest.raises(ValueError):
-        HatOperation(conc, KElt(1, (), (1,)))
+UNIT_TAG = KElt(1, (), (1,))
+
+
+def tags(o):
+    """The stage-two tags of o: those of its arity whose shift bounds its
+    complexity."""
+    return [kappa for kappa in k_enumerate(2, o.k)
+            if k_leq(complexity(o), k_iota(kappa))]
+
+
+def assert_tag(o, kappa):
+    assert kappa.k == o.k
+    assert all(label <= 1 for label in kappa.labels)
+    assert k_leq(complexity(o), k_iota(kappa))
+
+
+def tagged_composite(o, kappa, inners):
+    """compose of o with the operations of the (operation, tag) pairs
+    inners, and k_compose of kappa with their tags; every tag is checked
+    to tag its operation, the composite's too."""
+    for p, tag in ((o, kappa), *inners):
+        assert_tag(p, tag)
+    got = compose(o, tuple(p for p, _ in inners))
+    tag = k_compose(kappa, tuple(tag for _, tag in inners))
+    assert_tag(got, tag)
+    return got, tag
+
+
+STACKED = "{w1 | / {w2 | / |}}"
+CONCENTRIC = "{w2 {w1 | / |} / |}"
 
 
 def test_hat_tags_per_operation():
+    # a stacked and a nested pair, each against tags that do and do not bound
+    # it; a tag of another arity or stage is never one of them
+    stacked = HOperation(parse_config(STACKED))
+    assert KElt(2, (0,), (1, 2)) in tags(stacked)
+    assert KElt(2, (0,), (2, 1)) not in tags(stacked)
+    conc = HOperation(parse_config(CONCENTRIC))
+    assert KElt(2, (1,), (2, 1)) in tags(conc)
+    for kappa in (KElt(2, (1,), (1, 2)), KElt(2, (2,), (2, 1)), UNIT_TAG):
+        assert kappa not in tags(conc)
     for o in tiny_ops():
-        tags = [kappa for kappa in k_enumerate(2, o.k)
-                if k_leq(complexity(o), k_iota(kappa))]
-        assert tags, str(o)
-        for kappa in tags:
-            HatOperation(o, kappa)
+        assert tags(o), str(o)
+        for kappa in tags(o):
+            assert_tag(o, kappa)
 
 
 def test_hat_compose():
-    conc = HOperation(parse_config("{w2 {w1 | / |} / |}"))
-    h = HatOperation(conc, KElt(2, (1,), (2, 1)))
-    u = hat_identity(LEAF)
-    same = hat_compose(h, (u, hat_identity(node(LEAF))))
-    assert same.op == conc and same.kappa == h.kappa
-    inner = HatOperation(
-        HOperation(parse_config("{w1 | / (|)}")), KElt(1, (), (1,)))
-    got = hat_compose(h, (u, inner))
-    assert str(got.op.term) == "{w2 | / {w1 | / |}}"
-    assert got.kappa == KElt(2, (1,), (2, 1))
+    def unit(t):
+        return identity_op(t), UNIT_TAG
+
+    for text, kappa in ((STACKED, KElt(2, (0,), (1, 2))),
+                        (CONCENTRIC, KElt(2, (1,), (2, 1)))):
+        o = HOperation(parse_config(text))
+        assert tagged_composite(o, kappa, [unit(s) for s in o.sources]) == (o, kappa)
+    conc = HOperation(parse_config(CONCENTRIC))
+    inner = HOperation(parse_config("{w1 | / (|)}"))
+    got, tag = tagged_composite(
+        conc, KElt(2, (1,), (2, 1)), [unit(LEAF), (inner, UNIT_TAG)])
+    assert str(got.term) == "{w2 | / {w1 | / |}}"
+    assert tag == KElt(2, (1,), (2, 1))
 
 
 def test_hat_compose_randomized_keeps_invariant():
-    count = 0
     for i in range(150):
         rng = random.Random(8000 + i)
         o = random_op(rng, TREES[i % len(TREES)], 1 + i % 2)
-        tags = [kappa for kappa in k_enumerate(2, o.k)
-                if k_leq(complexity(o), k_iota(kappa))]
-        h = HatOperation(o, tags[rng.randrange(len(tags))])
+        ts = tags(o)
+        kappa = ts[rng.randrange(len(ts))]
         inners = []
         for s in o.sources:
             p = random_op(rng, s, 1 + rng.randrange(2))
-            ptags = [kappa for kappa in k_enumerate(2, p.k)
-                     if k_leq(complexity(p), k_iota(kappa))]
-            inners.append(HatOperation(p, ptags[rng.randrange(len(ptags))]))
-        hat_compose(h, tuple(inners))
-        count += 1
-    assert count == 150
+            ps = tags(p)
+            inners.append((p, ps[rng.randrange(len(ps))]))
+        tagged_composite(o, kappa, inners)
 
 
 def test_profile_and_complexity_leave_no_cyclic_garbage():
