@@ -483,7 +483,7 @@ STACKED = "{w1 | / {w2 | / |}}"
 CONCENTRIC = "{w2 {w1 | / |} / |}"
 
 
-def test_hat_tags_per_operation():
+def test_hat_operation_checks_the_bound():
     # a stacked and a nested pair, each against tags that do and do not bound
     # it; a tag of another arity or stage is never one of them
     stacked = HOperation(parse_config(STACKED))
@@ -493,6 +493,9 @@ def test_hat_tags_per_operation():
     assert KElt(2, (1,), (2, 1)) in tags(conc)
     for kappa in (KElt(2, (1,), (1, 2)), KElt(2, (2,), (2, 1)), UNIT_TAG):
         assert kappa not in tags(conc)
+
+
+def test_hat_tags_per_operation():
     for o in tiny_ops():
         assert tags(o), str(o)
         for kappa in tags(o):
