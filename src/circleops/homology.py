@@ -101,10 +101,18 @@ class IntMatrix:
                     )
                 if v == 0:
                     raise HomologyError(f"explicit zero stored at ({i},{j})")
-        for j, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
-            if len(set(rows[lo:hi])) < hi - lo:
-                i = next(i for i in rows[lo:hi] if rows[lo:hi].count(i) > 1)
-                raise HomologyError(f"duplicate entry at ({i},{j})")
+        # Columns of one width w, as nerve writes them: place a of every
+        # column is the slice rows[a::w], and a row repeats in some column
+        # only if two places agree there.  Any clash, or pointers of other
+        # shapes, go through the loop, which names the first duplicate.
+        w = ptr.step if isinstance(ptr, range) and ncols else 0
+        places = [rows[a::w] for a in range(w)]
+        if not w or any(any(map(eq, places[a], places[b]))
+                        for a in range(w) for b in range(a + 1, w)):
+            for j, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
+                if len(set(rows[lo:hi])) < hi - lo:
+                    i = next(i for i in rows[lo:hi] if rows[lo:hi].count(i) > 1)
+                    raise HomologyError(f"duplicate entry at ({i},{j})")
         m = object.__new__(cls)
         m._set(nrows, ncols, ptr, rows, vals)
         return m
@@ -209,8 +217,11 @@ def smith_invariants(m: IntMatrix) -> tuple:
     left.  The remainder, typically small for the near-unimodular matrices
     produced by nerves, goes through a Euclidean loop that pivots on a
     smallest entry with low fill, and gcd/lcm swaps on the resulting
-    diagonal restore divisibility.  ``homology`` runs the same reduction
-    with clearing.
+    diagonal restore divisibility.  A matrix with one +1 and one -1 in
+    every column, the incidence matrix of a directed graph such as a
+    nerve's d_1, skips both phases: a spanning forest of the graph gives
+    its rank, and its factors are all 1.  ``homology`` runs the same
+    reduction with clearing.
     """
     return _smith_reduce(m, (), ())[0]
 
@@ -225,7 +236,15 @@ def _smith_reduce(m: IntMatrix, cleared_cols, cleared_rows) -> tuple:
     up.  The row dicts and column sets are read straight off m's columns.
     The unit phase updates them inline, as it makes most of the entry
     updates.
+
+    A matrix whose every column is one +1 and one -1, as nerve writes d_1,
+    is the incidence matrix of a directed graph on the rows.  Without
+    cleared rows it goes to ``_spanning_forest`` instead, which reports the
+    edges of a spanning forest as its pivots; ``homology`` clears with them
+    as with unit-phase pivots.
     """
+    if not cleared_rows and _sign_pattern(m) in ([1, -1], [-1, 1]):
+        return _spanning_forest(m, cleared_cols)
     cleared_cols = set(cleared_cols)
     cleared_rows = set(cleared_rows)
     rows: dict = {}
@@ -350,6 +369,40 @@ def _smith_reduce(m: IntMatrix, cleared_cols, cleared_rows) -> tuple:
     return (1,) * ones + tuple(sorted(rest)), tuple(pivot_rows), tuple(pivot_cols)
 
 
+def _spanning_forest(m: IntMatrix, cleared_cols) -> tuple:
+    """``_smith_reduce`` of the incidence matrix m of a directed graph on
+    its rows, without the columns in cleared_cols.
+
+    One union-find over the rows takes the columns in order.  A column that
+    joins two trees is a pivot: its pivot row is the root it absorbs.  A
+    directed incidence matrix is totally unimodular (Schrijver 1986,
+    section 19), so every invariant factor is 1 and the rank is the number
+    of rows less the number of trees, the pivot count.  The pivot rows are
+    every row of a tree but its last root, so the pivot block is the
+    forest's incidence matrix without one row per tree, which is
+    unimodular: what clearing needs of unit-phase pivots.
+    """
+    cleared = set(cleared_cols)
+    parent = list(range(m.nrows))
+    pivot_rows = []
+    pivot_cols = []
+    most = m.nrows - 1
+    for j, a, b in zip(range(m.ncols), m.rows[::2], m.rows[1::2]):
+        if j in cleared:
+            continue
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            pivot_rows.append(a)
+            pivot_cols.append(j)
+            if len(pivot_cols) == most:
+                break  # one tree spans every row
+    return (1,) * len(pivot_cols), tuple(pivot_rows), tuple(pivot_cols)
+
+
 @dataclass(frozen=True)
 class ChainComplex:
     """dims[n] chain ranks plus boundary matrices dims[n] x dims[n+1]."""
@@ -429,7 +482,11 @@ def homology(cx: ChainComplex) -> HomologyResult:
     adds pivot rows to rows not yet pivoted, so after its row operations the
     block on R x C is triangular with +-1 on the diagonal, and on the rows R
     those operations are unitriangular; so the block of the boundary itself
-    is unimodular.
+    is unimodular.  A graph boundary reduced by its spanning forest has no
+    row operations at all: R is every vertex of a tree of the forest but one
+    root per tree, and C is the forest's edges, so the block is the forest's
+    incidence matrix without one row per tree, a block diagonal of reduced
+    tree incidence matrices, each of determinant +-1.
 
     - Top down, with that block in d_(n+1): the boundaries of the chains C,
       together with the basis n-chains outside R, form a basis of C_n, and

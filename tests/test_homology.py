@@ -6,14 +6,17 @@ gcd-of-minors characterization on small matrices, and known diagonals
 scrambled by unimodular operations on larger ones.  Known complexes with
 torsion pin the homology conventions.  Homology with clearing is checked
 against the same groups read off each boundary's own Smith normal form, and
-against seeded complexes whose homology is known by construction.
+against seeded complexes whose homology is known by construction.  Graph
+boundaries, which go to the spanning-forest path, are checked against
+component counts from a breadth-first search and against the determinant of
+their pivot block.
 """
 
 import importlib
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, prod
 from pathlib import Path
 
@@ -640,3 +643,145 @@ def test_only_unit_phase_pivots_clear():
     assert reduce(m, (), ()) == ((1,), (1,), (0,))
     # a cleared row is not read
     assert reduce(m, (), (1,)) == ((2,), (), ())
+
+
+# --- graph boundaries -------------------------------------------------------------
+
+
+def bfs_components(nrows, edges):
+    """Connected components of the graph on range(nrows) with these edges."""
+    adjacent = [[] for _ in range(nrows)]
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen = [False] * nrows
+    count = 0
+    for s in range(nrows):
+        if seen[s]:
+            continue
+        count += 1
+        seen[s] = True
+        queue = [s]
+        for v in queue:
+            for u in adjacent[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+    return count
+
+
+def bareiss_det(rows):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [row[:] for row in rows]
+    n, sign, previous = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def pivot_block_is_unimodular(m, pivot_rows, pivot_cols):
+    full = dense(m)
+    return abs(bareiss_det([[full[i][j] for j in pivot_cols]
+                            for i in pivot_rows])) == 1
+
+
+def random_digraph(rng):
+    """A loop-free directed graph as a width-2 boundary, with its edges and
+    some cleared columns.  Vertices fall into a few groups and edges stay
+    inside one, so there are several components; some vertices get no
+    edge.  Parallel and opposite edges may repeat."""
+    nrows = rng.randint(2, 16)
+    group = [rng.randrange(rng.randint(1, 4)) for _ in range(nrows)]
+    members = {}
+    for v, g in enumerate(group):
+        members.setdefault(g, []).append(v)
+    pools = [vs for vs in members.values() if len(vs) > 1]
+    if not pools:
+        pools = [[0, 1]]
+    edges = [tuple(rng.sample(rng.choice(pools), 2))
+             for _ in range(rng.randint(1, 2 * nrows))]
+    pattern = rng.choice(((1, -1), (-1, 1)))
+    cleared = tuple(sorted(rng.sample(range(len(edges)),
+                                      rng.randint(0, len(edges) // 3))))
+    return uniform(nrows, 2, [list(e) for e in edges], pattern), edges, cleared
+
+
+def test_graph_boundaries_reduce_by_a_spanning_forest(monkeypatch):
+    forests = []
+    spanning_forest = homology_module._spanning_forest
+
+    def recording(m, cleared_cols):
+        forests.append(m)
+        return spanning_forest(m, cleared_cols)
+
+    monkeypatch.setattr(homology_module, "_spanning_forest", recording)
+    reduce = homology_module._smith_reduce
+    rng = random.Random(20261021)
+    patterns, isolated, forked, clearing = set(), 0, 0, 0
+    for _ in range(200):
+        m, edges, cleared = random_digraph(rng)
+        patterns.add(tuple(homology_module._sign_pattern(m)))
+        kept = [e for j, e in enumerate(edges) if j not in cleared]
+        alone = len(set(range(m.nrows)) - set(chain(*kept)))
+        components = bfs_components(m.nrows, kept)
+        isolated += alone
+        forked += components - alone > 1
+        clearing += bool(cleared)
+        forests.clear()
+        factors, pivot_rows, pivot_cols = reduce(m, cleared, ())
+        assert forests == [m]
+        rank = m.nrows - components
+        assert factors == (1,) * rank
+        assert len(set(pivot_rows)) == len(set(pivot_cols)) == rank
+        assert not set(pivot_cols) & set(cleared)
+        assert pivot_block_is_unimodular(m, pivot_rows, pivot_cols)
+    # both sign orders, isolated vertices, two components with edges, and
+    # cleared columns all occur
+    assert patterns == {(1, -1), (-1, 1)} and isolated and forked and clearing
+
+
+def test_graph_boundaries_off_the_forest_path(monkeypatch):
+    def refuse(m, cleared_cols):
+        raise AssertionError("took the forest path")
+
+    monkeypatch.setattr(homology_module, "_spanning_forest", refuse)
+    # every edge of a triangle signed +1 is not an incidence matrix
+    triangle = uniform(3, 2, [[0, 1], [1, 2], [0, 2]], (1, 1))
+    assert homology_module._sign_pattern(triangle) == [1, 1]
+    assert smith_invariants(triangle) == (1, 1, 2)
+    # the path 0 -> 1 -> 2 without rows 0 and 2 is row 1 alone, of rank 1
+    path = uniform(3, 2, [[1, 0], [2, 1]], (1, -1))
+    reduce = homology_module._smith_reduce
+    assert reduce(path, (), (0, 2)) == ((1,), (1,), (0,))
+    assert reduce(path, (1,), (0,)) == ((1,), (1,), (0,))
+
+
+def test_a_pivot_closing_a_cycle_fails_the_determinant_check():
+    # 0 -> 1 -> 2 -> 0 and 2 -> 3: the forest takes columns 0, 1 and 3
+    m = uniform(4, 2, [[1, 0], [2, 1], [0, 2], [3, 2]], (1, -1))
+    factors, pivot_rows, pivot_cols = homology_module._smith_reduce(m, (), ())
+    assert factors == (1, 1, 1) and pivot_cols == (0, 1, 3)
+    assert pivot_block_is_unimodular(m, pivot_rows, pivot_cols)
+    # column 2 closes the cycle 0 1 2, so it is no forest edge
+    assert not pivot_block_is_unimodular(m, pivot_rows, (0, 1, 2))
+
+
+def test_strided_duplicate_check_names_the_first_duplicate():
+    rows = list(range(30))
+    rows[15], rows[17] = 4, 4  # places 0 and 2 of column 5
+    vals = [1, -1, 1] * 10
+    for ptr in (range(0, 31, 3), list(range(0, 31, 3))):
+        with pytest.raises(HomologyError, match=r"^duplicate entry at \(4,5\)$"):
+            IntMatrix._of_columns(30, 10, ptr, rows, vals)
+    rows[17] = 17
+    m = IntMatrix._of_columns(30, 10, range(0, 31, 3), rows, vals)
+    assert m == IntMatrix._of_columns(30, 10, list(range(0, 31, 3)), rows, vals)
