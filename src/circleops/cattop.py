@@ -145,11 +145,6 @@ class FinCategory:
     def _into(self) -> list:
         return _outgoing(len(self.objects), self._dst)
 
-    def _homset(self, x: int, y: int):
-        """The ids of the arrows x -> y: none or one, read off _at."""
-        a = self._at.get((x, y))
-        return () if a is None else (a,)
-
     def _composite(self, f: int, g: int) -> int:
         """The id of g after f, for arrow ids f and g that compose."""
         return self._at[self._src[f], self._dst[g]]
@@ -427,25 +422,24 @@ def _comma(F: FinFunctor, z: int, side: str):
     fiber_inclusion describes it: returns the category, its object ids by
     (w, g) pair and the domain arrow id labelling each of its arrows."""
     A, B = F.dom, F.cod
-    omap, amap, homset = F._omap, F._amap, B._homset
     under = side == "under"
-
-    def legs(w):
-        return homset(z, omap[w]) if under else homset(omap[w], z)
-
-    pairs = [(w, g) for w in range(len(A.objects)) for g in legs(w)]
+    # the arrow z -> F(w) under, F(w) -> z over, or None, for each w
+    legs = [B._at.get((z, y) if under else (y, z)) for y in F._omap]
+    pairs = [(w, g) for w, g in enumerate(legs) if g is not None]
     pair_id = {p: n for n, p in enumerate(pairs)}
     src, dst, labels = [], [], []
     for m, (s, t) in enumerate(zip(A._src, A._dst)):
-        fm = amap[m]
-        for g in legs(s if under else t):
-            if under:
-                src.append(pair_id[(s, g)])
-                dst.append(pair_id[(t, B._composite(g, fm))])
-            else:
-                src.append(pair_id[(s, B._composite(fm, g))])
-                dst.append(pair_id[(t, g)])
-            labels.append(m)
+        g = legs[s if under else t]
+        if g is None:
+            continue
+        fm = F._amap[m]
+        if under:
+            src.append(pair_id[(s, g)])
+            dst.append(pair_id[(t, B._composite(g, fm))])
+        else:
+            src.append(pair_id[(s, B._composite(fm, g))])
+            dst.append(pair_id[(t, g)])
+        labels.append(m)
     K = _labelled(
         tuple((A.objects[w], B.arrows[g]) for w, g in pairs),
         src, dst, labels, A.arrows.__getitem__,
@@ -477,7 +471,8 @@ def fiber_inclusion(F: FinFunctor, z, side: str) -> FinFunctor:
     K, pair_id, labels = _comma(F, z, side)
     omap = [pair_id.get((x, id_z), -1) for x in objs]
     amap = [
-        next((b for b in K._homset(omap[s], omap[t]) if labels[b] == u), -1)
+        b if (b := K._at.get((omap[s], omap[t]))) is not None
+        and labels[b] == u else -1
         for s, t, u in zip(fib._src, fib._dst, kept)
     ]
     return FinFunctor._of_ids(fib, K, omap, amap)
@@ -553,7 +548,8 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
 
 def _matching_arrow(C: FinCategory, s: int, t: int, a: Arrow) -> int:
     """The id of the arrow s -> t of C equal to the payload a, or -1."""
-    return next((b for b in C._homset(s, t) if C.arrows[b] == a), -1)
+    b = C._at.get((s, t))
+    return b if b is not None and C.arrows[b] == a else -1
 
 
 def _inclusion(dom: FinCategory, cod: FinCategory) -> FinFunctor:
@@ -868,10 +864,10 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
     in the order of the string without its last arrow, then of that last
     arrow among the arrows out of its source.
 
-    No string is held.  Each boundary is stored as compressed columns: the
-    column of an n-chain is the rows of its n+1 faces, appended to one flat
-    list, with the same signs in every column.  An n-chain is known by its
-    last arrow and its column, and that is enough to write the next
+    No string is held.  Each boundary is one flat list of face rows, the
+    column of an n-chain being the rows of its n+1 faces in face order,
+    which ``IntMatrix._of_faces`` signs and checks.  An n-chain is known by
+    its last arrow and its column, and that is enough to write the next
     boundary.  The children of an (n-1)-chain q are numbered from start[q]
     on, each at start[q] + place[g] for its last arrow g, so for an n-chain
     c with faces r_0..r_n and an arrow g out of its last target, the
@@ -882,7 +878,7 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
     start is 0 on every object and place[g] is g's place among the
     nonidentity arrows.  Each level is dropped once the next boundary is
     written.  Loop-free: the objects of a chain are distinct, so its faces
-    are distinct rows, which IntMatrix checks.
+    are distinct rows, which ``_of_faces`` checks.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -904,7 +900,7 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
     last, start = nonid, [0] * len(C.objects)
     for n in range(1, max_dim + 1):
         dims.append(len(last))
-        matrices.append(_face_columns(dims[n - 1], n + 1, rows))
+        matrices.append(IntMatrix._of_faces(dims[n - 1], n + 1, rows))
         if n == max_dim:
             break
         faces, width = rows, n + 1
@@ -925,16 +921,6 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
                 children.append(g)
         last, start, place = children, first_child, pos
     return ChainComplex(tuple(dims), tuple(matrices))
-
-
-def _face_columns(nrows: int, width: int, rows: list) -> IntMatrix:
-    """The boundary whose columns are rows cut width at a time, each
-    signed +1, -1, +1, ... in face order."""
-    ncols = len(rows) // width
-    signs = [(-1) ** i for i in range(width)]
-    return IntMatrix._of_columns(
-        nrows, ncols, range(0, len(rows) + 1, width), rows, signs * ncols
-    )
 
 
 def nerve_homology(C: FinCategory, max_dim: int = 3) -> HomologyResult:

@@ -6,6 +6,12 @@ live over Python's unbounded integers; ranks and torsion coefficients come
 out of a pivoting Smith normal form reduction, so every reported group is
 exact.  Floating point is never used.
 
+A nerve's boundaries share one face layout, every column w rows signed
++1, -1, +1, ... in face order.  Only ``IntMatrix._of_faces`` builds it and
+records w as ``width``, which the d-squared check and the Smith normal form
+read for their fast paths; a matrix built from entries has width 0 and
+takes the generic paths, which are exact.
+
 Degree conventions: a complex stores ``dims[n]``, the rank of the free group
 of n-chains, and ``boundaries[n]``, the matrix of the boundary map from
 (n+1)-chains to n-chains.  Composites of consecutive boundaries are checked
@@ -21,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, cycle, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd
-from operator import eq, gt, ne, sub
+from operator import eq, ne, sub
 
 
 class HomologyError(ValueError):
@@ -36,13 +42,13 @@ class IntMatrix:
 
     Column j holds the rows ``rows[ptr[j]:ptr[j+1]]`` with the values
     ``vals[ptr[j]:ptr[j+1]]``, every value nonzero, every row inside the
-    shape and none twice in one column; within a column the rows may come
-    in any order.  ``IntMatrix(nrows, ncols, entries)`` takes the entries as
-    ((row, col), value) pairs whose positions are strictly increasing in
-    row-major order, which also rules out duplicates; ``_of_columns`` takes
-    the three lists as they are, as ``nerve`` writes them.  ``entries`` is
-    derived: the ((row, col), value) pairs in row-major order, which is how
-    two matrices compare.
+    shape and none twice in one column.  ``IntMatrix(nrows, ncols, entries)``
+    takes ((row, col), value) pairs strictly increasing in row-major order
+    and records ``width`` 0, even for a nerve's shape; ``_of_faces`` takes
+    the face rows of simplices and records their count w, every column then
+    holding w rows signed +1, -1, +1, ... in face order.  Only a nonzero
+    width opens the fast paths.  ``entries`` is derived, the pairs in
+    row-major order, and is how two matrices compare and hash.
     """
 
     nrows: int
@@ -50,6 +56,7 @@ class IntMatrix:
     ptr: object
     rows: list
     vals: list
+    width: int
 
     def __init__(self, nrows: int, ncols: int, entries):
         if nrows < 0 or ncols < 0:
@@ -74,47 +81,44 @@ class IntMatrix:
             col_vals[j].append(v)
         self._set(nrows, ncols, [0, *accumulate(map(len, col_rows))],
                   list(chain.from_iterable(col_rows)),
-                  list(chain.from_iterable(col_vals)))
+                  list(chain.from_iterable(col_vals)), 0)
 
-    def _set(self, nrows, ncols, ptr, rows, vals):
+    def _set(self, nrows, ncols, ptr, rows, vals, width):
         # frozen: the fields are written past __setattr__, once
         self.__dict__.update(nrows=nrows, ncols=ncols, ptr=ptr, rows=rows,
-                             vals=vals)
+                             vals=vals, width=width)
 
     @classmethod
-    def _of_columns(cls, nrows: int, ncols: int, ptr, rows, vals) -> IntMatrix:
-        """The matrix with these compressed columns, checked as they are."""
-        if nrows < 0 or ncols < 0:
+    def _of_faces(cls, nrows: int, width: int, rows: list) -> IntMatrix:
+        """The boundary whose column j is ``rows[j*width:(j+1)*width]``,
+        the row at place i signed (-1)^i, as face i of a simplex is.
+        Place a of every column is the slice ``rows[a::width]``: a row
+        repeats in a column only if two places agree there, and only then
+        does a loop run over the columns to name the first duplicate.
+        """
+        if nrows < 0:
             raise HomologyError("matrix dimensions must be nonnegative")
-        if (len(ptr) != ncols + 1 or ptr[0] != 0 or ptr[-1] != len(rows)
-                or len(vals) != len(rows) or any(map(gt, ptr, ptr[1:]))):
+        if width < 1 or len(rows) % width:
             raise HomologyError(
-                f"malformed column pointers for {ncols} columns"
-                f" of {len(rows)} entries"
+                f"{len(rows)} rows do not fill columns of width {width}"
             )
-        in_range = 0 <= min(rows, default=0) and max(rows, default=-1) < nrows
-        if not in_range or 0 in vals:
-            for (i, j), v in zip(zip(rows, _column_numbers(ptr)), vals):
-                if not 0 <= i < nrows:
-                    raise HomologyError(
-                        f"entry ({i},{j}) outside a {nrows}x{ncols} matrix"
-                    )
-                if v == 0:
-                    raise HomologyError(f"explicit zero stored at ({i},{j})")
-        # Columns of one width w, as nerve writes them: place a of every
-        # column is the slice rows[a::w], and a row repeats in some column
-        # only if two places agree there.  Any clash, or pointers of other
-        # shapes, go through the loop, which names the first duplicate.
-        w = ptr.step if isinstance(ptr, range) and ncols else 0
-        places = [rows[a::w] for a in range(w)]
-        if not w or any(any(map(eq, places[a], places[b]))
-                        for a in range(w) for b in range(a + 1, w)):
-            for j, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
-                if len(set(rows[lo:hi])) < hi - lo:
-                    i = next(i for i in rows[lo:hi] if rows[lo:hi].count(i) > 1)
+        ncols = len(rows) // width
+        if not (0 <= min(rows, default=0) and max(rows, default=-1) < nrows):
+            i, k = next((i, k) for k, i in enumerate(rows) if not 0 <= i < nrows)
+            raise HomologyError(
+                f"entry ({i},{k // width}) outside a {nrows}x{ncols} matrix"
+            )
+        places = [rows[a::width] for a in range(width)]
+        if any(any(map(eq, places[a], places[b]))
+               for a in range(width) for b in range(a + 1, width)):
+            for j in range(ncols):
+                col = rows[j * width:(j + 1) * width]
+                if len(set(col)) < width:
+                    i = next(i for i in col if col.count(i) > 1)
                     raise HomologyError(f"duplicate entry at ({i},{j})")
         m = object.__new__(cls)
-        m._set(nrows, ncols, ptr, rows, vals)
+        m._set(nrows, ncols, range(0, len(rows) + 1, width), rows,
+               [(-1) ** i for i in range(width)] * ncols, width)
         return m
 
     @property
@@ -147,47 +151,29 @@ def matrix_from_dict(nrows: int, ncols: int, entries) -> IntMatrix:
     return IntMatrix(nrows, ncols, cleaned)
 
 
-def _sign_pattern(m: IntMatrix):
-    """The values of m's first column, when every column has that many
-    entries and those values in that order, as nerve writes them; else
-    None."""
-    if not m.ncols:
-        return None
-    w = m.ptr[1]
-    if not w or len(m.rows) != w * m.ncols or not all(
-        map(eq, m.ptr, range(0, len(m.rows) + 1, w))
-    ):
-        return None
-    pattern = m.vals[:w]
-    return pattern if all(map(eq, m.vals, cycle(pattern))) else None
-
-
 def _composite_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
     """Whether a times b is zero.
 
     Column l of the product sums w times a's column j over b's entries w at
-    (j, l).  When a's columns all have one width and one pattern of +-1
-    values, and so do b's, as nerve writes them, every term is a row with a
-    sign: the row at place t of a's column j, signed by a's value at t
-    times b's value at its place s.  Place t of every column of a is one
-    strided slice of a's rows, so the terms are read for all columns at
+    (j, l).  When ``_of_faces`` built both, every term is a row with a
+    sign: the row at place t of a's column j, signed by (-1)^t times
+    (-1)^s for j at place s of b's column.  Place t of every column of a is
+    one strided slice of a's rows, so the terms are read for all columns at
     once, and a column vanishes exactly when the rows met with + and those
     met with - are the same list once sorted.  Otherwise the sums go into
     one list indexed by row, one column of b at a time; when a column
     vanishes every slot it touched is back at zero, so the list is reused.
     """
-    pa, pb = _sign_pattern(a), _sign_pattern(b)
-    if pa and pb and set(pa + pb) <= {1, -1}:
-        places = [a.rows[t::len(pa)] for t in range(len(pa))]
-        terms = {1: [], -1: []}
-        for s, w in enumerate(pb):
-            js = b.rows[s::len(pb)]
-            for t, v in enumerate(pa):
-                terms[v * w].append(map(places[t].__getitem__, js))
-        if len(terms[1]) != len(terms[-1]):
-            return False
-        ups = map(sorted, zip(*terms[1]))
-        downs = map(sorted, zip(*terms[-1]))
+    if a.width and b.width:
+        places = [a.rows[t::a.width] for t in range(a.width)]
+        terms = ([], [])  # the + terms, then the - terms
+        for s in range(b.width):
+            js = b.rows[s::b.width]
+            for t in range(a.width):
+                terms[(s + t) % 2].append(map(places[t].__getitem__, js))
+        if len(terms[0]) != len(terms[1]):
+            return not b.ncols
+        ups, downs = (map(sorted, zip(*t)) for t in terms)
         return not any(map(ne, ups, downs))
     aptr, arows, avals = a.ptr, a.rows, a.vals
     bptr, brows, bvals = b.ptr, b.rows, b.vals
@@ -217,11 +203,11 @@ def smith_invariants(m: IntMatrix) -> tuple:
     left.  The remainder, typically small for the near-unimodular matrices
     produced by nerves, goes through a Euclidean loop that pivots on a
     smallest entry with low fill, and gcd/lcm swaps on the resulting
-    diagonal restore divisibility.  A matrix with one +1 and one -1 in
-    every column, the incidence matrix of a directed graph such as a
-    nerve's d_1, skips both phases: a spanning forest of the graph gives
-    its rank, and its factors are all 1.  ``homology`` runs the same
-    reduction with clearing.
+    diagonal restore divisibility.  A matrix of faces of width 2, one +1
+    and one -1 in every column as in a nerve's d_1, is the incidence
+    matrix of a directed graph and skips both phases: a spanning forest of
+    the graph gives its rank, and its factors are all 1.  ``homology``
+    runs the same reduction with clearing.
     """
     return _smith_reduce(m, (), ())[0]
 
@@ -237,13 +223,13 @@ def _smith_reduce(m: IntMatrix, cleared_cols, cleared_rows) -> tuple:
     The unit phase updates them inline, as it makes most of the entry
     updates.
 
-    A matrix whose every column is one +1 and one -1, as nerve writes d_1,
-    is the incidence matrix of a directed graph on the rows.  Without
-    cleared rows it goes to ``_spanning_forest`` instead, which reports the
-    edges of a spanning forest as its pivots; ``homology`` clears with them
-    as with unit-phase pivots.
+    A matrix of faces of width 2, as nerve writes d_1, is the incidence
+    matrix of a directed graph on the rows.  Without cleared rows it goes
+    to ``_spanning_forest`` instead, which reports the edges of a spanning
+    forest as its pivots; ``homology`` clears with them as with unit-phase
+    pivots.
     """
-    if not cleared_rows and _sign_pattern(m) in ([1, -1], [-1, 1]):
+    if m.width == 2 and not cleared_rows:
         return _spanning_forest(m, cleared_cols)
     cleared_cols = set(cleared_cols)
     cleared_rows = set(cleared_rows)

@@ -9,7 +9,8 @@ against the same groups read off each boundary's own Smith normal form, and
 against seeded complexes whose homology is known by construction.  Graph
 boundaries, which go to the spanning-forest path, are checked against
 component counts from a breadth-first search and against the determinant of
-their pivot block.
+their pivot block.  Every fast path taken by a face matrix is checked
+against its twin built from entries, which takes the generic paths.
 """
 
 import importlib
@@ -142,38 +143,44 @@ def test_matrix_validation():
         ((0, 1), 1), ((1, 0), 1))
 
 
-def test_column_constructor_rejects_malformed_columns():
-    of_columns = IntMatrix._of_columns
-    m = of_columns(3, 2, [0, 2, 3], [2, 0, 1], [1, -1, 1])
-    # rows within a column come in any order; entries are row-major
-    assert m.entries == (((0, 0), -1), ((1, 1), 1), ((2, 0), 1))
-    assert m == IntMatrix(3, 2, m.entries)
-    # a row may sit in two columns, not twice in one
-    of_columns(3, 2, [0, 2, 3], [2, 0, 2], [1, -1, 1])
-    with pytest.raises(HomologyError, match=r"duplicate entry at \(2,0\)"):
-        of_columns(3, 2, [0, 2, 3], [2, 2, 1], [1, -1, 1])
+def test_face_constructor_rejects_malformed_faces():
+    of_faces = IntMatrix._of_faces
+    m = of_faces(3, 2, [2, 0, 1, 2])
+    # column j is rows[2j:2j+2] signed +1, -1; entries are row-major, and a
+    # row may sit in two columns
+    assert (m.ncols, m.width, m.vals) == (2, 2, [1, -1, 1, -1])
+    assert m.entries == (((0, 0), -1), ((1, 1), 1), ((2, 0), 1), ((2, 1), -1))
+    # the width stays out of equality: the twin built from entries has 0
+    rebuilt = IntMatrix(3, 2, m.entries)
+    assert rebuilt.width == 0 and m == rebuilt and hash(m) == hash(rebuilt)
+    with pytest.raises(HomologyError, match=r"^duplicate entry at \(2,1\)$"):
+        of_faces(3, 2, [2, 0, 2, 2])
     with pytest.raises(HomologyError,
-                       match=r"entry \(3,1\) outside a 3x2 matrix"):
-        of_columns(3, 2, [0, 2, 3], [2, 0, 3], [1, -1, 1])
+                       match=r"^entry \(3,1\) outside a 3x2 matrix$"):
+        of_faces(3, 2, [2, 0, 1, 3])
     with pytest.raises(HomologyError,
-                       match=r"entry \(-1,0\) outside a 3x2 matrix"):
-        of_columns(3, 2, [0, 2, 3], [-1, 0, 1], [1, -1, 1])
-    with pytest.raises(HomologyError, match=r"explicit zero stored at \(1,1\)"):
-        of_columns(3, 2, [0, 2, 3], [2, 0, 1], [1, -1, 0])
+                       match=r"^entry \(-1,0\) outside a 3x2 matrix$"):
+        of_faces(3, 2, [-1, 0, 1, 2])
     with pytest.raises(HomologyError, match="matrix dimensions must be nonnegative"):
-        of_columns(-1, 0, [0], [], [])
-    # too few or too many pointers, a first pointer past 0, a last one short
-    # of the entries, a decreasing one, and values not matching the rows
-    for ptr, vals in (
-        ([0, 3], [1, -1, 1]),
-        ([0, 2, 3, 3], [1, -1, 1]),
-        ([1, 2, 3], [1, -1, 1]),
-        ([0, 1, 2], [1, -1, 1]),
-        ([0, 4, 3], [1, -1, 1]),
-        ([0, 2, 3], [1, -1]),
-    ):
-        with pytest.raises(HomologyError, match="malformed column pointers"):
-            of_columns(3, 2, ptr, [2, 0, 1], vals)
+        of_faces(-1, 2, [])
+    for width, rows in ((0, []), (-1, [0]), (2, [0, 1, 2])):
+        with pytest.raises(HomologyError, match=(
+                f"^{len(rows)} rows do not fill columns of width {width}$")):
+            of_faces(3, width, rows)
+    # no simplices: no columns, and the width is kept
+    empty = of_faces(0, 3, [])
+    assert (empty.nrows, empty.ncols, empty.width, empty.entries) == (0, 0, 3, ())
+
+
+def test_strided_face_check_names_the_first_duplicate():
+    rows = list(range(30))
+    rows[15], rows[17] = 4, 4  # places 0 and 2 of column 5
+    rows[27], rows[28] = 9, 9  # places 0 and 1 of column 9
+    with pytest.raises(HomologyError, match=r"^duplicate entry at \(4,5\)$"):
+        IntMatrix._of_faces(30, 3, rows)
+    rows[17], rows[28] = 17, 28
+    m = IntMatrix._of_faces(30, 3, rows)
+    assert m == IntMatrix(30, 10, m.entries)
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,37 +200,38 @@ def test_nerve_entries_round_trip():
         assert hash(rebuilt) == hash(b)
 
 
-def uniform(nrows, width, columns, pattern):
-    """Columns of one width and one sign pattern, as nerve writes them."""
-    rows = [i for col in columns for i in col]
-    return IntMatrix._of_columns(nrows, len(columns),
-                                 range(0, len(rows) + 1, width), rows,
-                                 list(pattern) * len(columns))
+def faces(nrows, width, columns):
+    """The boundary with these columns of face rows, as nerve writes it."""
+    return IntMatrix._of_faces(nrows, width, [i for col in columns for i in col])
+
+
+def twin(m):
+    """m built from its entries: width 0, so only the generic paths."""
+    return IntMatrix(m.nrows, m.ncols, m.entries)
 
 
 def test_composite_vanishes_on_both_branches():
     vanishes = homology_module._composite_vanishes
-    # +-1 branch: a's columns are e0 - e1 and e1 - e0, so b's column
-    # c0 - c1 gives 2 e0 - 2 e1, and c0 + c1 gives 0
-    a = uniform(2, 2, [[0, 1], [1, 0]], (1, -1))
-    b = uniform(2, 2, [[0, 1]], (1, -1))
-    assert homology_module._sign_pattern(a) == [1, -1]
-    assert not vanishes(a, b)
-    assert vanishes(a, uniform(2, 2, [[0, 1]], (1, 1)))
-    # more + terms than - terms in every column
-    assert not vanishes(uniform(2, 2, [[0, 1]], (1, 1)), uniform(1, 1, [[0]], (1,)))
-    # general branch: values other than +-1
+    # +-1 branch: the edges 0 -> 1, 1 -> 2 and 0 -> 2 of a triangle, face 0
+    # the target, and the triangle, whose faces are the edges 1 2, 0 2, 0 1
+    d1 = faces(3, 2, [[1, 0], [2, 1], [2, 0]])
+    assert vanishes(d1, faces(3, 3, [[1, 2, 0]]))
+    assert not vanishes(d1, faces(3, 3, [[2, 1, 0]]))
+    # more + terms than - terms in every column, unless there is no column
+    assert not vanishes(faces(2, 1, [[0]]), faces(1, 1, [[0]]))
+    assert vanishes(faces(2, 1, [[0]]), faces(1, 1, []))
+    # general branch: a face matrix times one built from entries, where
+    # e0 - e1 plus e1 - e0 is 0
+    a = faces(2, 2, [[0, 1], [1, 0]])
+    b = matrix_from_dict(2, 1, {(0, 0): 1, (1, 0): 1})
+    assert b.width == 0 and vanishes(a, b)
+    assert not vanishes(a, matrix_from_dict(2, 1, {(0, 0): 1}))
+    # values other than +-1
     a = matrix_from_dict(1, 2, {(0, 0): 2, (0, 1): 1})
     assert vanishes(a, matrix_from_dict(2, 1, {(0, 0): 1, (1, 0): -2}))
     assert not vanishes(a, matrix_from_dict(2, 1, {(0, 0): 1, (1, 0): -1}))
-    # one width but two sign patterns: e0 - e1 and e1 - e0 as rows [0, 1]
-    # with the values (1, -1) and (-1, 1) go the general way, and sum to 0
-    a = IntMatrix._of_columns(2, 2, range(0, 5, 2), [0, 1, 0, 1], [1, -1, -1, 1])
-    assert homology_module._sign_pattern(a) is None
-    assert vanishes(a, uniform(2, 2, [[0, 1]], (1, 1)))
-    # +-1 values whose columns differ in width go the general way too
+    # +-1 values in columns of different widths
     a = matrix_from_dict(2, 2, {(0, 0): 1, (1, 0): -1, (1, 1): 1})
-    assert homology_module._sign_pattern(a) is None
     assert not vanishes(a, matrix_from_dict(2, 1, {(0, 0): 1, (1, 0): 1}))
     assert vanishes(a, matrix_from_dict(2, 1, {}))
 
@@ -233,18 +241,30 @@ def test_composite_vanishes_on_both_branches():
 def test_sign_branch_agrees_with_the_dense_product(data):
     nrows, mid, width, bwidth = (data.draw(st.integers(1, 4)) for _ in range(4))
     width, bwidth = min(width, nrows), min(bwidth, mid)
-    ncols = data.draw(st.integers(1, 4))
+    ncols = data.draw(st.integers(0, 4))
 
     def columns(height, w, count):
         return [data.draw(st.permutations(range(height)))[:w] for _ in range(count)]
 
-    def pattern(w):
-        return [data.draw(st.sampled_from((1, -1))) for _ in range(w)]
-
-    a = uniform(nrows, width, columns(nrows, width, mid), pattern(width))
-    b = uniform(mid, bwidth, columns(mid, bwidth, ncols), pattern(bwidth))
+    a = faces(nrows, width, columns(nrows, width, mid))
+    b = faces(mid, bwidth, columns(mid, bwidth, ncols))
     zero = not any(map(any, dense_product(dense(a), dense(b))))
-    assert homology_module._composite_vanishes(a, b) == zero
+    # every pairing of the face matrices and their twins: the +-1 branch,
+    # the generic loop, and the loop on one of each
+    vanishes = homology_module._composite_vanishes
+    assert {vanishes(x, y) for x in (a, twin(a)) for y in (b, twin(b))} == {zero}
+
+
+def test_a_nerve_boundary_beside_a_generic_one_is_checked():
+    d1, d2 = nerve(poset_category(k_enumerate(2, 2), k_leq), 2).boundaries
+    dims = (d1.nrows, d1.ncols, d2.ncols)
+    assert homology(ChainComplex(dims, (d1, twin(d2)))) == homology(
+        ChainComplex(dims, (d1, d2)))
+    # the first arrow as a 2-chain's whole boundary
+    bad = matrix_from_dict(d1.ncols, 1, {(0, 0): 1})
+    with pytest.raises(HomologyError,
+                       match="boundary composite from degree 2 is nonzero"):
+        ChainComplex(dims[:2] + (1,), (d1, bad))
 
 
 def test_smith_known_values():
@@ -695,10 +715,10 @@ def pivot_block_is_unimodular(m, pivot_rows, pivot_cols):
 
 
 def random_digraph(rng):
-    """A loop-free directed graph as a width-2 boundary, with its edges and
-    some cleared columns.  Vertices fall into a few groups and edges stay
-    inside one, so there are several components; some vertices get no
-    edge.  Parallel and opposite edges may repeat."""
+    """A loop-free directed graph on range(nrows), with its edges and some
+    cleared columns.  Vertices fall into a few groups and edges stay inside
+    one, so there are several components; some vertices get no edge.
+    Parallel and opposite edges may repeat."""
     nrows = rng.randint(2, 16)
     group = [rng.randrange(rng.randint(1, 4)) for _ in range(nrows)]
     members = {}
@@ -709,10 +729,9 @@ def random_digraph(rng):
         pools = [[0, 1]]
     edges = [tuple(rng.sample(rng.choice(pools), 2))
              for _ in range(rng.randint(1, 2 * nrows))]
-    pattern = rng.choice(((1, -1), (-1, 1)))
     cleared = tuple(sorted(rng.sample(range(len(edges)),
                                       rng.randint(0, len(edges) // 3))))
-    return uniform(nrows, 2, [list(e) for e in edges], pattern), edges, cleared
+    return nrows, edges, cleared
 
 
 def test_graph_boundaries_reduce_by_a_spanning_forest(monkeypatch):
@@ -726,27 +745,33 @@ def test_graph_boundaries_reduce_by_a_spanning_forest(monkeypatch):
     monkeypatch.setattr(homology_module, "_spanning_forest", recording)
     reduce = homology_module._smith_reduce
     rng = random.Random(20261021)
-    patterns, isolated, forked, clearing = set(), 0, 0, 0
+    isolated, forked, clearing = 0, 0, 0
     for _ in range(200):
-        m, edges, cleared = random_digraph(rng)
-        patterns.add(tuple(homology_module._sign_pattern(m)))
+        nrows, edges, cleared = random_digraph(rng)
         kept = [e for j, e in enumerate(edges) if j not in cleared]
-        alone = len(set(range(m.nrows)) - set(chain(*kept)))
-        components = bfs_components(m.nrows, kept)
+        alone = len(set(range(nrows)) - set(chain(*kept)))
+        components = bfs_components(nrows, kept)
         isolated += alone
         forked += components - alone > 1
         clearing += bool(cleared)
-        forests.clear()
-        factors, pivot_rows, pivot_cols = reduce(m, cleared, ())
-        assert forests == [m]
-        rank = m.nrows - components
-        assert factors == (1,) * rank
-        assert len(set(pivot_rows)) == len(set(pivot_cols)) == rank
-        assert not set(pivot_cols) & set(cleared)
-        assert pivot_block_is_unimodular(m, pivot_rows, pivot_cols)
-    # both sign orders, isolated vertices, two components with edges, and
-    # cleared columns all occur
-    assert patterns == {(1, -1), (-1, 1)} and isolated and forked and clearing
+        rank = nrows - components
+        # both sign orders: each edge's two rows as drawn, then swapped
+        for columns in (edges, [e[::-1] for e in edges]):
+            m = faces(nrows, 2, columns)
+            forests.clear()
+            factors, pivot_rows, pivot_cols = reduce(m, cleared, ())
+            assert forests == [m]
+            assert factors == (1,) * rank
+            assert len(set(pivot_rows)) == len(set(pivot_cols)) == rank
+            assert not set(pivot_cols) & set(cleared)
+            assert pivot_block_is_unimodular(m, pivot_rows, pivot_cols)
+            # the twin goes through the unit phase, to the same factors
+            forests.clear()
+            assert reduce(twin(m), cleared, ())[0] == factors
+            assert forests == []
+    # isolated vertices, two components with edges, and cleared columns
+    # all occur
+    assert isolated and forked and clearing
 
 
 def test_graph_boundaries_off_the_forest_path(monkeypatch):
@@ -755,11 +780,17 @@ def test_graph_boundaries_off_the_forest_path(monkeypatch):
 
     monkeypatch.setattr(homology_module, "_spanning_forest", refuse)
     # every edge of a triangle signed +1 is not an incidence matrix
-    triangle = uniform(3, 2, [[0, 1], [1, 2], [0, 2]], (1, 1))
-    assert homology_module._sign_pattern(triangle) == [1, 1]
+    triangle = matrix_from_dict(3, 3, {(0, 0): 1, (1, 0): 1, (1, 1): 1,
+                                       (2, 1): 1, (0, 2): 1, (2, 2): 1})
     assert smith_invariants(triangle) == (1, 1, 2)
+    # one -1 then one +1 in every column, built from entries: the path
+    # 0 -> 1 -> 2 with the other sign order
+    path = matrix_from_dict(3, 2, {(1, 0): -1, (0, 0): 1, (2, 1): -1, (1, 1): 1})
+    assert smith_invariants(path) == (1, 1)
+    # a face matrix built again from its entries
+    assert smith_invariants(twin(faces(3, 2, [[1, 0], [2, 1]]))) == (1, 1)
     # the path 0 -> 1 -> 2 without rows 0 and 2 is row 1 alone, of rank 1
-    path = uniform(3, 2, [[1, 0], [2, 1]], (1, -1))
+    path = faces(3, 2, [[1, 0], [2, 1]])
     reduce = homology_module._smith_reduce
     assert reduce(path, (), (0, 2)) == ((1,), (1,), (0,))
     assert reduce(path, (1,), (0,)) == ((1,), (1,), (0,))
@@ -767,21 +798,9 @@ def test_graph_boundaries_off_the_forest_path(monkeypatch):
 
 def test_a_pivot_closing_a_cycle_fails_the_determinant_check():
     # 0 -> 1 -> 2 -> 0 and 2 -> 3: the forest takes columns 0, 1 and 3
-    m = uniform(4, 2, [[1, 0], [2, 1], [0, 2], [3, 2]], (1, -1))
+    m = faces(4, 2, [[1, 0], [2, 1], [0, 2], [3, 2]])
     factors, pivot_rows, pivot_cols = homology_module._smith_reduce(m, (), ())
     assert factors == (1, 1, 1) and pivot_cols == (0, 1, 3)
     assert pivot_block_is_unimodular(m, pivot_rows, pivot_cols)
     # column 2 closes the cycle 0 1 2, so it is no forest edge
     assert not pivot_block_is_unimodular(m, pivot_rows, (0, 1, 2))
-
-
-def test_strided_duplicate_check_names_the_first_duplicate():
-    rows = list(range(30))
-    rows[15], rows[17] = 4, 4  # places 0 and 2 of column 5
-    vals = [1, -1, 1] * 10
-    for ptr in (range(0, 31, 3), list(range(0, 31, 3))):
-        with pytest.raises(HomologyError, match=r"^duplicate entry at \(4,5\)$"):
-            IntMatrix._of_columns(30, 10, ptr, rows, vals)
-    rows[17] = 17
-    m = IntMatrix._of_columns(30, 10, range(0, 31, 3), rows, vals)
-    assert m == IntMatrix._of_columns(30, 10, list(range(0, 31, 3)), rows, vals)
