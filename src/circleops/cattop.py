@@ -4,7 +4,7 @@ A FinCategory is a finite thin category, at most one arrow per hom-set,
 whose every categorical axiom is checked at construction time, so a value
 of the type is itself a certificate.  Its core is integer: objects and
 arrows are numbered in the order given, composition is read off the hom
-index, and the axioms and the functor laws are checked on those ids.  The
+dicts, and the axioms and the functor laws are checked on those ids.  The
 payloads (configurations, graph elements, Arrow values) live in side
 tables, read back as payload views and to name a failure.  Categories and
 functors are built only by the constructions below, through
@@ -77,15 +77,6 @@ class Arrow:
     label: object
 
 
-def _outgoing(n: int, ends) -> list:
-    """For each of n objects, the ids of the arrows whose end (one of src or
-    dst, as given) it is."""
-    out = [[] for _ in range(n)]
-    for a, x in enumerate(ends):
-        out[x].append(a)
-    return out
-
-
 def _first_outside(ids, n: int):
     """The position of the first id in ids outside 0..n-1, or None.  min and
     max scan the list in C; only a list holding such an id is walked here."""
@@ -109,12 +100,14 @@ class FinCategory:
     They are kept as _src, _dst and _ident.
 
     The category is thin, at most one arrow per hom-set, and stores no
-    composition: _at, its hom index, maps each (x, y) with an arrow x -> y
-    to that arrow's id, and g after f is _at[src f, dst g].
+    composition: _hom holds one dict per object, _hom[x][y] the id of the
+    one arrow x -> y, each filled in arrow-id order, and g after f is
+    _hom[src f][dst g].  An id of -1 names no object, so it is tested
+    before it indexes _hom.
 
     identities and table read the payload maps back from the ids; table
     lists f in order, then each g composing after it, in the order of the
-    arrows out of dst f.
+    arrows out of dst f, which is the order of _hom[dst f].
     """
 
     def __init__(self, *args, **kwargs):
@@ -130,10 +123,6 @@ class FinCategory:
         return C
 
     @cached_property
-    def _out(self) -> list:
-        return _outgoing(len(self.objects), self._src)
-
-    @cached_property
     def _oid(self) -> dict:
         return {x: n for n, x in enumerate(self.objects)}
 
@@ -143,19 +132,24 @@ class FinCategory:
 
     @cached_property
     def _into(self) -> list:
-        return _outgoing(len(self.objects), self._dst)
+        """For each object, the ids of the arrows into it, in order."""
+        into = [[] for _ in self.objects]
+        for a, y in enumerate(self._dst):
+            into[y].append(a)
+        return into
 
     def _composite(self, f: int, g: int) -> int:
         """The id of g after f, for arrow ids f and g that compose."""
-        return self._at[self._src[f], self._dst[g]]
+        return self._hom[self._src[f]][self._dst[g]]
 
     def _triples(self):
         """(f, g, h) for each composable pair, h the id of g after f, in the
         order of table."""
-        src, dst, at, out = self._src, self._dst, self._at, self._out
-        for f, (s, t) in enumerate(zip(src, dst)):
-            for g in out[t]:
-                yield f, g, at[s, dst[g]]
+        hom = self._hom
+        for f, (s, t) in enumerate(zip(self._src, self._dst)):
+            homs = hom[s]
+            for z, g in hom[t].items():
+                yield f, g, homs[z]
 
     @property
     def identities(self) -> dict:
@@ -192,15 +186,14 @@ class FinCategory:
 
     def _verify_thin(self):
         """At most one arrow per hom-set and closure under composition, both
-        on up-set bitsets, then the hom index.
+        on the hom dicts _hom, which are built here and kept.
 
-        up[x] has bit y set when there is an arrow x -> y, so the bits of
-        all the up-sets count the hom-sets that have an arrow; fewer than
-        the arrows means a second arrow with the same ends.  For every arrow
-        a: x -> y, up[y] must lie inside up[x]: each g: y -> z then has an
-        arrow x -> z, which is _at[x, z], the composite of a and g, and its
-        ends are (src a, dst g) by construction.  The bitsets are dropped
-        before _at is built, so the two are never held at once.
+        The arrows go into _hom in id order, _hom[x][y] = a for a: x -> y;
+        an arrow whose (x, y) is already taken is a second arrow with the
+        same ends.  For every arrow a: x -> y, the keys of _hom[y] must lie
+        inside those of _hom[x]: each g: y -> z then has an arrow x -> z,
+        which is _hom[x][z], the composite of a and g, and its ends are
+        (src a, dst g) by construction.
 
         That is all there is to check.  An identity x -> x is the one arrow
         of its hom-set, so f after the identity at src f and the identity at
@@ -209,27 +202,22 @@ class FinCategory:
         src f -> dst h, so they are that hom-set's one arrow: associativity
         holds.
         """
-        src, dst, arrows = self._src, self._dst, self.arrows
-        up = [0] * len(self.objects)
-        for s, t in zip(src, dst):
-            up[s] |= 1 << t
-        if sum(map(int.bit_count, up)) < len(arrows):
-            first = {}
-            for a, key in enumerate(zip(src, dst)):
-                b = first.setdefault(key, a)
-                if b != a:
-                    raise CategoryError(
-                        f"two arrows share a source and a target:"
-                        f" {arrows[b]} and {arrows[a]}"
-                    )
-        for f, (s, t) in enumerate(zip(src, dst)):
-            if up[t] | up[s] != up[s]:  # as up[t] & ~up[s], with no negative int
-                g = next(g for g in self._out[t] if not up[s] >> dst[g] & 1)
+        arrows = self.arrows
+        hom = [{} for _ in self.objects]
+        for a, (s, t) in enumerate(zip(self._src, self._dst)):
+            b = hom[s].setdefault(t, a)
+            if b != a:
+                raise CategoryError(
+                    f"two arrows share a source and a target:"
+                    f" {arrows[b]} and {arrows[a]}"
+                )
+        for f, (s, t) in enumerate(zip(self._src, self._dst)):
+            if not hom[t].keys() <= hom[s].keys():
+                g = next(g for z, g in hom[t].items() if z not in hom[s])
                 raise CategoryError(
                     f"composite of {arrows[f]} then {arrows[g]} is not an arrow"
                 )
-        del up
-        self._at = dict(zip(zip(src, dst), range(len(arrows))))
+        self._hom = hom
 
 
 class _Table(Mapping):
@@ -242,7 +230,7 @@ class _Table(Mapping):
     def __len__(self) -> int:
         # one entry per composable pair, counted without walking them
         C = self._C
-        return sum(len(C._out[t]) for t in C._dst)
+        return sum(len(C._hom[t]) for t in C._dst)
 
     def __iter__(self):
         arrows = self._C.arrows
@@ -257,7 +245,7 @@ class _Table(Mapping):
         except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
         if C._dst[f] != C._src[g]:
-            # the hom index of a thin category would answer any f and g
+            # the hom dicts of a thin category would answer any f and g
             raise KeyError(key)
         return C.arrows[C._composite(f, g)]
 
@@ -383,15 +371,15 @@ def _subcategory(C: FinCategory, objs, keep_arrow):
 
     Identities and composites are inherited from C, so keep_arrow must pass
     identities and be closed under composition; the subcategory's
-    construction checks that closure on the kept objects' up-sets.
+    construction checks that closure on the kept objects' hom dicts.
     """
     new_obj = [-1] * len(C.objects)
     for n, x in enumerate(objs):
         new_obj[x] = n
     src, dst = C._src, C._dst
     kept = sorted(
-        a for x in objs for a in C._out[x]
-        if new_obj[dst[a]] >= 0 and keep_arrow(a)
+        a for x in objs for y, a in C._hom[x].items()
+        if new_obj[y] >= 0 and keep_arrow(a)
     )
     new_arr = [-1] * len(C.arrows)
     for n, a in enumerate(kept):
@@ -424,7 +412,7 @@ def _comma(F: FinFunctor, z: int, side: str):
     A, B = F.dom, F.cod
     under = side == "under"
     # the arrow z -> F(w) under, F(w) -> z over, or None, for each w
-    legs = [B._at.get((z, y) if under else (y, z)) for y in F._omap]
+    legs = [B._hom[z].get(y) if under else B._hom[y].get(z) for y in F._omap]
     pairs = [(w, g) for w, g in enumerate(legs) if g is not None]
     pair_id = {p: n for n, p in enumerate(pairs)}
     src, dst, labels = [], [], []
@@ -471,7 +459,7 @@ def fiber_inclusion(F: FinFunctor, z, side: str) -> FinFunctor:
     K, pair_id, labels = _comma(F, z, side)
     omap = [pair_id.get((x, id_z), -1) for x in objs]
     amap = [
-        b if (b := K._at.get((omap[s], omap[t]))) is not None
+        b if omap[s] >= 0 and (b := K._hom[omap[s]].get(omap[t])) is not None
         and labels[b] == u else -1
         for s, t, u in zip(fib._src, fib._dst, kept)
     ]
@@ -525,9 +513,9 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
     for f, (s, t) in enumerate(zip(base._src, base._dst)):
         omap, target = trans[f]._omap, fib[t]
         for x in range(len(fib[s].objects)):
-            for u in target._out[omap[x]]:
+            for y, u in target._hom[omap[x]].items():
                 src.append(start[s] + x)
-                dst.append(start[t] + target._dst[u])
+                dst.append(start[t] + y)
                 labels.append((f, u))
     units = [(base._ident[b], e) for b, F in enumerate(fib) for e in F._ident]
 
@@ -547,9 +535,10 @@ def grothendieck(base: FinCategory, fibers, transitions) -> FinCategory:
 
 
 def _matching_arrow(C: FinCategory, s: int, t: int, a: Arrow) -> int:
-    """The id of the arrow s -> t of C equal to the payload a, or -1."""
-    b = C._at.get((s, t))
-    return b if b is not None and C.arrows[b] == a else -1
+    """The id of the arrow s -> t of C equal to the payload a, or -1; an
+    object id s of -1 (not found) has no arrows."""
+    b = C._hom[s].get(t, -1) if s >= 0 else -1
+    return b if b >= 0 and C.arrows[b] == a else -1
 
 
 def _inclusion(dom: FinCategory, cod: FinCategory) -> FinFunctor:
@@ -842,12 +831,12 @@ def fiber_adjoint_report(F: FinFunctor, target) -> FiberAdjointReport:
 # --- nerves and homology ---------------------------------------------------------
 
 def _require_loop_free(C: FinCategory):
-    """Raise unless no two objects have arrows both ways, read off the hom
-    index.  C is thin, so the one endomorphism of each object is its
-    identity."""
-    at = C._at
+    """Raise unless no two objects have arrows both ways: for no arrow
+    x -> y with x != y is x a key of _hom[y].  C is thin, so the one
+    endomorphism of each object is its identity."""
+    hom = C._hom
     for x, y in zip(C._src, C._dst):
-        if x != y and (y, x) in at:
+        if x != y and x in hom[y]:
             raise CategoryError(
                 f"not loop-free: arrows both ways between {C.objects[x]}"
                 f" and {C.objects[y]}"
@@ -883,7 +872,7 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     _require_loop_free(C)
-    src, dst, at = C._src, C._dst, C._at
+    src, dst, hom = C._src, C._dst, C._hom
     nonid = [a for a, x in enumerate(src) if C._ident[x] != a]
     nonid_from = [[] for _ in C.objects]
     place = [0] * len(src)
@@ -913,11 +902,11 @@ def nerve(C: FinCategory, max_dim: int) -> ChainComplex:
             if not out:
                 continue
             base = [start[r] for r in faces[j * width:(j + 1) * width]]
-            tail = base.pop()
+            tail, homs = base.pop(), hom[src[f]]
             for g in out:
                 p = place[g]
                 rows += [ids[b + p] for b in base]
-                rows += (ids[tail + place[at[src[f], dst[g]]]], j)
+                rows += (ids[tail + place[homs[dst[g]]]], j)
                 children.append(g)
         last, start, place = children, first_child, pos
     return ChainComplex(tuple(dims), tuple(matrices))

@@ -94,7 +94,8 @@ class IntMatrix:
         the row at place i signed (-1)^i, as face i of a simplex is.
         Place a of every column is the slice ``rows[a::width]``: a row
         repeats in a column only if two places agree there, and only then
-        does a loop run over the columns to name the first duplicate.
+        does a loop run over the columns to name the first duplicate.  A
+        matrix with no columns has no pair of places to compare.
         """
         if nrows < 0:
             raise HomologyError("matrix dimensions must be nonnegative")
@@ -109,7 +110,7 @@ class IntMatrix:
                 f"entry ({i},{k // width}) outside a {nrows}x{ncols} matrix"
             )
         places = [rows[a::width] for a in range(width)]
-        if any(any(map(eq, places[a], places[b]))
+        if ncols and any(any(map(eq, places[a], places[b]))
                for a in range(width) for b in range(a + 1, width)):
             for j in range(ncols):
                 col = rows[j * width:(j + 1) * width]
@@ -163,7 +164,10 @@ def _composite_vanishes(a: IntMatrix, b: IntMatrix) -> bool:
     met with - are the same list once sorted.  Otherwise the sums go into
     one list indexed by row, one column of b at a time; when a column
     vanishes every slot it touched is back at zero, so the list is reused.
+    A b with no entries gives the zero product before either path runs.
     """
+    if not b.rows:
+        return True
     if a.width and b.width:
         places = [a.rows[t::a.width] for t in range(a.width)]
         terms = ([], [])  # the + terms, then the - terms

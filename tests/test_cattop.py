@@ -60,9 +60,9 @@ def test_poset_category_axioms_and_homs():
     assert len(C.objects) == 3
     assert len(C.arrows) == 6
     # the objects 0, 1, 2 have the ids 0, 1, 2
-    assert (0, 2) in C._at
-    assert (2, 0) not in C._at
-    f, g, h = (C.arrows[C._at[pair]] for pair in ((0, 1), (1, 2), (0, 2)))
+    assert 2 in C._hom[0]
+    assert 0 not in C._hom[2]
+    f, g, h = (C.arrows[C._hom[x][y]] for x, y in ((0, 1), (1, 2), (0, 2)))
     assert C.table[g, f] == h
 
 
@@ -170,13 +170,13 @@ def test_thin_categories_without_a_table_name_each_failure():
 
 
 def test_thin_table_rejects_pairs_that_do_not_compose():
-    # the hom index has an arrow src f -> dst g for these pairs, so only
+    # the hom dicts have an arrow src f -> dst g for these pairs, so only
     # the composability test keeps the table from answering them
     C = poset_category(k_enumerate(2, 3), k_leq)
     src, dst = C._src, C._dst
     pairs = [(f, g) for f in range(0, len(C.arrows), 17)
              for g in range(0, len(C.arrows), 13)
-             if dst[f] != src[g] and (src[f], dst[g]) in C._at]
+             if dst[f] != src[g] and dst[g] in C._hom[src[f]]]
     assert len(pairs) > 100
     for f, g in pairs:
         key = (C.arrows[g], C.arrows[f])
@@ -185,15 +185,15 @@ def test_thin_table_rejects_pairs_that_do_not_compose():
             C.table[key]
     # and every pair that does compose is answered by its one arrow
     for (g, f), h in C.table.items():
-        assert C.table[g, f] == h == C.arrows[C._at[C._oid[f.src], C._oid[g.dst]]]
+        assert C.table[g, f] == h == C.arrows[C._hom[C._oid[f.src]][C._oid[g.dst]]]
     assert len(C.table) == sum(1 for _ in C.table) == 948
 
 
 def test_every_functor_check_names_its_failure():
     C, D = chain(3), chain(2)
     omap = [0, 1, 1]
-    amap = [D._at[omap[s], omap[t]] for s, t in zip(C._src, C._dst)]
-    f02 = C._at[0, 2]
+    amap = [D._hom[omap[s]][omap[t]] for s, t in zip(C._src, C._dst)]
+    f02 = C._hom[0][2]
 
     def image(b):
         return amap[:f02] + [b] + amap[f02 + 1:]
@@ -265,22 +265,39 @@ def test_axiom_failures_finds_broken_laws():
         monoid(lambda g, f: i if (g, f) == (a, i) else product(g, f)))
 
 
-def test_digest_categories_pass_the_reference_axiom_walk(monkeypatch):
-    # every category a light digest item writes out, as CATTOP_SHA256 hashes
-    # it: the poset, comma_below, build_comma and hat comma items (the
-    # latter holds build_hat_comma and hat_comma_grothendieck of (|)), and
-    # the commas of every fiber inclusion
+@pytest.fixture(scope="module")
+def digest_categories():
+    """Every category a light digest item writes out, as CATTOP_SHA256
+    hashes it, by name: the poset, comma_below, build_comma and hat comma
+    items (the latter holds build_hat_comma and hat_comma_grothendieck of
+    (|)), and the commas of every fiber inclusion."""
     seen = {}
-    monkeypatch.setattr(
-        digests, "category_lines", lambda name, C: seen.setdefault(name, C) and ())
-    for name, lines in digests.LIGHT.items():
-        if not name.startswith("nerve/"):  # nerve items write no category
-            for _ in lines():
-                pass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(digests, "category_lines",
+                   lambda name, C: seen.setdefault(name, C) and ())
+        for name, lines in digests.LIGHT.items():
+            if not name.startswith("nerve/"):  # nerve items write no category
+                for _ in lines():
+                    pass
     assert {"build_hat_comma (|)", "hat_comma_grothendieck (|)"} <= set(seen)
     assert len(seen) == 62
-    for name, C in seen.items():
+    return seen
+
+
+def test_digest_categories_pass_the_reference_axiom_walk(digest_categories):
+    for name, C in digest_categories.items():
         assert axiom_failures(C) == [], name
+
+
+def test_hom_dicts_list_each_objects_out_arrows_in_id_order(digest_categories):
+    # table, _subcategory and grothendieck read the arrows out of x in the
+    # order of _hom[x], which must be their id order
+    for name, C in digest_categories.items():
+        out = [[] for _ in C.objects]
+        for a, x in enumerate(C._src):
+            out[x].append(a)
+        assert [list(h.values()) for h in C._hom] == out, name
+        assert all(C._dst[a] == y for h in C._hom for y, a in h.items()), name
 
 
 def test_functors_into_thin_categories_reject_every_misdirected_arrow():
@@ -311,11 +328,23 @@ def test_categories_and_functors_are_built_only_by_of_ids():
     assert type(C) is FinCategory and type(identity_functor(C)) is FinFunctor
 
 
+def test_inclusion_names_a_domain_object_missing_from_the_codomain():
+    # the missing object's id is -1, which must not index the codomain's
+    # hom dicts: on the empty codomain that would raise IndexError, and on
+    # a nonempty one read its last object
+    empty = cattop._labelled((), [], [], [], None, None, None)
+    for dom, cod in ((chain(3), chain(2)), (chain(1), empty)):
+        last = dom.objects[-1]
+        with pytest.raises(CategoryError,
+                           match=f"^image of {last} is not a codomain object$"):
+            cattop._inclusion(dom, cod)
+
+
 def test_functor_must_preserve_composition():
     C = chain(3)
     D = chain(2)
     omap = [0, 1, 1]
-    amap = [D._at[omap[s], omap[t]] for s, t in zip(C._src, C._dst)]
+    amap = [D._hom[omap[s]][omap[t]] for s, t in zip(C._src, C._dst)]
     F = FinFunctor._of_ids(C, D, omap, amap)
     assert F.object_map == {0: 0, 1: 1, 2: 1}
 
@@ -368,7 +397,7 @@ def test_comma_both_sides_for_identity():
     assert len(under.objects) == 2  # (1,id), (2, 1<=2)
     assert len(over.objects) == 2  # (0, 0<=1), (1,id)
     # (1, id) is initial under: one arrow to every object
-    assert all((0, y) in under._at for y in range(len(under.objects)))
+    assert all(y in under._hom[0] for y in range(len(under.objects)))
     assert under.objects[0] == (1, C.identities[1])
     assert find_terminal(over) == (1, C.identities[1])
 

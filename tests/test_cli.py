@@ -1,6 +1,7 @@
 import argparse
 import importlib
 import json
+import time
 
 import pytest
 
@@ -146,6 +147,18 @@ def test_deletion_failure_names_the_arrow_by_its_terms():
 def test_homology_kposet_example(capsys):
     assert run(["homology", "kposet", "--m", "2", "--k", "2"]) == 0
     assert out_lines(capsys) == ["H0 = Z", "H1 = Z", "H2 = 0", "H3 = 0"]
+
+
+def test_empty_boundaries_cost_no_time_at_a_high_max_dim(capsys):
+    # the (2, 2) stage poset has no 2-chains, so every boundary from d_2 on
+    # is empty; a check that walked width**2 places of each would take
+    # minutes here
+    start = time.perf_counter()
+    assert run(["--max-dim", "800", "homology", "kposet", "--m", "2", "--k", "2"]) == 0
+    elapsed = time.perf_counter() - start
+    assert out_lines(capsys) == ["H0 = Z", "H1 = Z"] + [
+        f"H{n} = 0" for n in range(2, 801)]
+    assert elapsed < 2.0
 
 
 def test_homology_hat_example(capsys):
